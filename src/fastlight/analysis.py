@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import (DegeneratePeakError, IncompatibleSpectraError,
                      IncompatibleTracesError, InvalidParameterError)
@@ -63,7 +62,10 @@ def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
     """Welch power spectral density of a trace, one-sided, density-normalized.
 
     The integral of the returned density over frequency equals the trace
-    variance (Parseval) up to estimator error.
+    variance (Parseval) up to estimator error.  Computed in numpy with the
+    conventions of ``scipy.signal.welch(..., detrend=False,
+    scaling="density")``: periodic window, full segments only, mean over
+    segments, interior bins doubled.
     """
     if not _is_power_of_two(segment_len):
         raise InvalidParameterError(f"segment_len must be a power of two, got {segment_len}")
@@ -72,10 +74,18 @@ def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
             f"segment_len {segment_len} exceeds trace length {len(trace)}")
     if not (0.0 <= overlap_fraction < 1.0):
         raise InvalidParameterError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
-    freqs, values = sps.welch(
-        trace.samples, fs=trace.sample_rate, window=window, nperseg=segment_len,
-        noverlap=int(overlap_fraction * segment_len), detrend=False,
-        return_onesided=True, scaling="density")
+    if window == "hann":
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    else:
+        from scipy.signal import get_window
+        w = get_window(window, segment_len)
+    step = segment_len - int(overlap_fraction * segment_len)
+    segments = np.lib.stride_tricks.sliding_window_view(trace.samples, segment_len)[::step]
+    spec = np.fft.rfft(segments * w, axis=-1)
+    values = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0)
+    values /= trace.sample_rate * np.sum(w * w)
+    values[1:-1] *= 2.0
+    freqs = np.fft.rfftfreq(segment_len, 1.0 / trace.sample_rate)
     return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction, window, 1)
 
 
@@ -256,7 +266,9 @@ def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
     if n_lag > n // 8:
         raise InvalidParameterError(
             f"max_lag {max_lag} too long for trace duration {i1.duration}")
-    energy = float(np.dot(i1.samples, i1.samples)) * float(np.dot(i2.samples, i2.samples))
+    # einsum, not np.dot: BLAS threads would contend with the pool workers.
+    energy = (float(np.einsum("i,i->", i1.samples, i1.samples))
+              * float(np.einsum("i,i->", i2.samples, i2.samples)))
     if energy <= 0.0:
         raise InvalidParameterError("zero-energy trace has no normalized correlation")
     spec = np.conj(np.fft.rfft(i1.samples)) * np.fft.rfft(i2.samples)

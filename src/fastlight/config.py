@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
                          GainLine, calibrate, peak_advance)
@@ -207,6 +206,8 @@ def _solve_advance_line() -> tuple[float, float]:
     offset equals the target.  The returned anchor offset is where the plain
     group-delay expression gives exactly the target advance.
     """
+    from scipy.optimize import brentq
+
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     band_lo, band_hi = 1e5, 3e6
 

@@ -15,6 +15,9 @@ from .dispersion import GainLine, intensity_gain, modulation_transfer
 from .simulate import build_targets
 from .twinbeam import TwinBeamSource, seeded_stats
 
+# Lag stride of the coarse pass of the correlation peak search.
+_COARSE_STEP = 10
+
 
 def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
                                    source: TwinBeamSource, eta: float,
@@ -78,12 +81,24 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     cross = response ** 2 * s_pc * transfer
 
     t = np.linspace(-t_window, t_window, n_t)
-    phase = 2.0 * np.pi * np.outer(t, f)
-    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                        f, axis=1)
-    i = int(np.argmax(corr))
-    if 0 < i < n_t - 1:
-        y0, y1, y2 = corr[i - 1], corr[i], corr[i + 1]
+
+    def correlation(rows):
+        phase = 2.0 * np.pi * np.outer(t[rows], f)
+        return np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
+                            f, axis=1)
+
+    # The main lobe spans hundreds of lags, so the dense argmax lies within
+    # two coarse steps of the coarse one; each row is evaluated exactly as a
+    # dense grid would evaluate it.
+    coarse = np.arange(0, n_t, _COARSE_STEP)
+    centre = int(coarse[np.argmax(correlation(coarse))])
+    lo = max(centre - 2 * _COARSE_STEP, 0)
+    hi = min(centre + 2 * _COARSE_STEP, n_t - 1)
+    corr = correlation(slice(lo, hi + 1))
+    k = int(np.argmax(corr))
+    i = lo + k
+    if 0 < k < corr.size - 1:
+        y0, y1, y2 = corr[k - 1], corr[k], corr[k + 1]
         denom = y0 - 2.0 * y1 + y2
         if denom < 0.0:
             return float(t[i] + 0.5 * (y0 - y2) / denom * (t[1] - t[0]))

@@ -391,6 +391,8 @@ def load_trace_binary(path) -> Trace:
     """Read a trace written by ``save_trace_binary`` (exact round trip)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) != _HEADER.size:
+            raise InvalidParameterError("truncated trace file")
         magic, version, rate, mean, count = _HEADER.unpack(raw)
         if magic != _BINARY_MAGIC:
             raise InvalidParameterError(f"bad magic {magic!r} in trace file")

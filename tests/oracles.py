@@ -1,9 +1,10 @@
-"""Independent Monte-Carlo oracles used to cross-check closed forms.
+"""Independent oracles used to cross-check closed forms and fast kernels.
 
-These sample the underlying Gaussian field model directly (complex field
-amplitudes with half-photon vacuum quadrature noise) rather than reusing any
-formula from the package, so they provide an independent route to the
-photon-number statistics.
+The Monte-Carlo oracles sample the underlying Gaussian field model directly
+(complex field amplitudes with half-photon vacuum quadrature noise) rather
+than reusing any formula from the package, so they provide an independent
+route to the photon-number statistics.  ``dense_correlation_shift`` is the
+brute-force form of the predicted correlation shift.
 """
 
 import numpy as np
@@ -59,3 +60,33 @@ def mc_difference_noise(gain1, gain2, eta, seed_flux, n_samples, seed):
 def var_standard_error(sample_var, n_samples):
     """Standard error of a variance estimate for near-Gaussian data."""
     return sample_var * np.sqrt(2.0 / n_samples)
+
+
+def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, edge_lo=None,
+                            edge_hi=None, t_window=1.5e-7, n_t=3001, n_f=1600):
+    """Reference for ``predicted_correlation_shift``: the same trapezoid
+    correlation evaluated on every one of the n_t lags, then the
+    parabolic-refined argmax."""
+    from fastlight.analysis import _FALL_3DB, band_response
+    from fastlight.dispersion import modulation_transfer
+    from fastlight.simulate import build_targets
+
+    edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
+    f_max = f_hi + (1.0 - _FALL_3DB) * edge_hi_val
+    f = np.linspace(0.0, f_max * 1.02, n_f)
+    response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
+    s_pc = build_targets(source, f).s_pc
+    transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
+    cross = response ** 2 * s_pc * transfer
+
+    t = np.linspace(-t_window, t_window, n_t)
+    phase = 2.0 * np.pi * np.outer(t, f)
+    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
+                        f, axis=1)
+    i = int(np.argmax(corr))
+    if 0 < i < n_t - 1:
+        y0, y1, y2 = corr[i - 1], corr[i], corr[i + 1]
+        denom = y0 - 2.0 * y1 + y2
+        if denom < 0.0:
+            return float(t[i] + 0.5 * (y0 - y2) / denom * (t[1] - t[0]))
+    return float(t[i])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import signal as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,3 +222,31 @@ def test_correlation_bounded_property(seed, k):
     other = Trace(RATE, t.mean_flux, np.roll(t.samples, k))
     xc = cross_correlation(t, other, 4e-7)
     assert np.max(np.abs(xc.values)) <= 1.0 + 1e-9
+
+
+def _scipy_welch(t, segment_len, overlap, window="hann"):
+    return sps.welch(t.samples, fs=t.sample_rate, window=window, nperseg=segment_len,
+                     noverlap=int(overlap * segment_len), detrend=False,
+                     return_onesided=True, scaling="density")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), log_n=st.integers(min_value=10, max_value=16),
+       overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+       seed=st.integers(min_value=0, max_value=2 ** 31))
+def test_psd_matches_scipy_welch(data, log_n, overlap, seed):
+    segment_len = 1 << data.draw(st.integers(min_value=1, max_value=log_n))
+    samples = np.random.default_rng(seed).standard_normal(1 << log_n) * 30.0
+    t = Trace(RATE, 1e6, samples)
+    spec = psd(t, segment_len, overlap)
+    freqs, values = _scipy_welch(t, segment_len, overlap)
+    np.testing.assert_allclose(spec.frequencies, freqs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(spec.values, values, rtol=1e-12, atol=0)
+
+
+def test_psd_other_window_matches_scipy_welch():
+    t = _white(1 << 14, seed=21)
+    spec = psd(t, 1 << 10, 0.5, window="hamming")
+    _, values = _scipy_welch(t, 1 << 10, 0.5, window="hamming")
+    assert spec.window == "hamming"
+    np.testing.assert_allclose(spec.values, values, rtol=1e-12, atol=0)

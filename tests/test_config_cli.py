@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fastlight
+from fastlight import config as config_module
 from fastlight.cli import main
 from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
                               load_config, preset_coherent_ref,
                               preset_fig2_line, preset_fig4_advance)
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
 from fastlight.errors import ConfigError
+from oracles import dense_correlation_shift
 
 
 def test_fig2_preset_hits_gain_anchor():
@@ -27,6 +33,27 @@ def test_fig4_preset_advance_anchor_and_gain():
     assert peak_advance(line, 2 * np.pi * anchor) * 1e9 == pytest.approx(-12.0, abs=0.1)
     gain_op = float(intensity_gain(line, 2 * np.pi * cfg.offset_hz))
     assert gain_op <= 1.25
+
+
+def test_fig4_preset_solve_equals_dense_reference(monkeypatch):
+    cfg = preset_fig4_advance()
+    monkeypatch.setattr(config_module, "predicted_correlation_shift",
+                        dense_correlation_shift)
+    peak_db, anchor_hz = config_module._solve_advance_line.__wrapped__()
+    assert cfg.line.peak_gain_db == peak_db
+    assert cfg.advance_anchor_offset_hz == anchor_hz
+
+
+def test_cli_import_and_scan_preset_skip_signal_and_optimize():
+    code = ("import sys, fastlight.cli\n"
+            "fastlight.cli.load_config('fig2-line')\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(fastlight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_coherent_preset_is_quiet():

@@ -8,6 +8,9 @@ from fastlight.dispersion import (GainLine, calibrate, field_transfer, gain_db,
                                   modulation_transfer, peak_advance,
                                   refractive_index, LIGHT_SPEED)
 from fastlight.errors import InvalidParameterError
+from fastlight.predict import predicted_correlation_shift
+from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing
+from oracles import dense_correlation_shift
 
 LINE = calibrate(7.5, 10e6, 0.025)
 
@@ -199,3 +202,13 @@ def test_line_validation():
         GainLine(g=1e-6, gamma=0.0)
     with pytest.raises(InvalidParameterError):
         GainLine(g=1e-6, gamma=1e7, length=-0.1)
+
+
+@pytest.mark.parametrize("fwhm_hz", [2.6e6, 10e6])
+@pytest.mark.parametrize("peak_db", [4.0, 12.0, 25.0, 40.0])
+def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
+    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
+    line = calibrate(peak_db, fwhm_hz, 0.025)
+    for offset_hz in np.linspace(-10e6, 10e6, 5):
+        assert predicted_correlation_shift(line, offset_hz, source, 1e5, 3e6) == \
+            dense_correlation_shift(line, offset_hz, source, 1e5, 3e6)

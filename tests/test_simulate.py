@@ -273,3 +273,10 @@ def test_binary_rejects_corrupt_header(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
     with pytest.raises(InvalidParameterError):
         load_trace_binary(path)
+
+
+def test_binary_rejects_short_header(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(b"FLTRACE\x00" + b"\x00" * 10)
+    with pytest.raises(InvalidParameterError, match="truncated trace file"):
+        load_trace_binary(path)
