@@ -9,7 +9,8 @@ from .amplifier import (ChannelParams, amp_mean, amp_variance,
                         difference_noise_after_channel, loss_channel, snu_out)
 from .analysis import (Spectrum, XcorrResult, average_spectra, band_filter,
                        band_response, band_squeezing_db, cross_correlation,
-                       peak_delay, psd, shot_noise_density, snu_normalize)
+                       peak_delay, psd, shot_noise_density, snu_normalize,
+                       spectral_correlation)
 from .dispersion import (GainLine, MediumResponse, calibrate, field_transfer,
                          gain_db, group_index, intensity_gain, medium_response,
                          modulation_transfer, peak_advance, refractive_index)

@@ -249,33 +249,67 @@ def _fwhm(lags, values, peak_val: float) -> float:
     return float(right - left)
 
 
+def _band_energy(x, h2, n: int) -> float:
+    """Energy of the h2-weighted record behind rfft spectrum x (Parseval): DC
+    and Nyquist bins count once, interior bins twice."""
+    # einsum, not np.dot/np.vdot: BLAS threads would contend with the pool workers.
+    total = (np.einsum("i,i,i->", h2, x.real, x.real)
+             + np.einsum("i,i,i->", h2, x.imag, x.imag))
+    edges = h2[0] * abs(x[0]) ** 2 + h2[-1] * abs(x[-1]) ** 2
+    return float(2.0 * total - edges) / n
+
+
+def spectral_correlation(x1, x2, h2, sample_rate: float, max_lag: float) -> XcorrResult:
+    """Band-filtered normalized cross-correlation from two rfft spectra.
+
+    x1 and x2 are ``np.fft.rfft`` of two even-length real records sampled at
+    sample_rate (every Trace qualifies); h2 is the squared band response on
+    the same rfft grid.  Returns what
+    ``cross_correlation(band_filter(a), band_filter(b), max_lag)`` returns,
+    computed as one irfft of h2*conj(x1)*x2 (the generalized
+    cross-correlation of Knapp & Carter, IEEE TASSP 24:320, 1976) normalized
+    by the band-limited energies from Parseval's theorem.
+    """
+    x1 = np.asarray(x1)
+    x2 = np.asarray(x2)
+    h2 = np.asarray(h2, dtype=float)
+    if x1.ndim != 1 or x1.size < 2 or x2.shape != x1.shape:
+        raise IncompatibleTracesError("spectral_correlation needs equal-length 1-d spectra")
+    if h2.shape != x1.shape:
+        raise InvalidParameterError("band response must lie on the spectra's rfft grid")
+    n = 2 * (x1.size - 1)
+    n_lag = int(round(max_lag * sample_rate))
+    if n_lag < 1:
+        raise InvalidParameterError(f"max_lag {max_lag} is below one sample period")
+    if n_lag > n // 8:
+        raise InvalidParameterError(
+            f"max_lag {max_lag} too long for trace duration {n / sample_rate}")
+    energy = _band_energy(x1, h2, n) * _band_energy(x2, h2, n)
+    if not (np.isfinite(energy) and energy > 0.0):
+        raise InvalidParameterError(
+            "zero-energy or non-finite trace has no normalized correlation")
+    cross = np.conj(x1)
+    cross *= x2
+    cross *= h2
+    corr = np.fft.irfft(cross, n)
+    values = np.concatenate([corr[-n_lag:], corr[:n_lag + 1]]) / np.sqrt(energy)
+    lags = np.arange(-n_lag, n_lag + 1) / sample_rate
+    return XcorrResult.from_values(lags, values)
+
+
 def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
     """Normalized intensity cross-correlation of two equal-rate traces.
 
     Computed in the frequency domain (circular; valid for max_lag much
     shorter than the trace), normalized by sqrt(C11(0) C22(0)) so the values
-    are bounded by 1.  The lag grid is at the sample period.
+    are bounded by 1.  The lag grid is at the sample period.  This is
+    ``spectral_correlation`` with an all-pass band.
     """
-    _check = (len(i1) != len(i2) or i1.sample_rate != i2.sample_rate)
-    if _check:
+    if len(i1) != len(i2) or i1.sample_rate != i2.sample_rate:
         raise IncompatibleTracesError("cross_correlation needs equal lengths and rates")
-    n = len(i1)
-    n_lag = int(round(max_lag * i1.sample_rate))
-    if n_lag < 1:
-        raise InvalidParameterError(f"max_lag {max_lag} is below one sample period")
-    if n_lag > n // 8:
-        raise InvalidParameterError(
-            f"max_lag {max_lag} too long for trace duration {i1.duration}")
-    # einsum, not np.dot: BLAS threads would contend with the pool workers.
-    energy = (float(np.einsum("i,i->", i1.samples, i1.samples))
-              * float(np.einsum("i,i->", i2.samples, i2.samples)))
-    if energy <= 0.0:
-        raise InvalidParameterError("zero-energy trace has no normalized correlation")
-    spec = np.conj(np.fft.rfft(i1.samples)) * np.fft.rfft(i2.samples)
-    corr = np.fft.irfft(spec, n)
-    values = np.concatenate([corr[-n_lag:], corr[:n_lag + 1]]) / np.sqrt(energy)
-    lags = np.arange(-n_lag, n_lag + 1) / i1.sample_rate
-    return XcorrResult.from_values(lags, values)
+    x1 = np.fft.rfft(i1.samples)
+    return spectral_correlation(x1, np.fft.rfft(i2.samples), np.ones(x1.size),
+                                i1.sample_rate, max_lag)
 
 
 def _check_unique_peak(result: XcorrResult, tie_tol: float = 1e-6):

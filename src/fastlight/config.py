@@ -19,6 +19,7 @@ from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
                          GainLine, calibrate, peak_advance)
 from .errors import ConfigError
 from .predict import predicted_correlation_shift
+from .simulate import _is_power_of_two
 from .twinbeam import TwinBeamSource, gain_for_squeezing
 
 SCENARIOS = ("line-scan", "delay-scan", "xcorr", "selftest")
@@ -101,12 +102,26 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < self.sampling.rate_hz / 2.0):
                 raise ConfigError(f"field '{name}' must satisfy 0 < lo < hi < Nyquist")
-        if self.sampling.samples < 2 or self.sampling.samples & (self.sampling.samples - 1):
+        if not _is_power_of_two(self.sampling.samples):
             raise ConfigError("field 'sampling.samples' must be a power of two")
         if self.sampling.traces < 1:
             raise ConfigError("field 'sampling.traces' must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("field 'jobs' must be >= 1")
+        if not _is_int(self.jobs) or self.jobs < 1:
+            raise ConfigError("field 'jobs' must be an integer >= 1")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("field 'seed' must be a non-negative integer")
+        if not (_is_int(self.segment_len) and _is_power_of_two(self.segment_len)):
+            raise ConfigError("field 'segment_len' must be a power of two")
+        if not _is_finite(self.offset_hz):
+            raise ConfigError("field 'offset_hz' must be a finite number")
+        if not all(_is_finite(d) for d in self.detunings_hz):
+            raise ConfigError("field 'detunings_hz' must hold finite numbers")
+        if self.scenario in ("delay-scan", "xcorr"):
+            # The correlation kernel's lag window: one sample to an eighth of a trace.
+            if not (_is_finite(self.max_lag_s) and 1.0 <= self.max_lag_s
+                    * self.sampling.rate_hz <= self.sampling.samples / 8):
+                raise ConfigError("field 'max_lag_s' must lie between one sample period "
+                                  "and samples / (8 * rate_hz)")
         # Fail early on invalid physics parameters, with the field named.
         try:
             self.line.make()
@@ -133,6 +148,15 @@ class ScenarioConfig:
         payload = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "jobs")}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 _SECTION_TYPES = {

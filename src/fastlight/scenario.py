@@ -20,12 +20,12 @@ import scipy
 from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (NORM_ABSOLUTE, Spectrum, XcorrResult, band_filter,
-                       band_squeezing_db, cross_correlation, peak_delay, psd,
-                       snu_normalize)
+                       band_response, band_squeezing_db, cross_correlation,
+                       peak_delay, psd, snu_normalize, spectral_correlation)
 from .config import ScenarioConfig, config_from_dict
 from .dispersion import gain_db, group_index, intensity_gain
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
-from .simulate import (Trace, apply_detection, build_targets, difference,
+from .simulate import (apply_detection, build_targets, difference,
                        fractional_shift, propagate_channel, shot_reference,
                        synth_twin_traces)
 from .twinbeam import seeded_stats
@@ -46,10 +46,6 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
     return 10.0 * math.log10(1.0 + x_beam)
 
 
-def _band(trace: Trace, band) -> Trace:
-    return band_filter(trace, band[0], band[1])
-
-
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
                                point_ss: np.random.SeedSequence,
                                want_fullband: bool) -> dict:
@@ -68,6 +64,10 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
                                         mean_c_out, eta)
     freqs = np.fft.rfftfreq(n, 1.0 / fs)
     targets = build_targets(source, freqs)
+    # Each band-filtered correlation is one irfft of H^2 conj(X1) X2.
+    band_h2 = {"band": band_response(freqs, *cfg.band_hz) ** 2}
+    if want_fullband:
+        band_h2["full"] = band_response(freqs, *cfg.fullband_hz) ** 2
 
     sums = {}
     lag_grid = None
@@ -87,18 +87,22 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
         conj_ref = apply_detection(conj, eta, roles[3])
         probe_fast = apply_detection(probe, eta, roles[4])
         conj_fast = apply_detection(conj_fast, eta, roles[5])
+        # Drop the undetected pair, and hold one detected pair's spectra at a
+        # time: the correlations and spectra below would otherwise set the
+        # peak memory.
+        del probe, conj
 
-        pairs = {"band_ref": (probe_ref, conj_ref, cfg.band_hz),
-                 "band_fast": (probe_fast, conj_fast, cfg.band_hz)}
-        if want_fullband:
-            pairs["full_ref"] = (probe_ref, conj_ref, cfg.fullband_hz)
-            pairs["full_fast"] = (probe_fast, conj_fast, cfg.fullband_hz)
-        for key, (t1, t2, band) in pairs.items():
-            xc = cross_correlation(_band(t1, band), _band(t2, band), cfg.max_lag_s)
-            if key not in sums:
-                sums[key] = np.zeros_like(xc.values)
-                lag_grid = xc.lags
-            sums[key] += xc.values
+        for pair, t1, t2 in (("ref", probe_ref, conj_ref), ("fast", probe_fast, conj_fast)):
+            x1 = np.fft.rfft(t1.samples)
+            x2 = np.fft.rfft(t2.samples)
+            for band, h2 in band_h2.items():
+                xc = spectral_correlation(x1, x2, h2, fs, cfg.max_lag_s)
+                key = f"{band}_{pair}"
+                if key not in sums:
+                    sums[key] = np.zeros_like(xc.values)
+                    lag_grid = xc.lags
+                sums[key] += xc.values
+            del x1, x2
 
         spec_diff = psd(difference(probe_fast, conj_fast), seg)
         shot_p, shot_c = shot_reference(probe_fast.mean_flux, conj_fast.mean_flux,
@@ -110,6 +114,8 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
             spec_freqs = spec_diff.frequencies
         diff_acc += spec_diff.values
         shot_acc += spec_shot.values
+        # Free this trace's records before the next synthesis and channel.
+        del probe_ref, conj_ref, probe_fast, conj_fast, shot_p, shot_c
 
     def _spectrum(acc):
         return Spectrum(spec_freqs, acc / n_traces, NORM_ABSOLUTE, seg, 0.5,

@@ -47,9 +47,9 @@ class Trace:
 
     sample_rate: Hz.
     mean_flux: mean photon number per sample (> 0); the shot-noise scale.
-    samples: zero-mean fluctuation sequence in photons per sample; length is
-        a power of two.  The array is locked read-only; operations return new
-        traces.
+    samples: finite, zero-mean fluctuation sequence in photons per sample;
+        length is a power of two.  The array is locked read-only; operations
+        return new traces.
     seed_tag: provenance string recording the generator lineage.
     """
 
@@ -67,6 +67,9 @@ class Trace:
         if samples.ndim != 1 or not _is_power_of_two(samples.size):
             raise InvalidParameterError(
                 f"samples must be a 1-d array with power-of-two length, got shape {samples.shape}")
+        # min and max carry any NaN or inf, without a full-size boolean temporary.
+        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+            raise InvalidParameterError("samples must be finite")
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)

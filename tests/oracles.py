@@ -4,7 +4,9 @@ The Monte-Carlo oracles sample the underlying Gaussian field model directly
 (complex field amplitudes with half-photon vacuum quadrature noise) rather
 than reusing any formula from the package, so they provide an independent
 route to the photon-number statistics.  ``dense_correlation_shift`` is the
-brute-force form of the predicted correlation shift.
+brute-force form of the predicted correlation shift, and
+``circular_correlation`` the direct time-domain sum behind the FFT
+correlation kernels.
 """
 
 import numpy as np
@@ -90,3 +92,13 @@ def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, edge_lo=None,
         if denom < 0.0:
             return float(t[i] + 0.5 * (y0 - y2) / denom * (t[1] - t[0]))
     return float(t[i])
+
+
+def circular_correlation(a, b, n_lag):
+    """Direct O(n * lags) normalized circular correlation,
+    C[l] = sum_t a[t] b[(t + l) mod n] / sqrt(sum a^2 * sum b^2),
+    for l = -n_lag .. n_lag."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    values = np.array([np.sum(a * np.roll(b, -lag)) for lag in range(-n_lag, n_lag + 1)])
+    return values / np.sqrt(np.sum(a * a) * np.sum(b * b))

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, average_spectra,
                                 band_filter, band_response, band_squeezing_db,
                                 cross_correlation, peak_delay, psd,
-                                shot_noise_density, snu_normalize)
+                                shot_noise_density, snu_normalize,
+                                spectral_correlation)
 from fastlight.errors import (DegeneratePeakError, IncompatibleSpectraError,
                               IncompatibleTracesError, InvalidParameterError)
 from fastlight.simulate import Trace, fractional_shift, shot_reference
+from oracles import circular_correlation
 
 RATE = 2.5e9
 
@@ -138,6 +140,85 @@ def test_cross_correlation_rejects_mismatch():
         cross_correlation(a, b, 1e-6)
     with pytest.raises(InvalidParameterError):
         cross_correlation(a, a, 1e-3)  # max_lag too long for the trace
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_spectral_correlation_matches_time_domain_oracle(data):
+    n = 1 << data.draw(st.integers(min_value=10, max_value=14), label="log2_n")
+    bin_hz = RATE / n
+    f_lo = data.draw(st.floats(min_value=4 * bin_hz, max_value=RATE / 200), label="f_lo")
+    # Ratio >= 3.1 keeps the default raised-cosine edges from overlapping.
+    f_hi = f_lo * data.draw(st.floats(min_value=3.1, max_value=min(100.0, 0.45 * RATE / f_lo)),
+                            label="f_hi / f_lo")
+    n_lag = data.draw(st.integers(min_value=1, max_value=n // 8), label="n_lag")
+    kind = data.draw(st.sampled_from(["correlated", "delayed", "independent"]), label="pair")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    if kind == "correlated":
+        b = 0.8 * a + 0.6 * b
+    elif kind == "delayed":
+        b = np.roll(a, int(rng.integers(-n_lag, n_lag + 1))) + 0.3 * b
+    ta, tb = Trace(RATE, 1.0, a), Trace(RATE, 1.0, b)
+    fa, fb = band_filter(ta, f_lo, f_hi), band_filter(tb, f_lo, f_hi)
+    lags = np.arange(-n_lag, n_lag + 1) / RATE
+    banded = XcorrResult.from_values(lags, circular_correlation(fa.samples, fb.samples, n_lag))
+    raw = XcorrResult.from_values(lags, circular_correlation(a, b, n_lag))
+
+    h2 = band_response(np.fft.rfftfreq(n, 1.0 / RATE), f_lo, f_hi) ** 2
+    max_lag = n_lag / RATE
+    for got, oracle in (
+            (spectral_correlation(np.fft.rfft(a), np.fft.rfft(b), h2, RATE, max_lag), banded),
+            (cross_correlation(fa, fb, max_lag), banded),
+            (cross_correlation(ta, tb, max_lag), raw)):
+        np.testing.assert_array_equal(got.lags, oracle.lags)
+        np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=1e-12)
+        assert got.peak_lag == pytest.approx(oracle.peak_lag, rel=0, abs=1e-6 / RATE)
+        np.testing.assert_allclose(got.fwhm, oracle.fwhm, rtol=0, atol=1e-6 / RATE)
+
+
+def test_spectral_correlation_rejects_bad_inputs():
+    x = np.fft.rfft(_white(1 << 12, seed=18).samples)
+    ones = np.ones(x.size)
+    with pytest.raises(IncompatibleTracesError):
+        spectral_correlation(x, x[:-1], ones, RATE, 1e-7)
+    with pytest.raises(InvalidParameterError, match="rfft grid"):
+        spectral_correlation(x, x, ones[:-1], RATE, 1e-7)
+    with pytest.raises(InvalidParameterError, match="below one sample"):
+        spectral_correlation(x, x, ones, RATE, 0.1 / RATE)
+    with pytest.raises(InvalidParameterError, match="too long"):
+        spectral_correlation(x, x, ones, RATE, 513 / RATE)
+    with pytest.raises(InvalidParameterError, match="zero-energy"):
+        spectral_correlation(x, x, np.zeros(x.size), RATE, 1e-7)
+
+
+def test_correlation_point_fft_count(monkeypatch):
+    """Guards the spectral correlation path: per trace, synthesis, channel and
+    the two Welch spectra take 6 numpy FFTs, and each correlated pair 2 rffts
+    plus one irfft per band."""
+    from fastlight import scenario
+    from fastlight.config import config_from_dict, preset_fig2_line
+
+    traces = 2
+    cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
+                            "sampling": {"rate_hz": RATE, "samples": 1 << 16,
+                                         "traces": traces}})
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    for want_fullband, per_trace in ((True, 14), (False, 12)):
+        calls.clear()
+        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
+                                            want_fullband)
+        assert len(calls) == per_trace * traces
 
 
 def test_peak_delay_pure_shifts():

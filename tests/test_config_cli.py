@@ -217,3 +217,35 @@ def test_presets_cover_documented_names():
     assert set(PRESETS) == {"fig2-line", "fig4-advance", "coherent-ref"}
     for name in PRESETS:
         assert isinstance(load_config(name), ScenarioConfig)
+
+
+@pytest.mark.parametrize("override", [
+    {"segment_len": 1000},
+    {"max_lag_s": 1e-5},   # 25000 samples > 2^16 / 8
+    {"max_lag_s": 1e-10},  # below one sample period
+    {"seed": -1},
+    {"seed": 1.5},
+    {"detunings_hz": [float("nan"), 0.0]},
+    {"offset_hz": float("nan")},
+    {"jobs": True},
+], ids=["segment_len", "max_lag_long", "max_lag_short", "seed_negative",
+        "seed_float", "detuning_nan", "offset_nan", "jobs_bool"])
+def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override):
+    cfg = {**preset_fig2_line().to_dict(), "scenario": "delay-scan",
+           "detunings_hz": [0.0],
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+           "out_dir": str(tmp_path / "o"), **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["delay-scan", "--config", str(path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_oversized_segment_len_is_clamped(tmp_path):
+    cfg = {**preset_fig2_line().to_dict(), "detunings_hz": [0.0], "segment_len": 1 << 20,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 14, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["line-scan", "--config", str(path)]) == 0

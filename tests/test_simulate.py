@@ -37,6 +37,12 @@ def test_trace_validation():
         Trace(-1.0, 1e6, np.zeros(1024))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_samples(bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        Trace(1e9, 1.0, [bad, 1.0, 2.0, 3.0])
+
+
 def test_trace_samples_are_locked():
     t, _ = shot_reference(1e6, 1e6, 1 << 12, RATE, 0)
     with pytest.raises(ValueError):
