@@ -218,6 +218,57 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 # Presets
 
 
+def _find_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    The iteration, stopping rule and iteration cap (100) of
+    ``scipy.optimize.brentq``: stop when the bracket half-width is below
+    (xtol + rtol*|x|)/2.  Kept in the package so that loading the advance
+    preset does not import ``scipy.optimize``.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # Secant step.
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # Inverse quadratic interpolation.
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise RuntimeError("root not bracketed to tolerance after 100 iterations")
+
+
 @lru_cache(maxsize=1)
 def _solve_advance_line() -> tuple[float, float]:
     """Solve the advance preset's line strength and its anchor offset.
@@ -230,8 +281,6 @@ def _solve_advance_line() -> tuple[float, float]:
     offset equals the target.  The returned anchor offset is where the plain
     group-delay expression gives exactly the target advance.
     """
-    from scipy.optimize import brentq
-
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     band_lo, band_hi = 1e5, 3e6
 
@@ -241,15 +290,15 @@ def _solve_advance_line() -> tuple[float, float]:
                                             band_lo, band_hi)
         return shift - ADVANCE_TARGET_S
 
-    peak_db = brentq(shift_error, 4.0, 40.0, xtol=1e-9, rtol=1e-12)
+    peak_db = _find_root(shift_error, 4.0, 40.0, xtol=1e-9, rtol=1e-12)
     line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
 
     def advance_error(offset_hz: float) -> float:
         return peak_advance(line, 2.0 * math.pi * offset_hz) - ADVANCE_TARGET_S
 
     gamma_hz = line.gamma / (2.0 * math.pi)
-    anchor_hz = brentq(advance_error, math.sqrt(3.0) * gamma_hz, _ADVANCE_OFFSET_HZ,
-                       xtol=1e-3, rtol=1e-12)
+    anchor_hz = _find_root(advance_error, math.sqrt(3.0) * gamma_hz, _ADVANCE_OFFSET_HZ,
+                           xtol=1e-3, rtol=1e-12)
     return float(peak_db), float(anchor_hz)
 
 

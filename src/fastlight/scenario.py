@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -25,9 +26,10 @@ from .analysis import (NORM_ABSOLUTE, Spectrum, XcorrResult, band_filter,
 from .config import ScenarioConfig, config_from_dict
 from .dispersion import gain_db, group_index, intensity_gain
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
-from .simulate import (apply_detection, build_targets, difference,
-                       fractional_shift, propagate_channel, shot_reference,
-                       synth_twin_traces)
+from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
+                       channel_response, detect_spectrum, difference,
+                       fractional_shift, shot_reference, synth_twin_spectra,
+                       synth_twin_traces, synthesis_factors, white_spectrum)
 from .twinbeam import seeded_stats
 
 _ROLES = 7  # synth, channel, det ref p, det ref c, det fast p, det fast c, shot
@@ -46,93 +48,137 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
     return 10.0 * math.log10(1.0 + x_beam)
 
 
+class _PointChain(NamedTuple):
+    """Constants of one detuning point's measurement chain, shared by its traces."""
+
+    cfg: ScenarioConfig
+    mean_p: float
+    mean_c: float
+    factors: tuple | None  # synthesis factors; None for a coherent source
+    channel: ChannelResponse
+    band_h2: dict  # band name -> squared band response on the rfft grid
+
+
+def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -> _PointChain:
+    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    stats = seeded_stats(source.gain1, source.seed_flux)
+    mean_p, mean_c = stats.mean_p, stats.mean_c
+    gain0 = float(intensity_gain(line, delta))
+    mean_c_out = gain0 * mean_c + (gain0 - 1.0)
+    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
+                                        mean_c_out, cfg.channel.eta)
+    freqs = np.fft.rfftfreq(n, 1.0 / fs)
+    factors = None
+    if not cfg.source.coherent:
+        factors = synthesis_factors(build_targets(source, freqs), n, fs, mean_p, mean_c)
+    # Each band-filtered correlation is one irfft of H^2 conj(X1) X2.
+    band_h2 = {name: band_response(freqs, *band) ** 2 for name, band in bands.items()}
+    return _PointChain(cfg, mean_p, mean_c, factors,
+                       channel_response(line, delta, n, fs, mean_c, excess_beam), band_h2)
+
+
+def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
+    for band, h2 in chain.band_h2.items():
+        curves[f"{band}_{pair}"] = spectral_correlation(
+            x1, x2, h2, chain.cfg.sampling.rate_hz, chain.cfg.max_lag_s)
+
+
+def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum, Spectrum]:
+    """One trace of a point, carried as rfft spectra from synthesis to the
+    difference: the band correlations of the reference (detected only) and
+    fast (channel, then detected) pairs, and the Welch spectra of the fast
+    difference and of its shot-noise reference."""
+    cfg = chain.cfg
+    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    eta = cfg.channel.eta
+    seg = min(cfg.segment_len, n)
+    if chain.factors is None:
+        rng = np.random.default_rng(roles[0])
+        xp = white_spectrum(n, chain.mean_p, rng)
+        xc = white_spectrum(n, chain.mean_c, rng)
+    else:
+        xp, xc = synth_twin_spectra(chain.factors, roles[0])
+    curves = {}
+    if chain.band_h2:
+        # At most one detected pair is alive at a time: it sets the peak memory.
+        probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2])
+        conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3])
+        _correlate(curves, "ref", probe_ref, conj_ref, chain)
+        del probe_ref, conj_ref
+    mean_c_out = chain.channel.mean_out
+    apply_channel(xc, chain.channel, roles[1])
+    detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp)
+    detect_spectrum(xc, eta, mean_c_out, roles[5], out=xc)
+    _correlate(curves, "fast", xp, xc, chain)
+    # Only the difference goes back to the time domain; each full-size array
+    # is dropped as soon as the next one exists.
+    xp -= xc
+    del xc
+    samples = np.fft.irfft(xp, n)
+    del xp
+    spec_diff = psd(Trace(fs, eta * chain.mean_p + eta * mean_c_out, samples), seg)
+    del samples
+    shot_p, shot_c = shot_reference(eta * chain.mean_p, eta * mean_c_out, n, fs, roles[6])
+    spec_shot = psd(difference(shot_p, shot_c), seg)
+    return curves, spec_diff, spec_shot
+
+
+def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
+                   point_ss: np.random.SeedSequence, bands: dict) -> tuple[dict, Spectrum]:
+    """Run every trace of one detuning point.  Returns the trace-averaged
+    correlation curves ("<band>_ref", "<band>_fast" for each of ``bands``)
+    and the shot-normalized difference spectrum."""
+    chain = _point_chain(cfg, line, source, delta, bands)
+    seg = min(cfg.segment_len, cfg.sampling.samples)
+    sums = {}
+    lag_grid = None
+    diff_acc = np.zeros(seg // 2 + 1)
+    shot_acc = np.zeros(seg // 2 + 1)
+    n_traces = cfg.sampling.traces
+    for j in range(n_traces):
+        roles = np.random.SeedSequence(cfg.seed,
+                                       spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
+        curves, spec_diff, spec_shot = _measure_trace(chain, roles)
+        for key, xc in curves.items():
+            if key not in sums:
+                sums[key] = np.zeros_like(xc.values)
+                lag_grid = xc.lags
+            sums[key] += xc.values
+        diff_acc += spec_diff.values
+        shot_acc += spec_shot.values
+        # Nothing of this trace outlives it into the next synthesis.
+        del curves, spec_diff, spec_shot
+
+    spec_freqs = np.fft.rfftfreq(seg, 1.0 / cfg.sampling.rate_hz)
+
+    def _spectrum(acc):
+        return Spectrum(spec_freqs, acc / n_traces, NORM_ABSOLUTE, seg, 0.5, "hann",
+                        n_traces)
+
+    curves = {key: XcorrResult.from_values(lag_grid, acc / n_traces)
+              for key, acc in sums.items()}
+    return curves, snu_normalize(_spectrum(diff_acc), _spectrum(shot_acc))
+
+
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
                                point_ss: np.random.SeedSequence,
                                want_fullband: bool) -> dict:
     """Simulate one detuning point and measure delays and band squeezing."""
     line = cfg.line.make()
     source = cfg.source.make()
-    eta = cfg.channel.eta
-    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
-    seg = min(cfg.segment_len, n)
-    stats = seeded_stats(source.gain1, source.seed_flux)
-    mean_p, mean_c = stats.mean_p, stats.mean_c
     delta = 2.0 * math.pi * detuning_hz
-    gain0 = float(intensity_gain(line, delta))
-    mean_c_out = gain0 * mean_c + (gain0 - 1.0)
-    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
-                                        mean_c_out, eta)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    targets = build_targets(source, freqs)
-    # Each band-filtered correlation is one irfft of H^2 conj(X1) X2.
-    band_h2 = {"band": band_response(freqs, *cfg.band_hz) ** 2}
+    bands = {"band": cfg.band_hz}
     if want_fullband:
-        band_h2["full"] = band_response(freqs, *cfg.fullband_hz) ** 2
-
-    sums = {}
-    lag_grid = None
-    diff_acc = None
-    shot_acc = None
-    spec_freqs = None
-    n_traces = cfg.sampling.traces
-    for j in range(n_traces):
-        roles = np.random.SeedSequence(cfg.seed,
-                                       spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        if cfg.source.coherent:
-            probe, conj = shot_reference(mean_p, mean_c, n, fs, roles[0])
-        else:
-            probe, conj = synth_twin_traces(targets, n, fs, mean_p, mean_c, roles[0])
-        conj_fast = propagate_channel(conj, line, delta, excess_beam, roles[1])
-        probe_ref = apply_detection(probe, eta, roles[2])
-        conj_ref = apply_detection(conj, eta, roles[3])
-        probe_fast = apply_detection(probe, eta, roles[4])
-        conj_fast = apply_detection(conj_fast, eta, roles[5])
-        # Drop the undetected pair, and hold one detected pair's spectra at a
-        # time: the correlations and spectra below would otherwise set the
-        # peak memory.
-        del probe, conj
-
-        for pair, t1, t2 in (("ref", probe_ref, conj_ref), ("fast", probe_fast, conj_fast)):
-            x1 = np.fft.rfft(t1.samples)
-            x2 = np.fft.rfft(t2.samples)
-            for band, h2 in band_h2.items():
-                xc = spectral_correlation(x1, x2, h2, fs, cfg.max_lag_s)
-                key = f"{band}_{pair}"
-                if key not in sums:
-                    sums[key] = np.zeros_like(xc.values)
-                    lag_grid = xc.lags
-                sums[key] += xc.values
-            del x1, x2
-
-        spec_diff = psd(difference(probe_fast, conj_fast), seg)
-        shot_p, shot_c = shot_reference(probe_fast.mean_flux, conj_fast.mean_flux,
-                                        n, fs, roles[6])
-        spec_shot = psd(difference(shot_p, shot_c), seg)
-        if diff_acc is None:
-            diff_acc = np.zeros_like(spec_diff.values)
-            shot_acc = np.zeros_like(spec_shot.values)
-            spec_freqs = spec_diff.frequencies
-        diff_acc += spec_diff.values
-        shot_acc += spec_shot.values
-        # Free this trace's records before the next synthesis and channel.
-        del probe_ref, conj_ref, probe_fast, conj_fast, shot_p, shot_c
-
-    def _spectrum(acc):
-        return Spectrum(spec_freqs, acc / n_traces, NORM_ABSOLUTE, seg, 0.5,
-                        "hann", n_traces)
-
-    normalized = snu_normalize(_spectrum(diff_acc), _spectrum(shot_acc))
-    squeezing = band_squeezing_db(normalized, *cfg.band_hz)
-
-    curves = {key: XcorrResult.from_values(lag_grid, acc / n_traces)
-              for key, acc in sums.items()}
+        bands["full"] = cfg.fullband_hz
+    curves, normalized = _measure_point(cfg, line, source, delta, point_ss, bands)
+    gain0 = float(intensity_gain(line, delta))
     result = {
         "detuning_hz": detuning_hz,
         "gain_db": float(gain_db(line, delta)),
         "delay_s_band": peak_delay(curves["band_fast"], curves["band_ref"]),
-        "squeezing_db_band": squeezing,
+        "squeezing_db_band": band_squeezing_db(normalized, *cfg.band_hz),
         "analytic_squeezing_db": difference_noise_after_channel(
-            source.gain1, max(gain0, 1.0), eta, cfg.channel.excess_noise_db).db,
+            source.gain1, max(gain0, 1.0), cfg.channel.eta, cfg.channel.excess_noise_db).db,
         "curves": curves,
     }
     if want_fullband:
@@ -145,58 +191,17 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
     """Simulate one detuning point of the gain-line scan."""
     line = cfg.line.make()
     source = cfg.source.make()
-    eta = cfg.channel.eta
-    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
-    seg = min(cfg.segment_len, n)
-    stats = seeded_stats(source.gain1, source.seed_flux)
-    mean_p, mean_c = stats.mean_p, stats.mean_c
     delta = 2.0 * math.pi * detuning_hz
-    gain0 = float(intensity_gain(line, delta))
-    mean_c_out = gain0 * mean_c + (gain0 - 1.0)
-    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
-                                        mean_c_out, eta)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    targets = build_targets(source, freqs)
-
-    diff_acc = None
-    shot_acc = None
-    spec_freqs = None
-    n_traces = cfg.sampling.traces
-    for j in range(n_traces):
-        roles = np.random.SeedSequence(cfg.seed,
-                                       spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        if cfg.source.coherent:
-            probe, conj = shot_reference(mean_p, mean_c, n, fs, roles[0])
-        else:
-            probe, conj = synth_twin_traces(targets, n, fs, mean_p, mean_c, roles[0])
-        conj_fast = propagate_channel(conj, line, delta, excess_beam, roles[1])
-        probe_det = apply_detection(probe, eta, roles[4])
-        conj_det = apply_detection(conj_fast, eta, roles[5])
-        spec_diff = psd(difference(probe_det, conj_det), seg)
-        shot_p, shot_c = shot_reference(probe_det.mean_flux, conj_det.mean_flux,
-                                        n, fs, roles[6])
-        spec_shot = psd(difference(shot_p, shot_c), seg)
-        if diff_acc is None:
-            diff_acc = np.zeros_like(spec_diff.values)
-            shot_acc = np.zeros_like(spec_shot.values)
-            spec_freqs = spec_diff.frequencies
-        diff_acc += spec_diff.values
-        shot_acc += spec_shot.values
-
-    normalized = snu_normalize(
-        Spectrum(spec_freqs, diff_acc / n_traces, NORM_ABSOLUTE, seg, 0.5, "hann", n_traces),
-        Spectrum(spec_freqs, shot_acc / n_traces, NORM_ABSOLUTE, seg, 0.5, "hann", n_traces))
-    simulated_db = band_squeezing_db(normalized, *cfg.noise_band_hz)
-
+    _, normalized = _measure_point(cfg, line, source, delta, point_ss, {})
     f_band = np.linspace(cfg.noise_band_hz[0], cfg.noise_band_hz[1], 201)
-    predicted = predicted_difference_noise_snu(line, detuning_hz, source, eta,
+    predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
                                                cfg.channel.excess_noise_db, f_band,
                                                coherent=cfg.source.coherent)
     return {
         "detuning_hz": detuning_hz,
         "gain_db": float(gain_db(line, delta)),
         "predicted_noise_db": float(10.0 * np.log10(np.mean(predicted))),
-        "simulated_noise_db": simulated_db,
+        "simulated_noise_db": band_squeezing_db(normalized, *cfg.noise_band_hz),
         "group_index": float(group_index(line, delta)),
     }
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,35 +166,13 @@ def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     return SpectralTargets(frequencies=f, s_pp=s_pp, s_cc=s_cc, s_pc=s_pc)
 
 
-def _draw_hermitian_pair(rng, n: int, sigma_p, l21, l22):
-    """Draw one correlated pair of Hermitian rfft arrays.
+def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: float,
+                      mean_p: float, mean_c: float):
+    """Per-bin Cholesky factors (sigma_p, l21, l22) of the pair's bin covariance.
 
-    sigma_p, l21, l22: per-bin Cholesky factors of the 2x2 bin covariance,
-    arrays over the full rfft grid.  Bin 0 is forced to zero (zero-mean
-    traces); the Nyquist bin is real.
-    """
-    nb = n // 2 + 1
-    zp_re, zp_im, zc_re, zc_im = rng.standard_normal((4, nb))
-    root_half = np.sqrt(0.5)
-    xp = sigma_p * (zp_re + 1j * zp_im) * root_half
-    xc = (l21 * (zp_re + 1j * zp_im) + l22 * (zc_re + 1j * zc_im)) * root_half
-    # Real-valued edge bins: DC removed entirely, Nyquist gets the full
-    # variance in a single real draw.
-    xp[0] = 0.0
-    xc[0] = 0.0
-    xp[-1] = sigma_p[-1] * zp_re[-1]
-    xc[-1] = l21[-1] * zp_re[-1] + l22[-1] * zc_re[-1]
-    return xp, xc
-
-
-def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: float,
-                      mean_p: float, mean_c: float, seed) -> tuple[Trace, Trace]:
-    """Synthesize one correlated trace pair hitting the spectral targets.
-
-    Per positive-frequency bin a complex bivariate circular Gaussian is drawn
-    with covariance equal to the target spectral matrix scaled to the bin,
-    Hermitian symmetry is imposed, and the pair is inverse transformed.
-    Welch estimates of many such pairs converge to the targets.
+    They scale unit circular Gaussians into rfft bins of an n_samples-long
+    pair hitting the targets; they depend only on the targets and the means,
+    so a scan point builds them once for all its traces.
     """
     if not _is_power_of_two(n_samples):
         raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
@@ -204,19 +183,86 @@ def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: flo
             targets.frequencies, expected, rtol=1e-9, atol=1e-3):
         raise InvalidParameterError(
             "targets grid does not match the rfft grid of (n_samples, sample_rate)")
-    ss = _as_seed_sequence(seed)
-    rng = np.random.default_rng(ss)
-
     s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
     sigma_p = np.sqrt(n_samples * mean_p * s_pp)
     l21 = np.sqrt(n_samples * mean_c) * s_pc / np.sqrt(s_pp)
     l22 = np.sqrt(n_samples * mean_c) * np.sqrt(np.maximum(s_cc - s_pc ** 2 / s_pp, 0.0))
-    xp, xc = _draw_hermitian_pair(rng, n_samples, sigma_p, l21, l22)
+    return sigma_p, l21, l22
 
+
+def synth_twin_spectra(factors, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one correlated pair of rfft spectra from ``synthesis_factors``.
+
+    Per positive-frequency bin a complex bivariate circular Gaussian is drawn
+    with the factors' covariance.  Bin 0 is zero (zero-mean traces); the
+    Nyquist bin is real and carries the full variance in one real draw.
+    """
+    sigma_p, l21, l22 = factors
+    rng = np.random.default_rng(seed)
+    nb = sigma_p.size
+    xp = np.empty(nb, dtype=complex)
+    xc = np.empty(nb, dtype=complex)
+    # Four unit normals per bin (probe re/im, conjugate re/im), drawn one row
+    # at a time into a shared buffer.
+    z = np.empty(nb)
+    for part in (xp.real, xp.imag, xc.real, xc.imag):
+        rng.standard_normal(out=z)
+        part[...] = z
+    zp_nyq, zc_nyq = xp.real[-1], xc.real[-1]
+    xc *= l22
+    xc.real += l21 * xp.real
+    xc.imag += l21 * xp.imag
+    xc *= np.sqrt(0.5)
+    xp *= sigma_p
+    xp *= np.sqrt(0.5)
+    xp[0] = 0.0
+    xc[0] = 0.0
+    xp[-1] = sigma_p[-1] * zp_nyq
+    xc[-1] = l21[-1] * zp_nyq + l22[-1] * zc_nyq
+    return xp, xc
+
+
+def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: float,
+                      mean_p: float, mean_c: float, seed) -> tuple[Trace, Trace]:
+    """Synthesize one correlated trace pair hitting the spectral targets.
+
+    The pair's spectra come from ``synth_twin_spectra`` and are inverse
+    transformed.  Welch estimates of many such pairs converge to the targets.
+    """
+    factors = synthesis_factors(targets, n_samples, sample_rate, mean_p, mean_c)
+    ss = _as_seed_sequence(seed)
+    xp, xc = synth_twin_spectra(factors, ss)
     tag = f"twin[{ss.entropy},{ss.spawn_key}]"
     probe = Trace(sample_rate, mean_p, np.fft.irfft(xp, n_samples), seed_tag=tag + "/p")
     conj = Trace(sample_rate, mean_c, np.fft.irfft(xc, n_samples), seed_tag=tag + "/c")
     return probe, conj
+
+
+def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.ndarray:
+    """The rfft of n_samples iid N(0, variance) samples, drawn directly.
+
+    DC and Nyquist are real N(0, n*variance); every interior bin has
+    independent real and imaginary parts N(0, n*variance/2).  That is the
+    exact distribution of ``np.fft.rfft`` of white Gaussian samples.  seed may
+    be anything ``np.random.default_rng`` accepts, a Generator included.
+    With ``add_to`` (a complex array on the same rfft grid) the draw is added
+    to it in place and it is returned.
+    """
+    nb = n_samples // 2 + 1
+    out = np.zeros(nb, dtype=complex) if add_to is None else add_to
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(0.5 * n_samples * variance)
+    z = rng.standard_normal(nb)
+    z *= scale
+    z[0] *= np.sqrt(2.0)
+    z[-1] *= np.sqrt(2.0)
+    out.real += z
+    rng.standard_normal(out=z)
+    z *= scale
+    z[0] = 0.0
+    z[-1] = 0.0
+    out.imag += z
+    return out
 
 
 def shot_reference(mean_p: float, mean_c: float, n_samples: int, sample_rate: float,
@@ -240,6 +286,70 @@ def shot_reference(mean_p: float, mean_c: float, n_samples: int, sample_rate: fl
     return t1, t2
 
 
+class ChannelResponse(NamedTuple):
+    """Constants of the dispersive gain line for one offset, input mean and
+    rfft grid.
+
+    transfer: absolute transfer G(offset) * M(f), with real DC and Nyquist
+        bins; None for a line that is the identity (zero gain, no excess).
+    noise_std: standard deviation of the real part of each bin's added
+        noise; interior imaginary parts share it, DC and Nyquist have none.
+    mean_out: output mean flux G*m + (G - 1).
+    """
+
+    transfer: np.ndarray | None
+    noise_std: np.ndarray | None
+    mean_out: float
+
+
+def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
+                     sample_rate: float, mean_flux: float,
+                     excess_db: float = 0.0) -> ChannelResponse:
+    """Constants of ``propagate_channel`` for an n_samples trace of the given
+    mean flux; they are the same for every trace of a scan point."""
+    if excess_db < 0.0:
+        raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
+    if line.g == 0.0 and excess_db == 0.0:
+        return ChannelResponse(None, None, mean_flux)
+    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
+    gain0 = float(intensity_gain(line, carrier_offset))
+    transfer = gain0 * modulation_transfer(line, carrier_offset, freqs)
+    # Hermitian-symmetric application on the rfft grid: the shared DC and
+    # Nyquist bins must stay real.
+    transfer[0] = transfer[0].real
+    transfer[-1] = transfer[-1].real
+
+    mean_out = gain0 * mean_flux + (gain0 - 1.0)
+    g_bar = 0.5 * (intensity_gain(line, carrier_offset + 2.0 * np.pi * freqs)
+                   + intensity_gain(line, carrier_offset - 2.0 * np.pi * freqs))
+    s_add = (g_bar - 1.0) * g_bar / gain0 + (10.0 ** (excess_db / 10.0) - 1.0)
+    noise_std = np.sqrt(n_samples * mean_out * np.maximum(s_add, 0.0))
+    noise_std[1:-1] *= np.sqrt(0.5)
+    noise_std[0] = 0.0
+    return ChannelResponse(transfer, noise_std, mean_out)
+
+
+def apply_channel(x: np.ndarray, response: ChannelResponse, seed) -> np.ndarray:
+    """Send an rfft spectrum through the gain line, in place; returns x.
+
+    Multiplies by the transfer and adds independent circular Gaussian noise
+    with the response's per-bin deviation.  An identity response leaves x
+    untouched and draws nothing.
+    """
+    if response.transfer is None:
+        return x
+    x *= response.transfer
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(x.size)
+    z *= response.noise_std
+    x.real += z
+    rng.standard_normal(out=z)
+    z *= response.noise_std
+    z[-1] = 0.0
+    x.imag += z
+    return x
+
+
 def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,
                       excess_db: float = 0.0, seed=0) -> Trace:
     """Send a trace through the dispersive gain line.
@@ -254,46 +364,38 @@ def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,
     In the flat-gain limit (line width >> trace bandwidth) the output mean
     and variance reproduce the ideal amplifier relations and the SNU map is
     exactly G*s + (G - 1).  A zero-gain line with zero excess returns the
-    input unchanged (no generator draws are consumed).
+    input unchanged (no generator draws are consumed).  This is
+    ``channel_response`` and ``apply_channel`` between an rfft and an irfft.
     """
-    if excess_db < 0.0:
-        raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
-    if line.g == 0.0 and excess_db == 0.0:
-        return replace(trace, seed_tag=trace.seed_tag + "/vac")
-
     n = len(trace)
-    fs = trace.sample_rate
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    gain0 = float(intensity_gain(line, carrier_offset))
-    transfer = gain0 * modulation_transfer(line, carrier_offset, freqs)
-    # Hermitian-symmetric application on the rfft grid: the shared DC and
-    # Nyquist bins must stay real.
-    transfer[0] = transfer[0].real
-    transfer[-1] = transfer[-1].real
-
-    x = np.fft.rfft(trace.samples) * transfer
-
-    mean_out = gain0 * trace.mean_flux + (gain0 - 1.0)
-    g_up = intensity_gain(line, carrier_offset + 2.0 * np.pi * freqs)
-    g_dn = intensity_gain(line, carrier_offset - 2.0 * np.pi * freqs)
-    g_bar = 0.5 * (g_up + g_dn)
-    s_add = (g_bar - 1.0) * g_bar / gain0 + (10.0 ** (excess_db / 10.0) - 1.0)
-
+    response = channel_response(line, carrier_offset, n, trace.sample_rate,
+                                trace.mean_flux, excess_db)
+    if response.transfer is None:
+        return replace(trace, seed_tag=trace.seed_tag + "/vac")
     ss = _as_seed_sequence(seed)
-    rng = np.random.default_rng(ss)
-    sigma = np.sqrt(n * mean_out * np.maximum(s_add, 0.0))
-    z_re, z_im = rng.standard_normal((2, freqs.size))
-    noise = sigma * (z_re + 1j * z_im) * np.sqrt(0.5)
-    noise[0] = 0.0
-    noise[-1] = sigma[-1] * z_re[-1]
-    x += noise
-
+    x = apply_channel(np.fft.rfft(trace.samples), response, ss)
     return Trace(
-        sample_rate=fs,
-        mean_flux=mean_out,
+        sample_rate=trace.sample_rate,
+        mean_flux=response.mean_out,
         samples=np.fft.irfft(x, n),
         seed_tag=trace.seed_tag + f"/chan[{ss.entropy},{ss.spawn_key}]",
     )
+
+
+def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Detection with efficiency eta on an rfft spectrum: eta*x plus the
+    white vacuum spectrum of per-sample variance (1 - eta) * eta * mean_flux.
+
+    Writes into ``out`` (which may be x itself) or a new array.  eta = 1
+    draws nothing and leaves the values of x bit-exact.
+    """
+    if not (0.0 < eta <= 1.0):
+        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
+    out = np.multiply(x, eta, out=out)
+    if eta < 1.0:
+        white_spectrum(2 * (x.size - 1), (1.0 - eta) * eta * mean_flux, seed, add_to=out)
+    return out
 
 
 def apply_detection(trace: Trace, eta: float, seed=0) -> Trace:
@@ -302,19 +404,20 @@ def apply_detection(trace: Trace, eta: float, seed=0) -> Trace:
     Scales the mean by eta and the fluctuations by eta while adding white
     vacuum noise of per-sample variance (1 - eta) * eta * mean_flux, so the
     SNU map is exactly eta*s + (1 - eta) in expectation.  eta = 1 is the
-    identity (bit-exact, no generator draws).
+    identity (bit-exact, no generator draws).  This is ``detect_spectrum``
+    between an rfft and an irfft.
     """
     if not (0.0 < eta <= 1.0):
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     if eta == 1.0:
         return replace(trace, seed_tag=trace.seed_tag + "/det1")
     ss = _as_seed_sequence(seed)
-    rng = np.random.default_rng(ss)
-    vacuum = rng.standard_normal(len(trace)) * np.sqrt((1.0 - eta) * eta * trace.mean_flux)
+    x = np.fft.rfft(trace.samples)
+    detect_spectrum(x, eta, trace.mean_flux, ss, out=x)
     return Trace(
         sample_rate=trace.sample_rate,
         mean_flux=eta * trace.mean_flux,
-        samples=eta * trace.samples + vacuum,
+        samples=np.fft.irfft(x, len(trace)),
         seed_tag=trace.seed_tag + f"/det[{ss.entropy},{ss.spawn_key}]",
     )
 

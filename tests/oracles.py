@@ -6,7 +6,9 @@ than reusing any formula from the package, so they provide an independent
 route to the photon-number statistics.  ``dense_correlation_shift`` is the
 brute-force form of the predicted correlation shift, and
 ``circular_correlation`` the direct time-domain sum behind the FFT
-correlation kernels.
+correlation kernels.  ``hermitian_pair`` and ``channel_round_trip`` are the
+straightforward out-of-place forms of the synthesis and channel draws, which
+the in-place spectral kernels must reproduce from the same seed.
 """
 
 import numpy as np
@@ -102,3 +104,39 @@ def circular_correlation(a, b, n_lag):
     b = np.asarray(b, dtype=float)
     values = np.array([np.sum(a * np.roll(b, -lag)) for lag in range(-n_lag, n_lag + 1)])
     return values / np.sqrt(np.sum(a * a) * np.sum(b * b))
+
+
+def hermitian_pair(sigma_p, l21, l22, seed):
+    """Correlated rfft pair from one (4, bins) normal draw, built out of place."""
+    rng = np.random.default_rng(seed)
+    zp_re, zp_im, zc_re, zc_im = rng.standard_normal((4, sigma_p.size))
+    xp = sigma_p * (zp_re + 1j * zp_im) * np.sqrt(0.5)
+    xc = (l21 * (zp_re + 1j * zp_im) + l22 * (zc_re + 1j * zc_im)) * np.sqrt(0.5)
+    xp[0] = xc[0] = 0.0
+    xp[-1] = sigma_p[-1] * zp_re[-1]
+    xc[-1] = l21[-1] * zp_re[-1] + l22[-1] * zc_re[-1]
+    return xp, xc
+
+
+def channel_round_trip(samples, sample_rate, mean_flux, line, carrier_offset,
+                       excess_db, seed):
+    """Gain-line channel as one rfft/irfft round trip with the noise spectrum
+    built out of place from one (2, bins) normal draw."""
+    from fastlight.dispersion import intensity_gain, modulation_transfer
+
+    n = samples.size
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    gain0 = float(intensity_gain(line, carrier_offset))
+    transfer = gain0 * modulation_transfer(line, carrier_offset, freqs)
+    transfer[0] = transfer[0].real
+    transfer[-1] = transfer[-1].real
+    mean_out = gain0 * mean_flux + (gain0 - 1.0)
+    g_bar = 0.5 * (intensity_gain(line, carrier_offset + 2.0 * np.pi * freqs)
+                   + intensity_gain(line, carrier_offset - 2.0 * np.pi * freqs))
+    s_add = (g_bar - 1.0) * g_bar / gain0 + (10.0 ** (excess_db / 10.0) - 1.0)
+    sigma = np.sqrt(n * mean_out * np.maximum(s_add, 0.0))
+    z_re, z_im = np.random.default_rng(seed).standard_normal((2, freqs.size))
+    noise = sigma * (z_re + 1j * z_im) * np.sqrt(0.5)
+    noise[0] = 0.0
+    noise[-1] = sigma[-1] * z_re[-1]
+    return np.fft.irfft(np.fft.rfft(samples) * transfer + noise, n), mean_out

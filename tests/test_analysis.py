@@ -194,9 +194,9 @@ def test_spectral_correlation_rejects_bad_inputs():
 
 
 def test_correlation_point_fft_count(monkeypatch):
-    """Guards the spectral correlation path: per trace, synthesis, channel and
-    the two Welch spectra take 6 numpy FFTs, and each correlated pair 2 rffts
-    plus one irfft per band."""
+    """Guards the spectral chain: a trace stays an rfft spectrum from synthesis
+    to the difference, so per trace each correlated pair takes one irfft per
+    band, the difference one irfft and the two Welch spectra one rfft each."""
     from fastlight import scenario
     from fastlight.config import config_from_dict, preset_fig2_line
 
@@ -214,11 +214,37 @@ def test_correlation_point_fft_count(monkeypatch):
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    for want_fullband, per_trace in ((True, 14), (False, 12)):
+    for want_fullband, per_trace in ((True, 7), (False, 5)):
         calls.clear()
         scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
                                             want_fullband)
         assert len(calls) == per_trace * traces
+    calls.clear()
+    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
+    assert len(calls) == 3 * traces
+
+
+def test_noise_point_frees_each_trace():
+    """A trace's records are freed before the next synthesis, so the memory
+    peak of a scan point does not grow with its trace count."""
+    import tracemalloc
+
+    from fastlight import scenario
+    from fastlight.config import config_from_dict, preset_fig2_line
+
+    def peak(traces):
+        cfg = config_from_dict({**preset_fig2_line().to_dict(),
+                                "sampling": {"rate_hz": RATE, "samples": 1 << 18,
+                                             "traces": traces}})
+        tracemalloc.start()
+        try:
+            scenario._measure_noise_point(cfg, 0.0, scenario._point_seed(cfg.seed, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call set-up is not part of the comparison
+    assert peak(3) <= 1.05 * peak(1)
 
 
 def test_peak_delay_pure_shifts():

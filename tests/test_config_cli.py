@@ -44,9 +44,20 @@ def test_fig4_preset_solve_equals_dense_reference(monkeypatch):
     assert cfg.advance_anchor_offset_hz == anchor_hz
 
 
-def test_cli_import_and_scan_preset_skip_signal_and_optimize():
+def test_advance_root_finder_matches_brentq(monkeypatch):
+    from scipy.optimize import brentq
+    peak_db, anchor_hz = config_module._solve_advance_line.__wrapped__()
+    monkeypatch.setattr(config_module, "_find_root", brentq)
+    ref_peak_db, ref_anchor_hz = config_module._solve_advance_line.__wrapped__()
+    # The solve's xtol: 1e-9 dB for the line strength, 1e-3 Hz for the anchor.
+    assert abs(peak_db - ref_peak_db) <= 1e-9
+    assert abs(anchor_hz - ref_anchor_hz) <= 1e-3
+
+
+@pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
+def test_cli_import_and_preset_skip_signal_and_optimize(preset):
     code = ("import sys, fastlight.cli\n"
-            "fastlight.cli.load_config('fig2-line')\n"
+            f"fastlight.cli.load_config({preset!r})\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(fastlight.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

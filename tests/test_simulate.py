@@ -6,13 +6,17 @@ from hypothesis import strategies as st
 from fastlight.analysis import psd, shot_noise_density
 from fastlight.dispersion import GainLine, calibrate
 from fastlight.errors import IncompatibleTracesError, InvalidParameterError
-from fastlight.simulate import (SpectralTargets, Trace, apply_detection,
-                                build_targets, difference, fractional_shift,
-                                load_trace_binary, load_trace_csv,
-                                propagate_channel, save_trace_binary,
-                                save_trace_csv, shot_reference,
-                                synth_twin_traces)
+from fastlight.simulate import (SpectralTargets, Trace, apply_channel,
+                                apply_detection, build_targets,
+                                channel_response, detect_spectrum, difference,
+                                fractional_shift, load_trace_binary,
+                                load_trace_csv, propagate_channel,
+                                save_trace_binary, save_trace_csv,
+                                shot_reference, synth_twin_spectra,
+                                synth_twin_traces, synthesis_factors,
+                                white_spectrum)
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing, seeded_stats
+from oracles import channel_round_trip, hermitian_pair
 
 RATE = 2.5e9
 G1 = gain_for_squeezing(-2.5)
@@ -238,6 +242,65 @@ def test_detection_on_squeezed_difference():
         in_band = (spec.frequencies > 2.5e5) & (spec.frequencies < 3e6)
         acc += np.mean(spec.values[in_band]) / shot_noise_density(d.mean_flux, RATE)
     assert acc / n_traces == pytest.approx(0.584, abs=0.01)
+
+
+def test_white_spectrum_edges_are_real():
+    x = white_spectrum(1 << 12, 3.0, 7)
+    assert x.shape == ((1 << 11) + 1,)
+    assert x[0].imag == 0.0 and x[-1].imag == 0.0
+    assert x[0].real != 0.0 and x[-1].real != 0.0
+
+
+def test_white_spectrum_matches_rfft_of_white_samples():
+    # rfft of n iid N(0, v) samples: interior |X_k|^2 / (n v) ~ Exp(1), with
+    # real and imaginary parts of equal variance n v / 2.
+    n, v = 1 << 16, 2.5
+    x = white_spectrum(n, v, np.random.SeedSequence(61))[1:-1]
+    power = np.abs(x) ** 2 / (n * v)
+    assert abs(np.mean(power) - 1.0) < 3 * np.std(power) / np.sqrt(power.size)
+    re2 = x.real ** 2 / (n * v)
+    im2 = x.imag ** 2 / (n * v)
+    se = np.sqrt((np.var(re2) + np.var(im2)) / x.size)
+    assert abs(np.mean(re2) - np.mean(im2)) < 3 * se
+
+
+def test_white_spectrum_adds_in_place():
+    base = white_spectrum(1 << 10, 1.0, 1)
+    total = base.copy()
+    assert white_spectrum(1 << 10, 2.0, 2, add_to=total) is total
+    np.testing.assert_allclose(total - base, white_spectrum(1 << 10, 2.0, 2), atol=1e-12)
+
+
+def test_spectral_kernel_identities_are_bit_exact():
+    x = np.fft.rfft(_pair(1 << 12, seed=3)[0].samples)
+    kept = x.copy()
+    assert np.array_equal(detect_spectrum(x, 1.0, 1e6, 4), kept)
+    vacuum = channel_response(GainLine(g=0.0, gamma=1e7), 0.0, 1 << 12, RATE, 1e6)
+    assert vacuum.transfer is None and vacuum.mean_out == 1e6
+    assert apply_channel(x, vacuum, 5) is x
+    assert np.array_equal(x, kept)
+
+
+def test_synthesis_spectra_reproduce_out_of_place_draw():
+    n = 1 << 12
+    factors = synthesis_factors(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c)
+    got = synth_twin_spectra(factors, np.random.SeedSequence(71))
+    want = hermitian_pair(*factors, np.random.SeedSequence(71))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("offset, excess_db", [(0.0, 0.0), (6.5e6, 0.3), (-2e7, 0.0)])
+def test_channel_reproduces_out_of_place_round_trip(offset, excess_db):
+    line = calibrate(7.5, 10e6, 0.025)
+    p, _ = _pair(1 << 12, seed=17)
+    seed = np.random.SeedSequence(72)
+    out = propagate_channel(p, line, 2 * np.pi * offset, excess_db, seed)
+    samples, mean_out = channel_round_trip(p.samples, RATE, p.mean_flux, line,
+                                           2 * np.pi * offset, excess_db, seed)
+    assert out.mean_flux == mean_out
+    np.testing.assert_allclose(out.samples, samples, rtol=0,
+                               atol=1e-12 * np.abs(samples).max())
 
 
 def test_fractional_shift_matches_roll():
