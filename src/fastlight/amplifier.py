@@ -6,30 +6,11 @@ their bright-beam corollaries.  A coherent beam reads 1 SNU by definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Gain/loss/excess-noise settings of the second-pass channel."""
-
-    gain2: float = 1.0
-    eta: float = 0.95
-    excess_noise_db: float = 0.2
-
-    def __post_init__(self):
-        if not (self.gain2 >= 1.0 and np.isfinite(self.gain2)):
-            raise InvalidParameterError(f"gain2 must be >= 1, got {self.gain2}")
-        if not (0.0 < self.eta <= 1.0):
-            raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta}")
-        if not (self.excess_noise_db >= 0.0):
-            raise InvalidParameterError(
-                f"excess_noise_db must be >= 0, got {self.excess_noise_db}")
 
 
 def amp_mean(gain: float, n_in: float) -> float:

@@ -17,7 +17,6 @@ from .errors import (DegeneratePeakError, IncompatibleSpectraError,
 from .simulate import Trace, _is_power_of_two
 
 NORM_ABSOLUTE = "absolute"
-NORM_SNU = "snu"
 NORM_DB = "db_re_shot_noise"
 
 # Fractions of an edge width at which a raised-cosine ramp passes half power.
@@ -35,7 +34,6 @@ class Spectrum:
     segment_len: int = 0
     overlap: float = 0.5
     window: str = "hann"
-    trace_count: int = 1
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -44,7 +42,7 @@ class Spectrum:
             raise InvalidParameterError("frequencies and values must be matching 1-d arrays")
         if np.any(np.diff(f) <= 0):
             raise InvalidParameterError("frequency grid must be strictly increasing")
-        if self.normalization in (NORM_ABSOLUTE, NORM_SNU) and np.any(v < 0):
+        if self.normalization == NORM_ABSOLUTE and np.any(v < 0):
             raise InvalidParameterError("power spectral density must be non-negative")
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
@@ -86,24 +84,7 @@ def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
     values /= trace.sample_rate * np.sum(w * w)
     values[1:-1] *= 2.0
     freqs = np.fft.rfftfreq(segment_len, 1.0 / trace.sample_rate)
-    return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction, window, 1)
-
-
-def average_spectra(spectra) -> Spectrum:
-    """Trace-count-weighted mean of same-settings absolute/SNU spectra."""
-    spectra = list(spectra)
-    if not spectra:
-        raise InvalidParameterError("no spectra to average")
-    first = spectra[0]
-    total = np.zeros_like(first.values)
-    count = 0
-    for spec in spectra:
-        if spec.normalization != first.normalization or not _settings_match(spec, first):
-            raise IncompatibleSpectraError("spectra differ in grid or estimator settings")
-        total += spec.values * spec.trace_count
-        count += spec.trace_count
-    return Spectrum(first.frequencies, total / count, first.normalization,
-                    first.segment_len, first.overlap, first.window, count)
+    return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction, window)
 
 
 def snu_normalize(spec: Spectrum, reference: Spectrum) -> Spectrum:
@@ -115,7 +96,7 @@ def snu_normalize(spec: Spectrum, reference: Spectrum) -> Spectrum:
     with np.errstate(divide="ignore"):
         values = 10.0 * np.log10(spec.values / reference.values)
     return Spectrum(spec.frequencies, values, NORM_DB,
-                    spec.segment_len, spec.overlap, spec.window, spec.trace_count)
+                    spec.segment_len, spec.overlap, spec.window)
 
 
 def shot_noise_density(mean_flux: float, sample_rate: float) -> float:
@@ -184,8 +165,7 @@ def band_filter(trace: Trace, f_lo: float, f_hi: float,
     freqs = np.fft.rfftfreq(len(trace), 1.0 / trace.sample_rate)
     h = band_response(freqs, f_lo, f_hi, edge_lo, edge_hi)
     x = np.fft.rfft(trace.samples) * h
-    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, len(trace)),
-                 seed_tag=trace.seed_tag + f"/bp({f_lo:g},{f_hi:g})")
+    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, len(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +197,27 @@ class XcorrResult:
                    fwhm=_fwhm(lags, values, peak_val))
 
 
+def _parabola_peak(y0: float, y1: float, y2: float) -> tuple[float, float]:
+    """Vertex of the parabola through (-1, y0), (0, y1), (1, y2).
+
+    Returns (offset, value): the vertex position in samples from the middle
+    point, and the parabola's value there.  When the three points do not
+    bend down (no interior maximum) the middle point itself is returned,
+    (0.0, y1).
+    """
+    denom = y0 - 2.0 * y1 + y2
+    if denom >= 0.0:
+        return 0.0, y1
+    shift = 0.5 * (y0 - y2) / denom
+    return shift, y1 - 0.25 * (y0 - y2) * shift
+
+
 def _refine_peak(lags, values) -> tuple[float, float]:
     i = int(np.argmax(values))
     if i == 0 or i == len(values) - 1:
         return float(lags[i]), float(values[i])
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom >= 0.0:
-        return float(lags[i]), float(values[i])
-    shift = 0.5 * (y0 - y2) / denom
-    step = lags[i + 1] - lags[i]
-    peak_val = y1 - 0.25 * (y0 - y2) * shift
-    return float(lags[i] + shift * step), float(peak_val)
+    shift, peak_val = _parabola_peak(values[i - 1], values[i], values[i + 1])
+    return float(lags[i] + shift * (lags[i + 1] - lags[i])), float(peak_val)
 
 
 def _fwhm(lags, values, peak_val: float) -> float:

@@ -223,8 +223,8 @@ def _find_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
 
     The iteration, stopping rule and iteration cap (100) of
     ``scipy.optimize.brentq``: stop when the bracket half-width is below
-    (xtol + rtol*|x|)/2.  Kept in the package so that loading the advance
-    preset does not import ``scipy.optimize``.
+    (xtol + rtol*|x|)/2.  Kept in the package so that no module imports
+    ``scipy.optimize``.
     """
     x_pre, x_cur = a, b
     f_pre, f_cur = f(x_pre), f(x_cur)

@@ -63,16 +63,6 @@ class GainLine:
             raise InvalidParameterError(f"length must be > 0, got {self.length}")
 
 
-@dataclass(frozen=True)
-class MediumResponse:
-    """Complex index, intensity gain and group index sampled on a detuning grid."""
-
-    detuning_grid: np.ndarray
-    n_complex: np.ndarray
-    gain: np.ndarray
-    group_index: np.ndarray
-
-
 def refractive_index(line: GainLine, delta):
     """Complex refractive index at angular detuning ``delta`` from line center.
 
@@ -134,17 +124,6 @@ def calibrate(peak_gain_db: float, fwhm: float, length: float = DEFAULT_CELL_LEN
                     omega_carrier=omega_carrier, length=length)
 
 
-def medium_response(line: GainLine, detuning_grid) -> MediumResponse:
-    """Evaluate index, gain and group index on a detuning grid (rad/s)."""
-    grid = np.asarray(detuning_grid, dtype=float)
-    return MediumResponse(
-        detuning_grid=grid,
-        n_complex=refractive_index(line, grid),
-        gain=intensity_gain(line, grid),
-        group_index=group_index(line, grid),
-    )
-
-
 def field_transfer(line: GainLine, delta):
     """Single-sideband field transfer H = exp(i (n-1) omega L / c).
 
@@ -176,3 +155,19 @@ def modulation_transfer(line: GainLine, carrier_offset: float, f):
     h_up = field_transfer(line, carrier_offset + 2.0 * np.pi * f)
     h_dn = field_transfer(line, carrier_offset - 2.0 * np.pi * f)
     return (h0 * np.conj(h_up) + h_dn * np.conj(h0)) / (2.0 * np.abs(h0) ** 2)
+
+
+def line_response(line: GainLine, carrier_offset: float, f):
+    """The line's effect on intensity fluctuations at sideband frequencies f.
+
+    Returns (G, transfer, added) for the carrier at angular offset
+    ``carrier_offset``: the carrier's intensity gain G, the absolute transfer
+    G * M(f), and the added amplifier noise (Gbar - 1) * Gbar / G in
+    output-beam shot-noise units, where Gbar(f) is the intensity gain averaged
+    over the two sidebands at carrier_offset +/- 2*pi*f.
+    """
+    gain0 = float(intensity_gain(line, carrier_offset))
+    transfer = gain0 * modulation_transfer(line, carrier_offset, f)
+    g_bar = 0.5 * (intensity_gain(line, carrier_offset + 2.0 * np.pi * f)
+                   + intensity_gain(line, carrier_offset - 2.0 * np.pi * f))
+    return gain0, transfer, (g_bar - 1.0) * g_bar / gain0

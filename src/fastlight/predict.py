@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _FALL_3DB, band_response
-from .dispersion import GainLine, intensity_gain, modulation_transfer
+from .analysis import _FALL_3DB, _parabola_peak, band_response
+from .dispersion import GainLine, line_response, modulation_transfer
 from .simulate import build_targets
 from .twinbeam import TwinBeamSource, seeded_stats
 
@@ -42,13 +42,9 @@ def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
     else:
         s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
 
-    delta = 2.0 * np.pi * offset_hz
-    gain0 = float(intensity_gain(line, delta))
-    transfer = gain0 * modulation_transfer(line, delta, f)
-    g_bar = 0.5 * (intensity_gain(line, delta + 2.0 * np.pi * f)
-                   + intensity_gain(line, delta - 2.0 * np.pi * f))
+    gain0, transfer, added = line_response(line, 2.0 * np.pi * offset_hz, f)
     mean_c_out = gain0 * mean_c + (gain0 - 1.0)
-    add_abs = (g_bar - 1.0) * g_bar / gain0 * mean_c_out
+    add_abs = added * mean_c_out
 
     diff_abs = (mean_p * s_pp
                 + np.abs(transfer) ** 2 * mean_c * s_cc
@@ -98,8 +94,6 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     k = int(np.argmax(corr))
     i = lo + k
     if 0 < k < corr.size - 1:
-        y0, y1, y2 = corr[k - 1], corr[k], corr[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            return float(t[i] + 0.5 * (y0 - y2) / denom * (t[1] - t[0]))
+        shift, _ = _parabola_peak(corr[k - 1], corr[k], corr[k + 1])
+        return float(t[i] + shift * (t[1] - t[0]))
     return float(t[i])

@@ -18,24 +18,18 @@ rounding limits agreement to ~1e-12 relative.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dispersion import GainLine, intensity_gain, modulation_transfer
+from .dispersion import GainLine, line_response
 from .errors import IncompatibleTracesError, InvalidParameterError
 from .twinbeam import TwinBeamSource
 
 _BINARY_MAGIC = b"FLTRACE\x00"
 _BINARY_VERSION = 1
 _HEADER = struct.Struct("<8sIddQ")
-
-
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -49,15 +43,13 @@ class Trace:
     sample_rate: Hz.
     mean_flux: mean photon number per sample (> 0); the shot-noise scale.
     samples: finite, zero-mean fluctuation sequence in photons per sample;
-        length is a power of two.  The array is locked read-only; operations
-        return new traces.
-    seed_tag: provenance string recording the generator lineage.
+        length is a power of two.  The array is locked read-only, so an
+        operation that changes nothing may return its input trace itself.
     """
 
     sample_rate: float
     mean_flux: float
     samples: np.ndarray
-    seed_tag: str = ""
 
     def __post_init__(self):
         if not (self.sample_rate > 0.0 and np.isfinite(self.sample_rate)):
@@ -79,19 +71,8 @@ class Trace:
         return self.samples.size
 
     @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
-    @property
     def nyquist(self) -> float:
         return self.sample_rate / 2.0
-
-
-def _check_compatible(t1: Trace, t2: Trace):
-    if len(t1) != len(t2) or t1.sample_rate != t2.sample_rate:
-        raise IncompatibleTracesError(
-            f"traces differ in length or rate: ({len(t1)}, {t1.sample_rate}) vs "
-            f"({len(t2)}, {t2.sample_rate})")
 
 
 def difference(t1: Trace, t2: Trace) -> Trace:
@@ -100,13 +81,11 @@ def difference(t1: Trace, t2: Trace) -> Trace:
     The mean fluxes add: the shot-noise reference of a difference measurement
     is the total detected power.
     """
-    _check_compatible(t1, t2)
-    return Trace(
-        sample_rate=t1.sample_rate,
-        mean_flux=t1.mean_flux + t2.mean_flux,
-        samples=t1.samples - t2.samples,
-        seed_tag=f"diff({t1.seed_tag},{t2.seed_tag})",
-    )
+    if len(t1) != len(t2) or t1.sample_rate != t2.sample_rate:
+        raise IncompatibleTracesError(
+            f"traces differ in length or rate: ({len(t1)}, {t1.sample_rate}) vs "
+            f"({len(t2)}, {t2.sample_rate})")
+    return Trace(t1.sample_rate, t1.mean_flux + t2.mean_flux, t1.samples - t2.samples)
 
 
 @dataclass(frozen=True)
@@ -230,12 +209,9 @@ def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: flo
     transformed.  Welch estimates of many such pairs converge to the targets.
     """
     factors = synthesis_factors(targets, n_samples, sample_rate, mean_p, mean_c)
-    ss = _as_seed_sequence(seed)
-    xp, xc = synth_twin_spectra(factors, ss)
-    tag = f"twin[{ss.entropy},{ss.spawn_key}]"
-    probe = Trace(sample_rate, mean_p, np.fft.irfft(xp, n_samples), seed_tag=tag + "/p")
-    conj = Trace(sample_rate, mean_c, np.fft.irfft(xc, n_samples), seed_tag=tag + "/c")
-    return probe, conj
+    xp, xc = synth_twin_spectra(factors, seed)
+    return (Trace(sample_rate, mean_p, np.fft.irfft(xp, n_samples)),
+            Trace(sample_rate, mean_c, np.fft.irfft(xc, n_samples)))
 
 
 def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.ndarray:
@@ -276,13 +252,9 @@ def shot_reference(mean_p: float, mean_c: float, n_samples: int, sample_rate: fl
         raise InvalidParameterError("mean fluxes must be positive")
     if not _is_power_of_two(n_samples):
         raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
-    ss = _as_seed_sequence(seed)
-    rng = np.random.default_rng(ss)
-    tag = f"shot[{ss.entropy},{ss.spawn_key}]"
-    t1 = Trace(sample_rate, mean_p,
-               rng.standard_normal(n_samples) * np.sqrt(mean_p), seed_tag=tag + "/p")
-    t2 = Trace(sample_rate, mean_c,
-               rng.standard_normal(n_samples) * np.sqrt(mean_c), seed_tag=tag + "/c")
+    rng = np.random.default_rng(seed)
+    t1 = Trace(sample_rate, mean_p, rng.standard_normal(n_samples) * np.sqrt(mean_p))
+    t2 = Trace(sample_rate, mean_c, rng.standard_normal(n_samples) * np.sqrt(mean_c))
     return t1, t2
 
 
@@ -312,17 +284,14 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
     if line.g == 0.0 and excess_db == 0.0:
         return ChannelResponse(None, None, mean_flux)
     freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    gain0 = float(intensity_gain(line, carrier_offset))
-    transfer = gain0 * modulation_transfer(line, carrier_offset, freqs)
+    gain0, transfer, added = line_response(line, carrier_offset, freqs)
     # Hermitian-symmetric application on the rfft grid: the shared DC and
     # Nyquist bins must stay real.
     transfer[0] = transfer[0].real
     transfer[-1] = transfer[-1].real
 
     mean_out = gain0 * mean_flux + (gain0 - 1.0)
-    g_bar = 0.5 * (intensity_gain(line, carrier_offset + 2.0 * np.pi * freqs)
-                   + intensity_gain(line, carrier_offset - 2.0 * np.pi * freqs))
-    s_add = (g_bar - 1.0) * g_bar / gain0 + (10.0 ** (excess_db / 10.0) - 1.0)
+    s_add = added + (10.0 ** (excess_db / 10.0) - 1.0)
     noise_std = np.sqrt(n_samples * mean_out * np.maximum(s_add, 0.0))
     noise_std[1:-1] *= np.sqrt(0.5)
     noise_std[0] = 0.0
@@ -371,15 +340,9 @@ def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,
     response = channel_response(line, carrier_offset, n, trace.sample_rate,
                                 trace.mean_flux, excess_db)
     if response.transfer is None:
-        return replace(trace, seed_tag=trace.seed_tag + "/vac")
-    ss = _as_seed_sequence(seed)
-    x = apply_channel(np.fft.rfft(trace.samples), response, ss)
-    return Trace(
-        sample_rate=trace.sample_rate,
-        mean_flux=response.mean_out,
-        samples=np.fft.irfft(x, n),
-        seed_tag=trace.seed_tag + f"/chan[{ss.entropy},{ss.spawn_key}]",
-    )
+        return trace
+    x = apply_channel(np.fft.rfft(trace.samples), response, seed)
+    return Trace(trace.sample_rate, response.mean_out, np.fft.irfft(x, n))
 
 
 def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed,
@@ -410,16 +373,10 @@ def apply_detection(trace: Trace, eta: float, seed=0) -> Trace:
     if not (0.0 < eta <= 1.0):
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     if eta == 1.0:
-        return replace(trace, seed_tag=trace.seed_tag + "/det1")
-    ss = _as_seed_sequence(seed)
+        return trace
     x = np.fft.rfft(trace.samples)
-    detect_spectrum(x, eta, trace.mean_flux, ss, out=x)
-    return Trace(
-        sample_rate=trace.sample_rate,
-        mean_flux=eta * trace.mean_flux,
-        samples=np.fft.irfft(x, len(trace)),
-        seed_tag=trace.seed_tag + f"/det[{ss.entropy},{ss.spawn_key}]",
-    )
+    detect_spectrum(x, eta, trace.mean_flux, seed, out=x)
+    return Trace(trace.sample_rate, eta * trace.mean_flux, np.fft.irfft(x, len(trace)))
 
 
 def fractional_shift(trace: Trace, delay: float) -> Trace:
@@ -432,8 +389,7 @@ def fractional_shift(trace: Trace, delay: float) -> Trace:
     freqs = np.fft.rfftfreq(n, 1.0 / trace.sample_rate)
     phase = np.exp(-2j * np.pi * freqs * delay)
     x = np.fft.rfft(trace.samples) * phase
-    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, n),
-                 seed_tag=trace.seed_tag + f"/shift({delay:g})")
+    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, n))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +432,7 @@ def load_trace_csv(path, sample_rate: float | None = None,
             values.append(float(val))
     if sample_rate is None or mean_flux is None:
         raise InvalidParameterError("CSV lacks metadata; pass sample_rate and mean_flux")
-    return Trace(sample_rate, mean_flux, np.asarray(values), seed_tag="csv")
+    return Trace(sample_rate, mean_flux, np.asarray(values))
 
 
 def save_trace_binary(trace: Trace, path):
@@ -507,4 +463,4 @@ def load_trace_binary(path) -> Trace:
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
         if data.size != count:
             raise InvalidParameterError("truncated trace file")
-    return Trace(rate, mean, data.astype(float), seed_tag="binary")
+    return Trace(rate, mean, data.astype(float))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastlight.amplifier import (ChannelParams, amp_mean, amp_variance,
+from fastlight.amplifier import (amp_mean, amp_variance,
                                  difference_noise_after_channel, loss_channel,
                                  snu_out)
 from fastlight.errors import InvalidParameterError
@@ -103,13 +103,6 @@ def test_difference_noise_monotonic_in_excess_and_loss():
 
 
 def test_channel_params_validation():
-    ChannelParams()
-    with pytest.raises(InvalidParameterError):
-        ChannelParams(gain2=0.5)
-    with pytest.raises(InvalidParameterError):
-        ChannelParams(eta=0.0)
-    with pytest.raises(InvalidParameterError):
-        ChannelParams(excess_noise_db=-0.1)
     with pytest.raises(InvalidParameterError):
         amp_mean(0.99, 1.0)
     with pytest.raises(InvalidParameterError):

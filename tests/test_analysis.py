@@ -4,7 +4,7 @@ from scipy import signal as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, average_spectra,
+from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, _parabola_peak,
                                 band_filter, band_response, band_squeezing_db,
                                 cross_correlation, peak_delay, psd,
                                 shot_noise_density, snu_normalize,
@@ -70,14 +70,6 @@ def test_snu_normalize_rejects_mismatched_grids():
     b = psd(_white(1 << 14, seed=5), 1 << 11)
     with pytest.raises(IncompatibleSpectraError):
         snu_normalize(a, b)
-
-
-def test_average_spectra_weighting():
-    a = psd(_white(1 << 14, seed=6), 1 << 10)
-    b = psd(_white(1 << 14, seed=7), 1 << 10)
-    avg = average_spectra([a, b])
-    np.testing.assert_allclose(avg.values, (a.values + b.values) / 2)
-    assert avg.trace_count == 2
 
 
 def test_band_response_half_power_at_corners():
@@ -309,6 +301,17 @@ def test_xcorr_fwhm_of_gaussian():
     sigma = 70e-9
     xc = XcorrResult.from_values(lags, np.exp(-0.5 * (lags / sigma) ** 2))
     assert xc.fwhm == pytest.approx(2.3548 * sigma, rel=1e-3)
+
+
+def test_parabola_peak_vertex_and_flat_fallback():
+    def y(x):
+        return 2.0 - 3.0 * (x - 0.3) ** 2
+    shift, value = _parabola_peak(y(-1.0), y(0.0), y(1.0))
+    assert shift == pytest.approx(0.3, abs=1e-15)
+    assert value == pytest.approx(2.0, abs=1e-15)
+    # Straight or upward-bending points have no interior maximum.
+    assert _parabola_peak(1.0, 2.0, 3.0) == (0.0, 2.0)
+    assert _parabola_peak(1.0, 0.5, 1.0) == (0.0, 0.5)
 
 
 def test_band_squeezing_db_flat_inputs():

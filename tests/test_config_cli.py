@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastlight
 from fastlight import config as config_module
@@ -13,7 +16,7 @@ from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
                               load_config, preset_coherent_ref,
                               preset_fig2_line, preset_fig4_advance)
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
-from fastlight.errors import ConfigError
+from fastlight.errors import ConfigError, FastlightError
 from oracles import dense_correlation_shift
 
 
@@ -54,17 +57,37 @@ def test_advance_root_finder_matches_brentq(monkeypatch):
     assert abs(anchor_hz - ref_anchor_hz) <= 1e-3
 
 
+def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this fastlight."""
+    src = os.path.dirname(os.path.dirname(fastlight.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=check,
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
 def test_cli_import_and_preset_skip_signal_and_optimize(preset):
     code = ("import sys, fastlight.cli\n"
             f"fastlight.cli.load_config({preset!r})\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
-    src = os.path.dirname(os.path.dirname(fastlight.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+def test_selftest_writes_strict_json_without_scipy_optimize(tmp_path):
+    out = tmp_path / "st"
+    code = ("import sys\nfrom fastlight.cli import main\n"
+            f"code = main(['selftest', '--out-dir', {str(out)!r}])\n"
+            "print('scipy.optimize' in sys.modules)\nsys.exit(code)")
+    proc = _run_python(code, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+    def reject(constant):
+        raise ValueError(f"selftest.json holds {constant}")
+
+    report = json.loads((out / "selftest.json").read_text(), parse_constant=reject)
+    assert report["all_passed"] is True
 
 
 def test_coherent_preset_is_quiet():
@@ -222,6 +245,78 @@ def test_partial_outputs_removed_on_error(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError):
         scenario.run_scenario(cfg)
     assert not (tmp_path / "broken" / "line_scan.csv").exists()
+
+
+def test_failed_summary_write_leaves_no_files(tmp_path, monkeypatch):
+    import fastlight.scenario as scenario
+
+    def torn_dump(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scenario.json, "dump", torn_dump)
+    cfg = config_from_dict({
+        **preset_fig2_line().to_dict(),
+        "detunings_hz": [0.0],
+        "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+        "out_dir": str(tmp_path / "torn"),
+    })
+    with pytest.raises(OSError, match="disk full"):
+        scenario.run_scenario(cfg)
+    assert os.listdir(tmp_path / "torn") == []
+
+
+def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys):
+    # A lag window this short never reaches the half level of the correlation,
+    # so both widths are NaN.
+    cfg = {**preset_fig4_advance().to_dict(), "max_lag_s": 5e-8,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "fwhm_ref_s" in err
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_csv_rejects_non_finite_values(tmp_path):
+    import fastlight.scenario as scenario
+
+    path = str(tmp_path / "scan.csv")
+    rows = [{"detuning_hz": 0.0, "delay_s_band": 1e-9},
+            {"detuning_hz": 1e6, "delay_s_band": float("inf")}]
+    created = []
+    with pytest.raises(FastlightError, match="delay_s_band"):
+        scenario._write_csv(path, ["detuning_hz", "delay_s_band"], rows, created)
+    assert not os.path.exists(path)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_round_trip_property(preset, data):
+    base = load_config(preset)
+    rate = base.sampling.rate_hz
+    samples = 1 << data.draw(st.integers(min_value=10, max_value=22), label="log2 samples")
+
+    def band():
+        lo = data.draw(st.floats(min_value=1e3, max_value=1e7))
+        return (lo, lo * data.draw(st.floats(min_value=1.5, max_value=100.0)))
+
+    cfg = replace(
+        base,
+        seed=data.draw(st.integers(min_value=0, max_value=2 ** 32), label="seed"),
+        jobs=data.draw(st.integers(min_value=1, max_value=8), label="jobs"),
+        sampling=replace(base.sampling, samples=samples,
+                         traces=data.draw(st.integers(min_value=1, max_value=500))),
+        band_hz=band(), fullband_hz=band(), noise_band_hz=band(),
+        max_lag_s=data.draw(st.floats(min_value=1.5, max_value=samples / 8 - 1)) / rate)
+    for original in (base, cfg):
+        for back in (config_from_dict(original.to_dict()),
+                     config_from_dict(json.loads(json.dumps(original.to_dict())))):
+            assert back == original
+            assert back.config_hash() == original.config_hash()
 
 
 def test_presets_cover_documented_names():

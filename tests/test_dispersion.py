@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastlight.dispersion import (GainLine, calibrate, field_transfer, gain_db,
-                                  group_index, intensity_gain, medium_response,
+                                  group_index, intensity_gain, line_response,
                                   modulation_transfer, peak_advance,
                                   refractive_index, LIGHT_SPEED)
 from fastlight.errors import InvalidParameterError
@@ -133,11 +133,27 @@ def test_peak_advance_twelve_ns_scale():
 
 def test_medium_response_consistency():
     grid = np.linspace(-4, 4, 101) * LINE.gamma
-    resp = medium_response(LINE, grid)
+    gain = intensity_gain(LINE, grid)
     k0L = LINE.omega_carrier * LINE.length / LIGHT_SPEED
-    np.testing.assert_allclose(resp.gain, np.exp(-2 * resp.n_complex.imag * k0L), rtol=1e-12)
-    assert np.all(np.isfinite(resp.group_index))
-    assert np.all(resp.gain >= 1.0)
+    np.testing.assert_allclose(gain, np.exp(-2 * refractive_index(LINE, grid).imag * k0L),
+                               rtol=1e-12)
+    assert np.all(np.isfinite(group_index(LINE, grid)))
+    assert np.all(gain >= 1.0)
+
+
+def test_line_response_is_gain_transfer_and_sideband_noise():
+    delta = 0.7 * LINE.gamma
+    f = np.linspace(0.0, 20e6, 41)
+    gain0, transfer, added = line_response(LINE, delta, f)
+    assert gain0 == intensity_gain(LINE, delta)
+    np.testing.assert_array_equal(transfer, gain0 * modulation_transfer(LINE, delta, f))
+    g_bar = 0.5 * (intensity_gain(LINE, delta + 2 * np.pi * f)
+                   + intensity_gain(LINE, delta - 2 * np.pi * f))
+    np.testing.assert_array_equal(added, (g_bar - 1.0) * g_bar / gain0)
+    # At f = 0 both sidebands sit on the carrier: the ideal amplifier's G - 1.
+    assert added[0] == pytest.approx(gain0 - 1.0, rel=1e-12)
+    vacuum = line_response(GainLine(g=0.0, gamma=LINE.gamma), delta, f)
+    assert vacuum[0] == 1.0 and np.all(vacuum[2] == 0.0)
 
 
 def test_field_transfer_matches_intensity_gain():
