@@ -9,7 +9,8 @@ from .amplifier import (amp_mean, amp_variance, difference_noise_after_channel,
                         loss_channel, snu_out)
 from .analysis import (Spectrum, XcorrResult, band_filter, band_response,
                        band_squeezing_db, cross_correlation, peak_delay, psd,
-                       shot_noise_density, snu_normalize, spectral_correlation)
+                       shot_floor, shot_noise_density, snu_normalize,
+                       spectral_correlation)
 from .dispersion import (GainLine, calibrate, field_transfer, gain_db,
                          group_index, intensity_gain, line_response,
                          modulation_transfer, peak_advance, refractive_index)

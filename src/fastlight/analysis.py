@@ -104,6 +104,24 @@ def shot_noise_density(mean_flux: float, sample_rate: float) -> float:
     return 2.0 * mean_flux / sample_rate
 
 
+def shot_floor(mean_flux: float, sample_rate: float, segment_len: int,
+               overlap: float = 0.5, window: str = "hann") -> Spectrum:
+    """Expected ``psd`` of shot noise of the given mean flux: the exact Welch
+    density of white noise with per-sample variance mean_flux.
+
+    ``psd`` divides by ``sample_rate * sum(w**2)`` and doubles only the
+    interior bins, so the expectation is ``shot_noise_density`` inside and
+    half of it at DC and Nyquist, for every window and overlap.  The
+    settings are recorded so that ``snu_normalize`` can check them.
+    """
+    if not _is_power_of_two(segment_len):
+        raise InvalidParameterError(f"segment_len must be a power of two, got {segment_len}")
+    values = np.full(segment_len // 2 + 1, shot_noise_density(mean_flux, sample_rate))
+    values[[0, -1]] *= 0.5
+    return Spectrum(np.fft.rfftfreq(segment_len, 1.0 / sample_rate), values,
+                    NORM_ABSOLUTE, segment_len, overlap, window)
+
+
 def band_squeezing_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:
     """10*log10 of the linear-SNU average of a dB spectrum over [f_lo, f_hi]."""
     if spec.normalization != NORM_DB:

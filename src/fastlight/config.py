@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -137,17 +137,29 @@ class ScenarioConfig:
                               "use coherent: true for a coherent pair")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["detunings_hz"] = list(self.detunings_hz)
-        d["band_hz"] = list(self.band_hz)
-        d["fullband_hz"] = list(self.fullband_hz)
-        d["noise_band_hz"] = list(self.noise_band_hz)
-        return d
+        return _as_dict(self)
 
     def config_hash(self) -> str:
         payload = {k: v for k, v in self.to_dict().items() if k not in ("out_dir", "jobs")}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _as_dict(section) -> dict:
+    """A config dataclass as plain JSON data.  Numbers in float-typed fields
+    and in the tuple fields are written as floats, so configs that compare
+    equal (``0 == 0.0``) give equal dicts and equal hashes."""
+    d = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            value = _as_dict(value)
+        elif f.name in _TUPLE_FIELDS:
+            value = [float(v) for v in value]
+        elif f.type in ("float", "float | None") and value is not None:
+            value = float(value)
+        d[f.name] = value
+    return d
 
 
 def _is_int(value) -> bool:

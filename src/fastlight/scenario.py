@@ -2,9 +2,10 @@
 
 Seed discipline: the master seed feeds a numpy SeedSequence; scan point i
 uses spawn_key (i,), trace j within a point uses (i, j), and each stochastic
-role within a trace (synthesis, channel noise, detections, shot reference)
-uses (i, j, r).  Results are therefore independent of execution order and
-identical runs produce byte-identical files.
+role within a trace (synthesis, channel noise, detections) uses (i, j, r).
+Each point's shot-noise floor is analytic and takes no draws.  Results are
+therefore independent of execution order and identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (NORM_ABSOLUTE, Spectrum, XcorrResult, band_filter,
                        band_response, band_squeezing_db, cross_correlation,
-                       peak_delay, psd, shot_noise_density, snu_normalize,
-                       spectral_correlation)
+                       peak_delay, psd, shot_floor, shot_noise_density,
+                       snu_normalize, spectral_correlation)
 from .config import ScenarioConfig, _find_root, config_from_dict
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import FastlightError
@@ -34,7 +35,10 @@ from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
                        synth_twin_traces, synthesis_factors, white_spectrum)
 from .twinbeam import seeded_stats, squeezing_db
 
-_ROLES = 7  # synth, channel, det ref p, det ref c, det fast p, det fast c, shot
+# synth, channel, det ref p, det ref c, det fast p, det fast c; role 6 (the
+# former Monte-Carlo shot pair) stays spawned but unused, so every other
+# role's seed is unchanged.
+_ROLES = 7
 
 
 def _point_seed(master: int, index: int) -> np.random.SeedSequence:
@@ -85,11 +89,11 @@ def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
             x1, x2, h2, chain.cfg.sampling.rate_hz, chain.cfg.max_lag_s)
 
 
-def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum, Spectrum]:
+def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum]:
     """One trace of a point, carried as rfft spectra from synthesis to the
     difference: the band correlations of the reference (detected only) and
-    fast (channel, then detected) pairs, and the Welch spectra of the fast
-    difference and of its shot-noise reference."""
+    fast (channel, then detected) pairs, and the Welch spectrum of the fast
+    difference."""
     cfg = chain.cfg
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
     eta = cfg.channel.eta
@@ -119,46 +123,42 @@ def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum, Spectrum]
     samples = np.fft.irfft(xp, n)
     del xp
     spec_diff = psd(Trace(fs, eta * chain.mean_p + eta * mean_c_out, samples), seg)
-    del samples
-    shot_p, shot_c = shot_reference(eta * chain.mean_p, eta * mean_c_out, n, fs, roles[6])
-    spec_shot = psd(difference(shot_p, shot_c), seg)
-    return curves, spec_diff, spec_shot
+    return curves, spec_diff
 
 
 def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
                    point_ss: np.random.SeedSequence, bands: dict) -> tuple[dict, Spectrum]:
     """Run every trace of one detuning point.  Returns the trace-averaged
     correlation curves ("<band>_ref", "<band>_fast" for each of ``bands``)
-    and the shot-normalized difference spectrum."""
+    and the difference spectrum normalized to the analytic shot-noise floor of
+    the detected pair's total mean flux."""
     chain = _point_chain(cfg, line, source, delta, bands)
     seg = min(cfg.segment_len, cfg.sampling.samples)
     sums = {}
     lag_grid = None
     diff_acc = np.zeros(seg // 2 + 1)
-    shot_acc = np.zeros(seg // 2 + 1)
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
         roles = np.random.SeedSequence(cfg.seed,
                                        spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        curves, spec_diff, spec_shot = _measure_trace(chain, roles)
+        curves, spec_diff = _measure_trace(chain, roles)
         for key, xc in curves.items():
             if key not in sums:
                 sums[key] = np.zeros_like(xc.values)
                 lag_grid = xc.lags
             sums[key] += xc.values
         diff_acc += spec_diff.values
-        shot_acc += spec_shot.values
         # Nothing of this trace outlives it into the next synthesis.
-        del curves, spec_diff, spec_shot
+        del curves, spec_diff
 
-    spec_freqs = np.fft.rfftfreq(seg, 1.0 / cfg.sampling.rate_hz)
-
-    def _spectrum(acc):
-        return Spectrum(spec_freqs, acc / n_traces, NORM_ABSOLUTE, seg, 0.5, "hann")
-
+    fs, eta = cfg.sampling.rate_hz, cfg.channel.eta
+    spectrum = Spectrum(np.fft.rfftfreq(seg, 1.0 / fs), diff_acc / n_traces,
+                        NORM_ABSOLUTE, seg, 0.5, "hann")
+    # The floor is an expectation, not an average over traces.
+    floor = shot_floor(eta * chain.mean_p + eta * chain.channel.mean_out, fs, seg)
     curves = {key: XcorrResult.from_values(lag_grid, acc / n_traces)
               for key, acc in sums.items()}
-    return curves, snu_normalize(_spectrum(diff_acc), _spectrum(shot_acc))
+    return curves, snu_normalize(spectrum, floor)
 
 
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
@@ -255,6 +255,8 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
         "seed_splitting": "SeedSequence(master, spawn_key=(point, trace, role))",
         "point_spawn_keys": list(range(len(cfg.detunings_hz) or 1)),
         "config_sha256": cfg.config_hash(),
+        # Spectra are normalized to the expected Welch density of shot noise.
+        "shot_reference": "analytic",
         "fastlight_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
@@ -355,15 +357,12 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
         return synth_twin_traces(targets, n_small, fs, stats.mean_p, stats.mean_c,
                                  np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
 
-    diff_acc = shot_acc = 0.0
+    diff_acc = 0.0
     for j in range(6):
         sd = psd(difference(*twin_pair(102, j)), 1 << 14)
-        sp, sc = shot_reference(stats.mean_p, stats.mean_c, n_small, fs,
-                                np.random.SeedSequence(cfg.seed, spawn_key=(103, j)))
         diff_acc = diff_acc + sd.values
-        shot_acc = shot_acc + psd(difference(sp, sc), 1 << 14).values
     norm = snu_normalize(Spectrum(sd.frequencies, diff_acc / 6, NORM_ABSOLUTE, 1 << 14),
-                         Spectrum(sd.frequencies, shot_acc / 6, NORM_ABSOLUTE, 1 << 14))
+                         shot_floor(stats.mean_p + stats.mean_c, fs, 1 << 14))
     band_db = band_squeezing_db(norm, *cfg.band_hz)
     checks["twin_band_squeezing"] = bool(abs(band_db - squeezing_db(source.gain1)) < 0.5)
 

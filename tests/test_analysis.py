@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, _parabola_peak,
                                 band_filter, band_response, band_squeezing_db,
                                 cross_correlation, peak_delay, psd,
-                                shot_noise_density, snu_normalize,
+                                shot_floor, shot_noise_density, snu_normalize,
                                 spectral_correlation)
 from fastlight.errors import (DegeneratePeakError, IncompatibleSpectraError,
                               IncompatibleTracesError, InvalidParameterError)
@@ -70,6 +70,37 @@ def test_snu_normalize_rejects_mismatched_grids():
     b = psd(_white(1 << 14, seed=5), 1 << 11)
     with pytest.raises(IncompatibleSpectraError):
         snu_normalize(a, b)
+
+
+@pytest.mark.parametrize("window", ["hann", "hamming"])
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+def test_shot_floor_is_expected_welch_density_of_white_noise(window, overlap):
+    """The mean psd of many white-noise draws of per-sample variance M equals
+    the floor in every bin, DC and Nyquist included, within 3 standard errors."""
+    variance, seg, draws = 1e6, 16, 400
+    floor = shot_floor(variance, RATE, seg, overlap, window)
+    assert np.all(floor.values[1:-1] == shot_noise_density(variance, RATE))
+    assert floor.values[0] == floor.values[-1] == 0.5 * shot_noise_density(variance, RATE)
+    rng = np.random.default_rng(7)
+    values = np.array([
+        psd(Trace(RATE, variance, rng.standard_normal(1 << 12) * np.sqrt(variance)),
+            seg, overlap, window).values
+        for _ in range(draws)])
+    mean = values.mean(axis=0)
+    se = values.std(axis=0, ddof=1) / np.sqrt(draws)
+    assert np.all(np.abs(mean - floor.values) <= 3.0 * se), (mean - floor.values) / se
+
+
+def test_shot_floor_carries_psd_settings():
+    t = _white(1 << 14, seed=6)
+    spec = psd(t, 1 << 10, 0.0, "hamming")
+    floor = shot_floor(t.mean_flux, RATE, 1 << 10, 0.0, "hamming")
+    np.testing.assert_array_equal(floor.frequencies, spec.frequencies)
+    assert snu_normalize(spec, floor).values.shape == spec.values.shape
+    with pytest.raises(IncompatibleSpectraError):
+        snu_normalize(spec, shot_floor(t.mean_flux, RATE, 1 << 10))
+    with pytest.raises(InvalidParameterError):
+        shot_floor(t.mean_flux, RATE, 1000)
 
 
 def test_band_response_half_power_at_corners():
@@ -188,7 +219,8 @@ def test_spectral_correlation_rejects_bad_inputs():
 def test_correlation_point_fft_count(monkeypatch):
     """Guards the spectral chain: a trace stays an rfft spectrum from synthesis
     to the difference, so per trace each correlated pair takes one irfft per
-    band, the difference one irfft and the two Welch spectra one rfft each."""
+    band, the difference one irfft and its Welch spectrum one rfft; the
+    shot-noise floor is analytic and takes none."""
     from fastlight import scenario
     from fastlight.config import config_from_dict, preset_fig2_line
 
@@ -206,14 +238,14 @@ def test_correlation_point_fft_count(monkeypatch):
 
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    for want_fullband, per_trace in ((True, 7), (False, 5)):
+    for want_fullband, per_trace in ((True, 6), (False, 4)):
         calls.clear()
         scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
                                             want_fullband)
         assert len(calls) == per_trace * traces
     calls.clear()
     scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
-    assert len(calls) == 3 * traces
+    assert len(calls) == 2 * traces
 
 
 def test_noise_point_frees_each_trace():

@@ -301,22 +301,38 @@ def test_config_round_trip_property(preset, data):
     samples = 1 << data.draw(st.integers(min_value=10, max_value=22), label="log2 samples")
 
     def band():
+        if data.draw(st.booleans(), label="integer band"):
+            lo = data.draw(st.integers(min_value=1000, max_value=10 ** 7))
+            return (lo, lo * data.draw(st.integers(min_value=2, max_value=100)))
         lo = data.draw(st.floats(min_value=1e3, max_value=1e7))
         return (lo, lo * data.draw(st.floats(min_value=1.5, max_value=100.0)))
 
+    hz = st.integers(min_value=-3 * 10 ** 7, max_value=3 * 10 ** 7) | st.floats(-3e7, 3e7)
     cfg = replace(
         base,
         seed=data.draw(st.integers(min_value=0, max_value=2 ** 32), label="seed"),
         jobs=data.draw(st.integers(min_value=1, max_value=8), label="jobs"),
         sampling=replace(base.sampling, samples=samples,
                          traces=data.draw(st.integers(min_value=1, max_value=500))),
+        source=replace(base.source, seed_flux=int(base.source.seed_flux)),
+        offset_hz=data.draw(hz, label="offset_hz"),
+        detunings_hz=tuple(data.draw(st.lists(hz, min_size=1 if base.detunings_hz else 0,
+                                              max_size=5), label="detunings_hz")),
         band_hz=band(), fullband_hz=band(), noise_band_hz=band(),
         max_lag_s=data.draw(st.floats(min_value=1.5, max_value=samples / 8 - 1)) / rate)
-    for original in (base, cfg):
+    # The same config with every int in a float field written as a float.
+    as_floats = replace(
+        cfg, source=replace(cfg.source, seed_flux=float(cfg.source.seed_flux)),
+        offset_hz=float(cfg.offset_hz),
+        **{name: tuple(float(v) for v in getattr(cfg, name))
+           for name in ("detunings_hz", "band_hz", "fullband_hz", "noise_band_hz")})
+    for original in (base, cfg, as_floats):
         for back in (config_from_dict(original.to_dict()),
                      config_from_dict(json.loads(json.dumps(original.to_dict())))):
             assert back == original
             assert back.config_hash() == original.config_hash()
+    assert as_floats == cfg
+    assert as_floats.config_hash() == cfg.config_hash()
 
 
 def test_presets_cover_documented_names():
