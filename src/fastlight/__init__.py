@@ -3,14 +3,14 @@ experiments: Lorentzian gain-line dispersion, quantum-limited
 phase-insensitive amplification, correlated photocurrent synthesis, and
 cross-correlation delay measurement."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .amplifier import (amp_mean, amp_variance, difference_noise_after_channel,
                         loss_channel, snu_out)
-from .analysis import (Spectrum, XcorrResult, band_filter, band_response,
-                       band_squeezing_db, cross_correlation, peak_delay, psd,
-                       shot_floor, shot_noise_density, snu_normalize,
-                       spectral_correlation)
+from .analysis import (CorrelationPlan, Spectrum, XcorrResult, band_filter,
+                       band_response, band_squeezing_db, correlation_plan,
+                       cross_correlation, peak_delay, psd, shot_floor,
+                       shot_noise_density, snu_normalize, spectral_correlation)
 from .dispersion import (GainLine, calibrate, field_transfer, gain_db,
                          group_index, intensity_gain, line_response,
                          modulation_transfer, peak_advance, refractive_index)

@@ -9,6 +9,8 @@ measured delay means the second trace is advanced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,52 +258,139 @@ def _fwhm(lags, values, peak_val: float) -> float:
     return float(right - left)
 
 
-def _band_energy(x, h2, n: int) -> float:
-    """Energy of the h2-weighted record behind rfft spectrum x (Parseval): DC
-    and Nyquist bins count once, interior bins twice."""
-    # einsum, not np.dot/np.vdot: BLAS threads would contend with the pool workers.
-    total = (np.einsum("i,i,i->", h2, x.real, x.real)
-             + np.einsum("i,i,i->", h2, x.imag, x.imag))
-    edges = h2[0] * abs(x[0]) ** 2 + h2[-1] * abs(x[-1]) ** 2
-    return float(2.0 * total - edges) / n
+class CorrelationPlan(NamedTuple):
+    """Constants of the band-filtered correlations of n-sample records at one
+    sample rate, band and lag window (built by ``correlation_plan``).
 
-
-def spectral_correlation(x1, x2, h2, sample_rate: float, max_lag: float) -> XcorrResult:
-    """Band-filtered normalized cross-correlation from two rfft spectra.
-
-    x1 and x2 are ``np.fft.rfft`` of two even-length real records sampled at
-    sample_rate (every Trace qualifies); h2 is the squared band response on
-    the same rfft grid.  Returns what
-    ``cross_correlation(band_filter(a), band_filter(b), max_lag)`` returns,
-    computed as one irfft of h2*conj(x1)*x2 (the generalized
-    cross-correlation of Knapp & Carter, IEEE TASSP 24:320, 1976) normalized
-    by the band-limited energies from Parseval's theorem.
+    support: K, the number of leading rfft bins where the squared band
+        response can be nonzero; bins from K on never reach a curve.
+    weights: the squared band response on [0, K), DC (and Nyquist, when the
+        support is the whole grid) halved, as the one-sided sums count them.
+    chirp_in, chirp_out, kernel: the Bluestein chirp-z factors that evaluate
+        the inverse DFT at lags -n_lag..n_lag only; kernel is the FFT of the
+        chirp filter, of length next_pow2(K + 2 n_lag).
+    lags: the lag grid in seconds.
     """
-    x1 = np.asarray(x1)
-    x2 = np.asarray(x2)
-    h2 = np.asarray(h2, dtype=float)
-    if x1.ndim != 1 or x1.size < 2 or x2.shape != x1.shape:
-        raise IncompatibleTracesError("spectral_correlation needs equal-length 1-d spectra")
-    if h2.shape != x1.shape:
-        raise InvalidParameterError("band response must lie on the spectra's rfft grid")
-    n = 2 * (x1.size - 1)
+
+    n: int
+    support: int
+    weights: np.ndarray
+    chirp_in: np.ndarray
+    chirp_out: np.ndarray
+    kernel: np.ndarray
+    lags: np.ndarray
+
+
+def _chirp(index, n: int, sign: float) -> np.ndarray:
+    """exp(sign * i*pi*index**2 / n), with the phase reduced exactly in integers."""
+    index = np.asarray(index, dtype=np.int64)
+    return np.exp(sign * 1j * np.pi * ((index * index) % (2 * n)) / n)
+
+
+@lru_cache(maxsize=32)
+def _plan(n: int, sample_rate: float, band: tuple | None, n_lag: int) -> CorrelationPlan:
+    bins = n // 2 + 1
+    if band is None:
+        h2 = np.ones(bins)
+    else:
+        f_lo, f_hi = band
+        # band_response is zero from f_hi + (1 - _FALL_3DB) * 1.5 f_hi on; it
+        # is evaluated on a few bins past that and trimmed to its last nonzero.
+        f_max = f_hi + (1.0 - _FALL_3DB) * 1.5 * f_hi
+        head = min(bins, int(np.ceil(f_max * n / sample_rate)) + 2)
+        h2 = band_response(np.fft.rfftfreq(n, 1.0 / sample_rate)[:head], f_lo, f_hi) ** 2
+        nonzero = np.flatnonzero(h2)
+        h2 = h2[:nonzero[-1] + 1] if nonzero.size else h2[:0]
+    if not h2.any():
+        raise InvalidParameterError(
+            "zero-energy or non-finite trace has no normalized correlation")
+    k = h2.size
+    weights = h2.copy()
+    weights[0] *= 0.5
+    if k == bins:
+        weights[-1] *= 0.5
+    # C(m) = (2/n) Re sum_k w_k Y_k exp(2 pi i k m / n) is the irfft of Y
+    # restricted to [0, K).  With km = (k^2 + m^2 - (m - k)^2) / 2 it is a
+    # chirp times the linear convolution of w Y chirp with a chirp filter
+    # (Bluestein 1970; Rabiner, Schafer & Rader, Bell Syst. Tech. J. 48:1249,
+    # 1969), exact in a circular convolution of length M >= K + 2 n_lag.
+    m = 1 << (k + 2 * n_lag - 1).bit_length()
+    offsets = np.arange(-(k - 1), 2 * n_lag + 1)
+    taps = np.zeros(m, dtype=complex)
+    taps[offsets % m] = _chirp(offsets - n_lag, n, -1.0)
+    lag_index = np.arange(-n_lag, n_lag + 1)
+    plan = CorrelationPlan(n, k, weights, weights * _chirp(np.arange(k), n, 1.0),
+                           _chirp(lag_index, n, 1.0), np.fft.fft(taps),
+                           lag_index / sample_rate)
+    # Every caller of a cached plan shares its arrays.
+    for array in (plan.weights, plan.chirp_in, plan.chirp_out, plan.kernel, plan.lags):
+        array.setflags(write=False)
+    return plan
+
+
+def correlation_plan(n_samples: int, sample_rate: float, band: tuple | None,
+                     max_lag: float) -> CorrelationPlan:
+    """The ``CorrelationPlan`` of n-sample records for ``spectral_correlation``.
+
+    band is (f_lo, f_hi) in Hz for the default-edged ``band_response``, or
+    None for the all-pass.  The lag window is +-round(max_lag*sample_rate)
+    samples.  Plans are cached per process on (n, sample_rate, band, n_lag).
+    """
     n_lag = int(round(max_lag * sample_rate))
     if n_lag < 1:
         raise InvalidParameterError(f"max_lag {max_lag} is below one sample period")
-    if n_lag > n // 8:
+    if n_lag > n_samples // 8:
         raise InvalidParameterError(
-            f"max_lag {max_lag} too long for trace duration {n / sample_rate}")
-    energy = _band_energy(x1, h2, n) * _band_energy(x2, h2, n)
+            f"max_lag {max_lag} too long for trace duration {n_samples / sample_rate}")
+    if band is not None:
+        band = (float(band[0]), float(band[1]))
+    return _plan(int(n_samples), float(sample_rate), band, n_lag)
+
+
+def _band_energy(x, weights) -> float:
+    """Weighted energy of the rfft bins x: by Parseval, n/2 times the energy
+    of the band-filtered record."""
+    # einsum, not np.dot/np.vdot: BLAS threads would contend with the pool workers.
+    return float(np.einsum("i,i,i->", weights, x.real, x.real)
+                 + np.einsum("i,i,i->", weights, x.imag, x.imag))
+
+
+def spectral_correlation(x1, x2, plan: CorrelationPlan) -> XcorrResult:
+    """Band-filtered normalized cross-correlation from two rfft spectra.
+
+    x1 and x2 are ``np.fft.rfft`` of two real n-sample records, or at least
+    their first ``plan.support`` bins; later bins are never read.  Returns
+    what ``cross_correlation(band_filter(a), band_filter(b), max_lag)``
+    returns: the inverse transform of H^2 conj(x1) x2 (the generalized
+    cross-correlation of Knapp & Carter, IEEE TASSP 24:320, 1976) at the
+    plan's lags only, by one chirp-z transform over the band's support,
+    normalized by the band-limited energies from Parseval's theorem.
+    """
+    k = plan.support
+    x1 = np.asarray(x1)
+    x2 = np.asarray(x2)
+    if x1.ndim != 1 or x2.ndim != 1 or min(x1.size, x2.size) < k:
+        raise IncompatibleTracesError(
+            f"spectral_correlation needs 1-d spectra of at least {k} bins")
+    if max(x1.size, x2.size) > plan.n // 2 + 1:
+        raise InvalidParameterError("spectra are longer than the plan's rfft grid")
+    x1 = x1[:k]
+    x2 = x2[:k]
+    energy = _band_energy(x1, plan.weights) * _band_energy(x2, plan.weights)
     if not (np.isfinite(energy) and energy > 0.0):
         raise InvalidParameterError(
             "zero-energy or non-finite trace has no normalized correlation")
-    cross = np.conj(x1)
+    cross = np.conjugate(x1, dtype=complex)
     cross *= x2
-    cross *= h2
-    corr = np.fft.irfft(cross, n)
-    values = np.concatenate([corr[-n_lag:], corr[:n_lag + 1]]) / np.sqrt(energy)
-    lags = np.arange(-n_lag, n_lag + 1) / sample_rate
-    return XcorrResult.from_values(lags, values)
+    cross *= plan.chirp_in
+    conv = np.fft.fft(cross, plan.kernel.size)
+    conv *= plan.kernel
+    conv = np.fft.ifft(conv)[:plan.lags.size]
+    conv *= plan.chirp_out
+    # The curve is (2/n) Re(...) over the geometric mean of the energies, each
+    # (2/n) times a weighted sum: the factors 2/n cancel.
+    values = conv.real / np.sqrt(energy)
+    return XcorrResult.from_values(plan.lags, values)
 
 
 def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
@@ -310,13 +399,12 @@ def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
     Computed in the frequency domain (circular; valid for max_lag much
     shorter than the trace), normalized by sqrt(C11(0) C22(0)) so the values
     are bounded by 1.  The lag grid is at the sample period.  This is
-    ``spectral_correlation`` with an all-pass band.
+    ``spectral_correlation`` with an all-pass plan.
     """
     if len(i1) != len(i2) or i1.sample_rate != i2.sample_rate:
         raise IncompatibleTracesError("cross_correlation needs equal lengths and rates")
-    x1 = np.fft.rfft(i1.samples)
-    return spectral_correlation(x1, np.fft.rfft(i2.samples), np.ones(x1.size),
-                                i1.sample_rate, max_lag)
+    plan = correlation_plan(len(i1), i1.sample_rate, None, max_lag)
+    return spectral_correlation(np.fft.rfft(i1.samples), np.fft.rfft(i2.samples), plan)
 
 
 def _check_unique_peak(result: XcorrResult, tie_tol: float = 1e-6):

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,13 +22,13 @@ import scipy
 
 from . import __version__
 from .amplifier import difference_noise_after_channel
-from .analysis import (NORM_ABSOLUTE, Spectrum, XcorrResult, band_filter,
-                       band_response, band_squeezing_db, cross_correlation,
-                       peak_delay, psd, shot_floor, shot_noise_density,
-                       snu_normalize, spectral_correlation)
+from .analysis import (NORM_ABSOLUTE, CorrelationPlan, Spectrum, XcorrResult,
+                       band_filter, band_squeezing_db, correlation_plan,
+                       cross_correlation, peak_delay, psd, shot_floor,
+                       shot_noise_density, snu_normalize, spectral_correlation)
 from .config import ScenarioConfig, _find_root, config_from_dict
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
-from .errors import FastlightError
+from .errors import ConfigError, FastlightError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
 from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
                        channel_response, detect_spectrum, difference,
@@ -62,7 +63,20 @@ class _PointChain(NamedTuple):
     mean_c: float
     factors: tuple | None  # synthesis factors; None for a coherent source
     channel: ChannelResponse
-    band_h2: dict  # band name -> squared band response on the rfft grid
+    plans: dict  # band name -> CorrelationPlan
+
+
+@lru_cache(maxsize=8)
+def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPlan:
+    """The band's correlation plan, refused when the lag window cannot hold
+    the half level of its noise-free curve (the plan applied to H^2 itself),
+    since every measured width would then be undefined."""
+    plan = correlation_plan(n, fs, band, max_lag)
+    flat = np.ones(plan.support)
+    if not math.isfinite(spectral_correlation(flat, flat, plan).fwhm):
+        raise ConfigError(f"max_lag_s {max_lag} does not reach the half level of the "
+                          f"correlation in band {band} Hz")
+    return plan
 
 
 def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -> _PointChain:
@@ -73,27 +87,26 @@ def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -
     mean_c_out = gain0 * mean_c + (gain0 - 1.0)
     excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
                                         mean_c_out, cfg.channel.eta)
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
     factors = None
     if not cfg.source.coherent:
-        factors = synthesis_factors(build_targets(source, freqs), n, fs, mean_p, mean_c)
-    # Each band-filtered correlation is one irfft of H^2 conj(X1) X2.
-    band_h2 = {name: band_response(freqs, *band) ** 2 for name, band in bands.items()}
+        targets = build_targets(source, np.fft.rfftfreq(n, 1.0 / fs))
+        factors = synthesis_factors(targets, n, fs, mean_p, mean_c)
+    # Built before any draw, so a lag window too short fails first.
+    plans = {name: _band_plan(n, fs, band, cfg.max_lag_s) for name, band in bands.items()}
     return _PointChain(cfg, mean_p, mean_c, factors,
-                       channel_response(line, delta, n, fs, mean_c, excess_beam), band_h2)
+                       channel_response(line, delta, n, fs, mean_c, excess_beam), plans)
 
 
 def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
-    for band, h2 in chain.band_h2.items():
-        curves[f"{band}_{pair}"] = spectral_correlation(
-            x1, x2, h2, chain.cfg.sampling.rate_hz, chain.cfg.max_lag_s)
+    for band, plan in chain.plans.items():
+        curves[f"{band}_{pair}"] = spectral_correlation(x1, x2, plan)
 
 
 def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum]:
     """One trace of a point, carried as rfft spectra from synthesis to the
-    difference: the band correlations of the reference (detected only) and
-    fast (channel, then detected) pairs, and the Welch spectrum of the fast
-    difference."""
+    difference: the band correlations of the reference (detected only, on
+    the bands' support) and fast (channel, then detected) pairs, and the
+    Welch spectrum of the fast difference."""
     cfg = chain.cfg
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
     eta = cfg.channel.eta
@@ -105,10 +118,12 @@ def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum]:
     else:
         xp, xc = synth_twin_spectra(chain.factors, roles[0])
     curves = {}
-    if chain.band_h2:
-        # At most one detected pair is alive at a time: it sets the peak memory.
-        probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2])
-        conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3])
+    if chain.plans:
+        # No correlation reads a bin past the largest support, so the
+        # reference pair is detected there only.
+        k = max(plan.support for plan in chain.plans.values())
+        probe_ref = detect_spectrum(xp[:k], eta, chain.mean_p, roles[2], n_samples=n)
+        conj_ref = detect_spectrum(xc[:k], eta, chain.mean_c, roles[3], n_samples=n)
         _correlate(curves, "ref", probe_ref, conj_ref, chain)
         del probe_ref, conj_ref
     mean_c_out = chain.channel.mean_out
@@ -139,7 +154,7 @@ def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
     diff_acc = np.zeros(seg // 2 + 1)
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
-        roles = np.random.SeedSequence(cfg.seed,
+        roles = np.random.SeedSequence(point_ss.entropy,
                                        spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
         curves, spec_diff = _measure_trace(chain, roles)
         for key, xc in curves.items():

@@ -221,22 +221,29 @@ def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.nda
     independent real and imaginary parts N(0, n*variance/2).  That is the
     exact distribution of ``np.fft.rfft`` of white Gaussian samples.  seed may
     be anything ``np.random.default_rng`` accepts, a Generator included.
-    With ``add_to`` (a complex array on the same rfft grid) the draw is added
-    to it in place and it is returned.
+    With ``add_to`` (a complex array on the same rfft grid, or on its first
+    bins only) the draw is added to it in place and it is returned.  On
+    K < n/2 + 1 bins it is K real parts, then K imaginary parts: the real
+    parts are the whole grid's first K, and there is no Nyquist bin.
     """
     nb = n_samples // 2 + 1
+    bins = nb if add_to is None else add_to.size
+    if not 1 <= bins <= nb:
+        raise InvalidParameterError(f"add_to must hold 1 to {nb} bins, got {bins}")
     out = np.zeros(nb, dtype=complex) if add_to is None else add_to
     rng = np.random.default_rng(seed)
     scale = np.sqrt(0.5 * n_samples * variance)
-    z = rng.standard_normal(nb)
+    z = rng.standard_normal(bins)
     z *= scale
     z[0] *= np.sqrt(2.0)
-    z[-1] *= np.sqrt(2.0)
+    if bins == nb:
+        z[-1] *= np.sqrt(2.0)
     out.real += z
     rng.standard_normal(out=z)
     z *= scale
     z[0] = 0.0
-    z[-1] = 0.0
+    if bins == nb:
+        z[-1] = 0.0
     out.imag += z
     return out
 
@@ -346,18 +353,23 @@ def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,
 
 
 def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None,
+                    n_samples: int | None = None) -> np.ndarray:
     """Detection with efficiency eta on an rfft spectrum: eta*x plus the
     white vacuum spectrum of per-sample variance (1 - eta) * eta * mean_flux.
 
-    Writes into ``out`` (which may be x itself) or a new array.  eta = 1
-    draws nothing and leaves the values of x bit-exact.
+    Writes into ``out`` (which may be x itself) or a new array.  x may hold
+    only the first bins of the grid of an n_samples record (default: x is the
+    whole grid); the vacuum is then drawn on those bins only, as
+    ``white_spectrum`` draws them.  eta = 1 draws nothing and leaves the
+    values of x bit-exact.
     """
     if not (0.0 < eta <= 1.0):
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     out = np.multiply(x, eta, out=out)
     if eta < 1.0:
-        white_spectrum(2 * (x.size - 1), (1.0 - eta) * eta * mean_flux, seed, add_to=out)
+        n = 2 * (x.size - 1) if n_samples is None else n_samples
+        white_spectrum(n, (1.0 - eta) * eta * mean_flux, seed, add_to=out)
     return out
 
 

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, _parabola_peak,
                                 band_filter, band_response, band_squeezing_db,
-                                cross_correlation, peak_delay, psd,
-                                shot_floor, shot_noise_density, snu_normalize,
-                                spectral_correlation)
+                                correlation_plan, cross_correlation, peak_delay,
+                                psd, shot_floor, shot_noise_density,
+                                snu_normalize, spectral_correlation)
 from fastlight.errors import (DegeneratePeakError, IncompatibleSpectraError,
                               IncompatibleTracesError, InvalidParameterError)
 from fastlight.simulate import Trace, fractional_shift, shot_reference
@@ -189,10 +189,16 @@ def test_spectral_correlation_matches_time_domain_oracle(data):
     banded = XcorrResult.from_values(lags, circular_correlation(fa.samples, fb.samples, n_lag))
     raw = XcorrResult.from_values(lags, circular_correlation(a, b, n_lag))
 
-    h2 = band_response(np.fft.rfftfreq(n, 1.0 / RATE), f_lo, f_hi) ** 2
     max_lag = n_lag / RATE
+    plan = correlation_plan(n, RATE, (f_lo, f_hi), max_lag)
+    all_pass = correlation_plan(n, RATE, None, max_lag)
+    assert all_pass.support == n // 2 + 1  # the Nyquist bin included
+    xa, xb = np.fft.rfft(a), np.fft.rfft(b)
+    k = plan.support
     for got, oracle in (
-            (spectral_correlation(np.fft.rfft(a), np.fft.rfft(b), h2, RATE, max_lag), banded),
+            (spectral_correlation(xa, xb, plan), banded),
+            (spectral_correlation(xa[:k], xb[:k], plan), banded),
+            (spectral_correlation(xa, xb, all_pass), raw),
             (cross_correlation(fa, fb, max_lag), banded),
             (cross_correlation(ta, tb, max_lag), raw)):
         np.testing.assert_array_equal(got.lags, oracle.lags)
@@ -201,26 +207,64 @@ def test_spectral_correlation_matches_time_domain_oracle(data):
         np.testing.assert_allclose(got.fwhm, oracle.fwhm, rtol=0, atol=1e-6 / RATE)
 
 
+def test_correlation_plan_support_is_where_the_band_is():
+    n = 1 << 14
+    freqs = np.fft.rfftfreq(n, 1.0 / RATE)
+    for band in ((1e5, 3e6), (1e6, 2e8), (3e7, 4e8)):
+        plan = correlation_plan(n, RATE, band, 1e-7)
+        h2 = band_response(freqs, *band) ** 2
+        assert plan.support == np.flatnonzero(h2)[-1] + 1
+        assert plan.weights[0] == 0.5 * h2[0]
+        np.testing.assert_array_equal(plan.weights[1:], h2[1:plan.support])
+        assert plan.kernel.size == 1 << (plan.support + 2 * 250 - 1).bit_length()
+    # One plan per (n, rate, band, lag window), whatever the lag's spelling.
+    assert correlation_plan(n, RATE, (1e5, 3e6), 1e-7) is correlation_plan(
+        n, RATE, [100000, 3000000], 1e-7 + 1e-13)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_n=st.integers(min_value=10, max_value=14),
+       n_lag=st.integers(min_value=1, max_value=128))
+def test_bins_past_the_support_never_reach_the_curve(seed, log_n, n_lag):
+    n = 1 << log_n
+    rng = np.random.default_rng(seed)
+    plan = correlation_plan(n, RATE, (RATE / 400, RATE / 40), n_lag / RATE)
+    k = plan.support
+    assert k < n // 2 + 1
+    xa, xb = (np.fft.rfft(rng.standard_normal(n)) for _ in range(2))
+    want = spectral_correlation(xa, xb, plan)
+    xa[k:] = rng.standard_normal(xa.size - k) + 1j * rng.standard_normal(xa.size - k)
+    xb[k:] *= 1e6
+    got = spectral_correlation(xa, xb, plan)
+    assert np.array_equal(got.values, want.values)
+    assert got.peak_lag == want.peak_lag and np.array_equal(got.fwhm, want.fwhm, equal_nan=True)
+
+
 def test_spectral_correlation_rejects_bad_inputs():
-    x = np.fft.rfft(_white(1 << 12, seed=18).samples)
-    ones = np.ones(x.size)
+    n = 1 << 12
+    x = np.fft.rfft(_white(n, seed=18).samples)
+    plan = correlation_plan(n, RATE, (1e6, 2e8), 1e-7)
     with pytest.raises(IncompatibleTracesError):
-        spectral_correlation(x, x[:-1], ones, RATE, 1e-7)
+        spectral_correlation(x, x[:plan.support - 1], plan)
     with pytest.raises(InvalidParameterError, match="rfft grid"):
-        spectral_correlation(x, x, ones[:-1], RATE, 1e-7)
-    with pytest.raises(InvalidParameterError, match="below one sample"):
-        spectral_correlation(x, x, ones, RATE, 0.1 / RATE)
-    with pytest.raises(InvalidParameterError, match="too long"):
-        spectral_correlation(x, x, ones, RATE, 513 / RATE)
+        spectral_correlation(np.append(x, 0.0), x, plan)
     with pytest.raises(InvalidParameterError, match="zero-energy"):
-        spectral_correlation(x, x, np.zeros(x.size), RATE, 1e-7)
+        spectral_correlation(x, np.zeros(x.size), plan)
+    with pytest.raises(InvalidParameterError, match="below one sample"):
+        correlation_plan(n, RATE, None, 0.1 / RATE)
+    with pytest.raises(InvalidParameterError, match="too long"):
+        correlation_plan(n, RATE, None, 513 / RATE)
+    # A band between two bins of the grid has no support at all.
+    with pytest.raises(InvalidParameterError, match="zero-energy"):
+        correlation_plan(n, RATE, (1.0, 4.0), 1e-7)
 
 
 def test_correlation_point_fft_count(monkeypatch):
     """Guards the spectral chain: a trace stays an rfft spectrum from synthesis
-    to the difference, so per trace each correlated pair takes one irfft per
-    band, the difference one irfft and its Welch spectrum one rfft; the
-    shot-noise floor is analytic and takes none."""
+    to the difference, so per trace the only full-length transforms are the
+    difference's irfft and its Welch rfft; each band correlation of each pair
+    is one chirp-z transform (an fft and an ifft no longer than
+    next_pow2(K + 2 n_lag)); the shot-noise floor is analytic and takes none."""
     from fastlight import scenario
     from fastlight.config import config_from_dict, preset_fig2_line
 
@@ -228,21 +272,34 @@ def test_correlation_point_fft_count(monkeypatch):
     cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
                             "sampling": {"rate_hz": RATE, "samples": 1 << 16,
                                          "traces": traces}})
+    n_lag = round(cfg.max_lag_s * RATE)
+    longest = max(1 << (correlation_plan(1 << 16, RATE, band, cfg.max_lag_s).support
+                        + 2 * n_lag - 1).bit_length()
+                  for band in (cfg.band_hz, cfg.fullband_hz))
     calls = []
 
     def counted(fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            calls.append((fn.__name__, out.shape[-1]))
+            return out
         return wrapper
 
-    for name in ("rfft", "irfft"):
+    # The plans are built once per process, before this point's traces.
+    scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0), True)
+    for name in ("rfft", "irfft", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    for want_fullband, per_trace in ((True, 6), (False, 4)):
+
+    def count(*names):
+        return sum(name in names for name, _ in calls)
+
+    for want_fullband, bands in ((True, 2), (False, 1)):
         calls.clear()
         scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
                                             want_fullband)
-        assert len(calls) == per_trace * traces
+        assert count("rfft", "irfft") == 2 * traces
+        assert count("fft", "ifft") == 2 * bands * 2 * traces
+        assert max(size for name, size in calls if name in ("fft", "ifft")) <= longest
     calls.clear()
     scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
     assert len(calls) == 2 * traces

@@ -266,18 +266,52 @@ def test_failed_summary_write_leaves_no_files(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "torn") == []
 
 
-def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys):
-    # A lag window this short never reaches the half level of the correlation,
-    # so both widths are NaN.
+def _short_lag_xcorr_config(tmp_path):
+    # A lag window this short never reaches the half level of the correlation.
     cfg = {**preset_fig4_advance().to_dict(), "max_lag_s": 5e-8,
            "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
            "out_dir": str(tmp_path / "o")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_short_lag_window_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    import fastlight.scenario as scenario
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario, "synth_twin_spectra", no_draws)
+    path = _short_lag_xcorr_config(tmp_path)
+    assert main(["xcorr", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "max_lag_s" in err
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # With the early lag-window check taken out, both widths are NaN and the
+    # summary writer is the backstop.
+    import fastlight.scenario as scenario
+    from fastlight.analysis import correlation_plan
+
+    monkeypatch.setattr(scenario, "_band_plan", correlation_plan)
+    path = _short_lag_xcorr_config(tmp_path)
     assert main(["xcorr", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert "runtime error" in err and "fwhm_ref_s" in err
     assert os.listdir(tmp_path / "o") == []
+
+
+def test_every_preset_passes_the_lag_window_check():
+    import fastlight.scenario as scenario
+
+    for name in sorted(PRESETS):
+        cfg = load_config(name)
+        for band in (cfg.band_hz, cfg.fullband_hz):
+            scenario._band_plan(cfg.sampling.samples, cfg.sampling.rate_hz, band,
+                                cfg.max_lag_s)
 
 
 def test_csv_rejects_non_finite_values(tmp_path):

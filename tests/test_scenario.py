@@ -43,3 +43,15 @@ def test_coherent_ref_reads_zero_db():
     """Independent coherent beams without a medium sit on the shot-noise floor."""
     cfg = preset_coherent_ref()
     _assert_unbiased(_per_seed_mean(cfg, "simulated_noise_db"))
+
+
+def test_point_seed_entropy_reaches_the_traces():
+    """A point's traces draw from the point seed they are given, not from the
+    config's own seed: one config, two point seeds, two different rows."""
+    base = preset_fig2_line()
+    cfg = replace(base, sampling=replace(base.sampling, samples=1 << 16, traces=1))
+    rows = [_measure_noise_point(cfg, 0.0, _point_seed(seed, 0))
+            for seed in (cfg.seed, cfg.seed + 1)]
+    assert rows[0]["simulated_noise_db"] != rows[1]["simulated_noise_db"]
+    again = _measure_noise_point(cfg, 0.0, _point_seed(cfg.seed + 1, 0))
+    assert again == rows[1]

@@ -264,6 +264,22 @@ def test_white_spectrum_matches_rfft_of_white_samples():
     assert abs(np.mean(re2) - np.mean(im2)) < 3 * se
 
 
+def test_white_spectrum_on_leading_bins():
+    # K < n/2 + 1 bins: real DC, no Nyquist bin, the real parts are the first
+    # K of the whole grid's draw, and interior parts keep variance n v / 2.
+    n, v, k = 1 << 16, 2.5, 3001
+    full = white_spectrum(n, v, np.random.SeedSequence(62))
+    x = np.zeros(k, dtype=complex)
+    assert white_spectrum(n, v, np.random.SeedSequence(62), add_to=x) is x
+    assert x[0].imag == 0.0 and x[0].real != 0.0 and x[-1].imag != 0.0
+    assert np.array_equal(x.real, full.real[:k])
+    for part in (x.real[1:], x.imag[1:]):
+        z2 = part ** 2 / (0.5 * n * v)
+        assert abs(np.mean(z2) - 1.0) < 3 * np.std(z2) / np.sqrt(z2.size)
+    with pytest.raises(InvalidParameterError):
+        white_spectrum(n, v, 1, add_to=np.zeros(n // 2 + 2, dtype=complex))
+
+
 def test_white_spectrum_adds_in_place():
     base = white_spectrum(1 << 10, 1.0, 1)
     total = base.copy()
