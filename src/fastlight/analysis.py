@@ -124,11 +124,16 @@ def shot_floor(mean_flux: float, sample_rate: float, segment_len: int,
                     NORM_ABSOLUTE, segment_len, overlap, window)
 
 
+def _band_mask(frequencies, f_lo: float, f_hi: float) -> np.ndarray:
+    """The bins of a frequency grid that ``band_squeezing_db`` averages."""
+    return (frequencies >= f_lo) & (frequencies <= f_hi)
+
+
 def band_squeezing_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:
     """10*log10 of the linear-SNU average of a dB spectrum over [f_lo, f_hi]."""
     if spec.normalization != NORM_DB:
         raise InvalidParameterError("band_squeezing_db needs a dB-re-shot-noise spectrum")
-    mask = (spec.frequencies >= f_lo) & (spec.frequencies <= f_hi)
+    mask = _band_mask(spec.frequencies, f_lo, f_hi)
     if not np.any(mask):
         raise InvalidParameterError(f"no spectrum bins inside [{f_lo}, {f_hi}] Hz")
     linear = 10.0 ** (spec.values[mask] / 10.0)

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .analysis import _band_mask
 from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
                          GainLine, calibrate, peak_advance)
 from .errors import ConfigError
@@ -116,6 +117,19 @@ class ScenarioConfig:
             raise ConfigError("field 'offset_hz' must be a finite number")
         if not all(_is_finite(d) for d in self.detunings_hz):
             raise ConfigError("field 'detunings_hz' must hold finite numbers")
+        if not (_is_finite(self.channel.eta) and 0.0 < self.channel.eta <= 1.0):
+            raise ConfigError("field 'channel.eta' must be a finite number in (0, 1]")
+        if not (_is_finite(self.channel.excess_noise_db) and self.channel.excess_noise_db >= 0.0):
+            raise ConfigError("field 'channel.excess_noise_db' must be a finite number >= 0")
+        # The squeezing figure averages the difference's Welch bins in its band.
+        name = {"line-scan": "noise_band_hz", "delay-scan": "band_hz",
+                "xcorr": "band_hz"}.get(self.scenario)
+        if name is not None:
+            seg = min(self.segment_len, self.sampling.samples)
+            freqs = np.fft.rfftfreq(seg, 1.0 / self.sampling.rate_hz)
+            if not np.any(_band_mask(freqs, *getattr(self, name))):
+                raise ConfigError(f"field '{name}' holds no bin of the {seg}-point "
+                                  f"Welch spectrum at rate_hz {self.sampling.rate_hz}")
         if self.scenario in ("delay-scan", "xcorr"):
             # The correlation kernel's lag window: one sample to an eighth of a trace.
             if not (_is_finite(self.max_lag_s) and 1.0 <= self.max_lag_s

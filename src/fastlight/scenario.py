@@ -2,7 +2,8 @@
 
 Seed discipline: the master seed feeds a numpy SeedSequence; scan point i
 uses spawn_key (i,), trace j within a point uses (i, j), and each stochastic
-role within a trace (synthesis, channel noise, detections) uses (i, j, r).
+role within a trace (synthesis, channel noise, detections, the detected
+difference past the correlations' bins) uses (i, j, r).
 Each point's shot-noise floor is analytic and takes no draws.  Results are
 therefore independent of execution order and identical runs produce
 byte-identical files.
@@ -32,13 +33,13 @@ from .errors import ConfigError, FastlightError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
 from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
                        channel_response, detect_spectrum, difference,
-                       fractional_shift, shot_reference, synth_twin_spectra,
-                       synth_twin_traces, synthesis_factors, white_spectrum)
+                       difference_std, fractional_shift, shot_reference,
+                       synth_twin_spectra, synth_twin_traces, synthesis_factors,
+                       white_spectrum)
 from .twinbeam import seeded_stats, squeezing_db
 
-# synth, channel, det ref p, det ref c, det fast p, det fast c; role 6 (the
-# former Monte-Carlo shot pair) stays spawned but unused, so every other
-# role's seed is unchanged.
+# synth, channel, det ref p, det ref c, det fast p, det fast c, each on the
+# first K bins of the rfft grid; then the detected difference on the rest.
 _ROLES = 7
 
 
@@ -56,7 +57,13 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
 
 
 class _PointChain(NamedTuple):
-    """Constants of one detuning point's measurement chain, shared by its traces."""
+    """Constants of one detuning point's measurement chain, shared by its traces.
+
+    The rfft grid is split at ``support``, the largest band support (0 when
+    nothing is correlated): the synthesis factors and the channel hold the
+    bins below it, ``tail_std`` the deviation of the detected difference on
+    the bins from it on.
+    """
 
     cfg: ScenarioConfig
     mean_p: float
@@ -64,6 +71,8 @@ class _PointChain(NamedTuple):
     factors: tuple | None  # synthesis factors; None for a coherent source
     channel: ChannelResponse
     plans: dict  # band name -> CorrelationPlan
+    support: int
+    tail_std: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -89,12 +98,21 @@ def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -
                                         mean_c_out, cfg.channel.eta)
     factors = None
     if not cfg.source.coherent:
-        targets = build_targets(source, np.fft.rfftfreq(n, 1.0 / fs))
-        factors = synthesis_factors(targets, n, fs, mean_p, mean_c)
+        # The targets are dropped before the channel constants are built.
+        factors = synthesis_factors(build_targets(source, np.fft.rfftfreq(n, 1.0 / fs)),
+                                    n, fs, mean_p, mean_c)
     # Built before any draw, so a lag window too short fails first.
     plans = {name: _band_plan(n, fs, band, cfg.max_lag_s) for name, band in bands.items()}
-    return _PointChain(cfg, mean_p, mean_c, factors,
-                       channel_response(line, delta, n, fs, mean_c, excess_beam), plans)
+    k = max((plan.support for plan in plans.values()), default=0)
+    channel = channel_response(line, delta, n, fs, mean_c, excess_beam)
+    tail_std = difference_std(factors, channel, cfg.channel.eta, mean_p, mean_c, n, start=k)
+    # Copies, not views: a view would keep the whole grid's constants alive.
+    if factors is not None:
+        factors = tuple(f[:k].copy() for f in factors)
+    if channel.transfer is not None:
+        channel = channel._replace(transfer=channel.transfer[:k].copy(),
+                                   noise_std=channel.noise_std[:k].copy())
+    return _PointChain(cfg, mean_p, mean_c, factors, channel, plans, k, tail_std)
 
 
 def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
@@ -102,43 +120,57 @@ def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
         curves[f"{band}_{pair}"] = spectral_correlation(x1, x2, plan)
 
 
+def _draw_tail(out: np.ndarray, std: np.ndarray, seed, has_dc: bool):
+    """The detected difference on the bins from K on, drawn into ``out``:
+    real parts, then imaginary parts, N(0, std^2) each; DC and Nyquist real."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(std.size)
+    np.multiply(z, std, out=out.real)
+    rng.standard_normal(out=z)
+    np.multiply(z, std, out=out.imag)
+    out.imag[-1] = 0.0
+    if has_dc:
+        out.imag[0] = 0.0
+
+
 def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum]:
-    """One trace of a point, carried as rfft spectra from synthesis to the
-    difference: the band correlations of the reference (detected only, on
-    the bands' support) and fast (channel, then detected) pairs, and the
-    Welch spectrum of the fast difference."""
+    """One trace of a point, carried as rfft spectra.  On the bins below the
+    largest band support K the pair is synthesized, the reference pair is
+    detected and correlated, and the fast pair goes through the channel, is
+    detected and correlated.  No curve reads a bin from K on, so there only
+    the detected difference is drawn, directly.  The joined difference goes
+    back to the time domain for its Welch spectrum."""
     cfg = chain.cfg
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
     eta = cfg.channel.eta
-    seg = min(cfg.segment_len, n)
-    if chain.factors is None:
-        rng = np.random.default_rng(roles[0])
-        xp = white_spectrum(n, chain.mean_p, rng)
-        xc = white_spectrum(n, chain.mean_c, rng)
-    else:
-        xp, xc = synth_twin_spectra(chain.factors, roles[0])
+    k = chain.support
+    diff = np.empty(n // 2 + 1, dtype=complex)
     curves = {}
-    if chain.plans:
-        # No correlation reads a bin past the largest support, so the
-        # reference pair is detected there only.
-        k = max(plan.support for plan in chain.plans.values())
-        probe_ref = detect_spectrum(xp[:k], eta, chain.mean_p, roles[2], n_samples=n)
-        conj_ref = detect_spectrum(xc[:k], eta, chain.mean_c, roles[3], n_samples=n)
+    if k:
+        if chain.factors is None:
+            rng = np.random.default_rng(roles[0])
+            xp = white_spectrum(n, chain.mean_p, rng, add_to=np.zeros(k, dtype=complex))
+            xc = white_spectrum(n, chain.mean_c, rng, add_to=np.zeros(k, dtype=complex))
+        else:
+            xp, xc = synth_twin_spectra(chain.factors, roles[0], n_samples=n)
+        probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2], n_samples=n)
+        conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3], n_samples=n)
         _correlate(curves, "ref", probe_ref, conj_ref, chain)
         del probe_ref, conj_ref
-    mean_c_out = chain.channel.mean_out
-    apply_channel(xc, chain.channel, roles[1])
-    detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp)
-    detect_spectrum(xc, eta, mean_c_out, roles[5], out=xc)
-    _correlate(curves, "fast", xp, xc, chain)
-    # Only the difference goes back to the time domain; each full-size array
-    # is dropped as soon as the next one exists.
-    xp -= xc
-    del xc
-    samples = np.fft.irfft(xp, n)
-    del xp
-    spec_diff = psd(Trace(fs, eta * chain.mean_p + eta * mean_c_out, samples), seg)
-    return curves, spec_diff
+        apply_channel(xc, chain.channel, roles[1], n_samples=n)
+        detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp, n_samples=n)
+        detect_spectrum(xc, eta, chain.channel.mean_out, roles[5], out=xc, n_samples=n)
+        _correlate(curves, "fast", xp, xc, chain)
+        np.subtract(xp, xc, out=diff[:k])
+        del xp, xc
+    if k < diff.size:
+        _draw_tail(diff[k:], chain.tail_std, roles[6], has_dc=k == 0)
+    samples = np.fft.irfft(diff, n)
+    del diff
+    # Trace keeps its own copy, so the irfft's array is dropped before Welch.
+    trace = Trace(fs, eta * chain.mean_p + eta * chain.channel.mean_out, samples)
+    del samples
+    return curves, psd(trace, min(cfg.segment_len, n))
 
 
 def _measure_point(cfg: ScenarioConfig, line, source, delta: float,

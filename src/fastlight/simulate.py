@@ -169,16 +169,21 @@ def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: flo
     return sigma_p, l21, l22
 
 
-def synth_twin_spectra(factors, seed) -> tuple[np.ndarray, np.ndarray]:
+def synth_twin_spectra(factors, seed,
+                       n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw one correlated pair of rfft spectra from ``synthesis_factors``.
 
     Per positive-frequency bin a complex bivariate circular Gaussian is drawn
     with the factors' covariance.  Bin 0 is zero (zero-mean traces); the
-    Nyquist bin is real and carries the full variance in one real draw.
+    Nyquist bin is real and carries the full variance in one real draw.  The
+    factors may hold only the first bins of the grid of an n_samples record
+    (default: they cover the whole grid); the pair is then drawn on those
+    bins only, and its last bin is an interior one.
     """
     sigma_p, l21, l22 = factors
     rng = np.random.default_rng(seed)
     nb = sigma_p.size
+    whole = n_samples is None or nb == n_samples // 2 + 1
     xp = np.empty(nb, dtype=complex)
     xc = np.empty(nb, dtype=complex)
     # Four unit normals per bin (probe re/im, conjugate re/im), drawn one row
@@ -196,8 +201,9 @@ def synth_twin_spectra(factors, seed) -> tuple[np.ndarray, np.ndarray]:
     xp *= np.sqrt(0.5)
     xp[0] = 0.0
     xc[0] = 0.0
-    xp[-1] = sigma_p[-1] * zp_nyq
-    xc[-1] = l21[-1] * zp_nyq + l22[-1] * zc_nyq
+    if whole:
+        xp[-1] = sigma_p[-1] * zp_nyq
+        xc[-1] = l21[-1] * zp_nyq + l22[-1] * zc_nyq
     return xp, xc
 
 
@@ -305,12 +311,15 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
     return ChannelResponse(transfer, noise_std, mean_out)
 
 
-def apply_channel(x: np.ndarray, response: ChannelResponse, seed) -> np.ndarray:
+def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
+                  n_samples: int | None = None) -> np.ndarray:
     """Send an rfft spectrum through the gain line, in place; returns x.
 
     Multiplies by the transfer and adds independent circular Gaussian noise
     with the response's per-bin deviation.  An identity response leaves x
-    untouched and draws nothing.
+    untouched and draws nothing.  x and the response may hold only the first
+    bins of the grid of an n_samples record (default: the whole grid); the
+    noise is then drawn on those bins only, and the last one is interior.
     """
     if response.transfer is None:
         return x
@@ -321,9 +330,60 @@ def apply_channel(x: np.ndarray, response: ChannelResponse, seed) -> np.ndarray:
     x.real += z
     rng.standard_normal(out=z)
     z *= response.noise_std
-    z[-1] = 0.0
+    if n_samples is None or x.size == n_samples // 2 + 1:
+        z[-1] = 0.0
     x.imag += z
     return x
+
+
+def difference_std(factors, channel: ChannelResponse, eta: float, mean_p: float,
+                   mean_c: float, n_samples: int, start: int = 0) -> np.ndarray:
+    """Per-bin deviation of the detected difference p - c of an n_samples
+    record on its rfft bins [start, n/2 + 1).
+
+    p - c is what ``synth_twin_spectra`` (``factors``; None for the two white
+    spectra of per-sample variance mean_p and mean_c that a coherent source
+    draws), ``apply_channel`` on the conjugate and ``detect_spectrum`` on both
+    beams give.  Every stage is independent and Gaussian per bin, so every
+    bin of p - c is a zero-mean Gaussian: interior bins have independent real
+    and imaginary parts that share the returned deviation, DC and Nyquist are
+    real with it.  Per full interior bin the variance is
+    eta^2 (|sigma_p - T l21|^2 + |T|^2 l22^2) from the pair through the
+    transfer T, twice eta^2 noise_std^2 from the channel and
+    n (1 - eta) eta (mean_p + mean_c_out) from the detection vacuum.  A twin
+    pair has no DC fluctuation, so its DC bin carries the vacuum alone.
+    """
+    if not (0.0 < eta <= 1.0):
+        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
+    nb = n_samples // 2 + 1
+    if not 0 <= start <= nb:
+        raise InvalidParameterError(f"start must lie in [0, {nb}], got {start}")
+    bins = nb - start
+    if factors is None:
+        sigma_p = np.full(bins, np.sqrt(n_samples * mean_p))
+        l21 = np.zeros(bins)
+        l22 = np.full(bins, np.sqrt(n_samples * mean_c))
+    else:
+        sigma_p, l21, l22 = (f[start:] for f in factors)
+    if channel.transfer is None:
+        transfer, noise_std = 1.0, 0.0
+    else:
+        transfer, noise_std = channel.transfer[start:], channel.noise_std[start:]
+    pair = transfer * l21 - sigma_p
+    var = pair.real ** 2
+    var += pair.imag ** 2
+    del pair
+    var += np.abs(transfer) ** 2 * l22 ** 2
+    var *= eta ** 2
+    vacuum = n_samples * (1.0 - eta) * eta * (mean_p + channel.mean_out)
+    var += vacuum
+    if start == 0 and factors is not None:
+        var[0] = vacuum
+    # Interior bins split their variance between the real and imaginary
+    # parts; the channel's deviation is already per part.
+    var[(1 if start == 0 else 0):bins - 1] *= 0.5
+    var += (eta * noise_std) ** 2
+    return np.sqrt(var)
 
 
 def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,

@@ -305,6 +305,52 @@ def test_correlation_point_fft_count(monkeypatch):
     assert len(calls) == 2 * traces
 
 
+def test_trace_normal_draws_per_role(monkeypatch):
+    """Roles 0-5 draw on the bins below the largest band support K only (4 K
+    normals for the synthesis, 2 K for each other role) and role 6 draws the
+    detected difference on the rest, n/2 + 1 - K real and as many imaginary
+    normals: 14 K + 2 (n/2 + 1 - K) per trace, 2 (n/2 + 1) with nothing
+    correlated."""
+    from fastlight import scenario
+    from fastlight.config import config_from_dict, preset_fig2_line
+
+    traces, n = 2, 1 << 16
+    nb = n // 2 + 1
+    cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
+                            "sampling": {"rate_hz": RATE, "samples": n, "traces": traces}})
+    drawn = {}
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.role = seed.spawn_key[-1]
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size=None, out=None):
+            z = self.rng.standard_normal(size, out=out)
+            drawn[self.role] = drawn.get(self.role, 0) + z.size
+            return z
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: seed if isinstance(seed, Counted) else Counted(seed))
+
+    def per_trace(k):
+        return {0: traces * 4 * k, **{r: traces * 2 * k for r in range(1, 6)},
+                6: traces * 2 * (nb - k)}
+
+    for want_fullband in (True, False):
+        bands = (cfg.band_hz, cfg.fullband_hz) if want_fullband else (cfg.band_hz,)
+        k = max(correlation_plan(n, RATE, band, cfg.max_lag_s).support for band in bands)
+        drawn.clear()
+        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
+                                            want_fullband)
+        assert drawn == per_trace(k)
+        assert sum(drawn.values()) == traces * (14 * k + 2 * (nb - k))
+    drawn.clear()
+    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
+    assert drawn == {6: traces * 2 * nb}
+
+
 def test_noise_point_frees_each_trace():
     """A trace's records are freed before the next synthesis, so the memory
     peak of a scan point does not grow with its trace count."""

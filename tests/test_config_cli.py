@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fastlight
@@ -342,6 +342,11 @@ def test_config_round_trip_property(preset, data):
         return (lo, lo * data.draw(st.floats(min_value=1.5, max_value=100.0)))
 
     hz = st.integers(min_value=-3 * 10 ** 7, max_value=3 * 10 ** 7) | st.floats(-3e7, 3e7)
+    bands = {"band_hz": band(), "fullband_hz": band(), "noise_band_hz": band()}
+    # The band a scenario reads its noise in must hold a bin of its Welch spectrum.
+    lo, hi = bands["noise_band_hz" if base.scenario == "line-scan" else "band_hz"]
+    freqs = np.fft.rfftfreq(min(base.segment_len, samples), 1.0 / rate)
+    assume(np.any((freqs >= lo) & (freqs <= hi)))
     cfg = replace(
         base,
         seed=data.draw(st.integers(min_value=0, max_value=2 ** 32), label="seed"),
@@ -352,7 +357,7 @@ def test_config_round_trip_property(preset, data):
         offset_hz=data.draw(hz, label="offset_hz"),
         detunings_hz=tuple(data.draw(st.lists(hz, min_size=1 if base.detunings_hz else 0,
                                               max_size=5), label="detunings_hz")),
-        band_hz=band(), fullband_hz=band(), noise_band_hz=band(),
+        **bands,
         max_lag_s=data.draw(st.floats(min_value=1.5, max_value=samples / 8 - 1)) / rate)
     # The same config with every int in a float field written as a float.
     as_floats = replace(
@@ -396,6 +401,47 @@ def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override):
     assert main(["delay-scan", "--config", str(path)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", 0.0), ("eta", 1.5), ("eta", float("nan")),
+    ("excess_noise_db", -1.0), ("excess_noise_db", float("inf")),
+])
+def test_cli_channel_errors_exit_2_naming_the_field(tmp_path, capsys, field, value):
+    base = preset_fig2_line().to_dict()
+    cfg = {**base, "detunings_hz": [0.0], "channel": {**base["channel"], field: value},
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 14, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["line-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"channel.{field}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_band_without_welch_bin_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    import fastlight.scenario as scenario
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario, "_measure_trace", no_draws)
+    # 2048 samples give Welch bins 1.22 MHz apart: none in 0.5-1 MHz.
+    out = tmp_path / "line"
+    assert main(["line-scan", "--preset", "fig2-line", "--samples", "2048",
+                 "--out-dir", str(out)]) == 2
+    assert "noise_band_hz" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = {**preset_fig2_line().to_dict(), "detunings_hz": [0.0], "band_hz": [1e3, 2e3],
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for name in ("delay-scan", "xcorr"):
+        assert main([name, "--config", str(path)]) == 2
+        assert "band_hz" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_cli_oversized_segment_len_is_clamped(tmp_path):

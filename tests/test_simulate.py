@@ -9,10 +9,10 @@ from fastlight.errors import IncompatibleTracesError, InvalidParameterError
 from fastlight.simulate import (SpectralTargets, Trace, apply_channel,
                                 apply_detection, build_targets,
                                 channel_response, detect_spectrum, difference,
-                                fractional_shift, load_trace_binary,
-                                load_trace_csv, propagate_channel,
-                                save_trace_binary, save_trace_csv,
-                                shot_reference, synth_twin_spectra,
+                                difference_std, fractional_shift,
+                                load_trace_binary, load_trace_csv,
+                                propagate_channel, save_trace_binary,
+                                save_trace_csv, shot_reference, synth_twin_spectra,
                                 synth_twin_traces, synthesis_factors,
                                 white_spectrum)
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing, seeded_stats
@@ -317,6 +317,95 @@ def test_channel_reproduces_out_of_place_round_trip(offset, excess_db):
     assert out.mean_flux == mean_out
     np.testing.assert_allclose(out.samples, samples, rtol=0,
                                atol=1e-12 * np.abs(samples).max())
+
+
+N_SPLIT = 1 << 12
+DRAWS = 1500
+
+
+def _chain_constants(n, coherent):
+    factors = None if coherent else synthesis_factors(_targets(n), n, RATE,
+                                                      STATS.mean_p, STATS.mean_c)
+    channel = channel_response(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n, RATE,
+                               STATS.mean_c, 0.3)
+    return factors, channel
+
+
+def _fast_pair(factors, channel, eta, n, seed, bins):
+    """The detected fast pair from the spectral kernels on the first ``bins``
+    bins of the grid: synthesis, the channel on the conjugate, detection."""
+    synth, chan, det_p, det_c = np.random.SeedSequence(seed).spawn(4)
+    if factors is None:
+        rng = np.random.default_rng(synth)
+        p = white_spectrum(n, STATS.mean_p, rng, add_to=np.zeros(bins, dtype=complex))
+        c = white_spectrum(n, STATS.mean_c, rng, add_to=np.zeros(bins, dtype=complex))
+    else:
+        p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n_samples=n)
+    head = channel._replace(transfer=channel.transfer[:bins],
+                            noise_std=channel.noise_std[:bins])
+    apply_channel(c, head, chan, n_samples=n)
+    detect_spectrum(p, eta, STATS.mean_p, det_p, out=p, n_samples=n)
+    detect_spectrum(c, eta, channel.mean_out, det_c, out=c, n_samples=n)
+    return p, c
+
+
+def _assert_z_spread(z):
+    # Hundreds to thousands of bin parts: 3 SE each would fail some by chance
+    # (about 11 of 4,096), so each is held to 5 SE and their mean to 3 SE.
+    assert np.abs(z).max() < 5.0, np.abs(z).max()
+    assert abs(z.mean()) < 3.0 / np.sqrt(z.size), z.mean()
+
+
+@pytest.mark.parametrize("coherent", [False, True], ids=["twin", "coherent"])
+def test_difference_std_matches_the_composed_kernels(coherent):
+    """Per bin and part, the variance of p - c from the whole-grid kernels is
+    the one ``difference_std`` gives, DC and Nyquist included."""
+    n, eta = N_SPLIT, 0.9
+    nb = n // 2 + 1
+    factors, channel = _chain_constants(n, coherent)
+    power = np.zeros((2, nb))
+    for r in range(DRAWS):
+        p, c = _fast_pair(factors, channel, eta, n, (83, int(coherent), r), nb)
+        p -= c
+        power[0] += p.real ** 2
+        power[1] += p.imag ** 2
+    power /= DRAWS
+    var = difference_std(factors, channel, eta, STATS.mean_p, STATS.mean_c, n) ** 2
+    se = var * np.sqrt(2.0 / DRAWS)
+    z_re = (power[0] - var) / se
+    assert not power[1, [0, -1]].any()
+    assert abs(z_re[0]) < 3.0 and abs(z_re[-1]) < 3.0, (z_re[0], z_re[-1])
+    _assert_z_spread(np.concatenate((z_re, ((power[1] - var) / se)[1:-1])))
+    k = 300
+    tail = difference_std(factors, channel, eta, STATS.mean_p, STATS.mean_c, n, start=k)
+    assert np.array_equal(tail, np.sqrt(var[k:]))
+
+
+def test_fast_pair_head_matches_the_whole_grid_draw():
+    """The kernels on the first K bins draw the fast pair those bins of the
+    whole grid carry: the first normal row is the same numbers, the last
+    head bin is complex, and per bin |p|^2, |c|^2 and Re(p c*) agree."""
+    n, eta, k = N_SPLIT, 0.9, 300
+    nb = n // 2 + 1
+    factors, channel = _chain_constants(n, coherent=False)
+    whole, _ = synth_twin_spectra(factors, 85)
+    p, c = synth_twin_spectra(tuple(f[:k].copy() for f in factors), 85, n_samples=n)
+    assert np.array_equal(p.real, whole.real[:k])
+    assert p[-1].imag != 0.0 and c[-1].imag != 0.0
+    head = channel._replace(transfer=channel.transfer[:k], noise_std=channel.noise_std[:k])
+    assert apply_channel(np.zeros(k, dtype=complex), head, 86, n_samples=n)[-1].imag != 0.0
+    stats = []
+    for bins in (k, nb):
+        acc = np.zeros((2, 3, k))
+        for r in range(DRAWS):
+            p, c = _fast_pair(factors, channel, eta, n, (87, bins, r), bins)
+            q = np.array([np.abs(p[:k]) ** 2, np.abs(c[:k]) ** 2, (p[:k] * c[:k].conj()).real])
+            acc[0] += q
+            acc[1] += q ** 2
+        mean = acc[0] / DRAWS
+        stats.append((mean, (acc[1] / DRAWS - mean ** 2) / DRAWS))
+    (m_head, v_head), (m_whole, v_whole) = stats
+    _assert_z_spread(((m_head - m_whole) / np.sqrt(v_head + v_whole)).ravel())
 
 
 def test_fractional_shift_matches_roll():
