@@ -15,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import _band_mask
+from .analysis import _band_mask, band_response
 from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
                          GainLine, calibrate, peak_advance)
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError
 from .predict import predicted_correlation_shift
 from .simulate import _is_power_of_two
 from .twinbeam import TwinBeamSource, gain_for_squeezing
@@ -130,6 +130,15 @@ class ScenarioConfig:
             if not np.any(_band_mask(freqs, *getattr(self, name))):
                 raise ConfigError(f"field '{name}' holds no bin of the {seg}-point "
                                   f"Welch spectrum at rate_hz {self.sampling.rate_hz}")
+        # The bands a scenario band-filters must carry band_response's
+        # raised-cosine edges (an empty grid runs only its checks).
+        filtered = {"delay-scan": ("band_hz", "fullband_hz"),
+                    "xcorr": ("band_hz",)}.get(self.scenario, ())
+        for name in filtered:
+            try:
+                band_response((), *getattr(self, name))
+            except InvalidParameterError as exc:
+                raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
         if self.scenario in ("delay-scan", "xcorr"):
             # The correlation kernel's lag window: one sample to an eighth of a trace.
             if not (_is_finite(self.max_lag_s) and 1.0 <= self.max_lag_s

@@ -12,6 +12,7 @@ import numpy as np
 
 from .analysis import _FALL_3DB, _parabola_peak, band_response
 from .dispersion import GainLine, line_response, modulation_transfer
+from .errors import InvalidParameterError
 from .simulate import build_targets
 from .twinbeam import TwinBeamSource, seeded_stats
 
@@ -66,34 +67,68 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     Integrates the filtered cross spectrum against the channel transfer and
     returns the parabolic-refined argmax of the resulting correlation, in
     seconds (negative = advancement).  This is the quantity the Monte-Carlo
-    cross-correlation measurement converges to.
+    cross-correlation measurement converges to.  Raises
+    ``InvalidParameterError`` when the peak lies on the first or last lag of
+    the +-t_window search, where the window edge would be returned in its
+    place.
     """
     edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
     f_max = f_hi + (1.0 - _FALL_3DB) * edge_hi_val
-    f = np.linspace(0.0, f_max * 1.02, n_f)
+    f, df = np.linspace(0.0, f_max * 1.02, n_f, retstep=True)
     response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
     cross = response ** 2 * s_pc * transfer
 
-    t = np.linspace(-t_window, t_window, n_t)
-
-    def correlation(rows):
-        phase = 2.0 * np.pi * np.outer(t[rows], f)
-        return np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                            f, axis=1)
-
+    t, dt = np.linspace(-t_window, t_window, n_t, retstep=True)
     # The main lobe spans hundreds of lags, so the dense argmax lies within
-    # two coarse steps of the coarse one; each row is evaluated exactly as a
-    # dense grid would evaluate it.
-    coarse = np.arange(0, n_t, _COARSE_STEP)
-    centre = int(coarse[np.argmax(correlation(coarse))])
+    # two coarse steps of the coarse one.  The coarse curve only picks the
+    # centre; each fine row is evaluated exactly as a dense grid would
+    # evaluate it.
+    coarse = _coarse_correlation(cross, df, t[0], _COARSE_STEP * dt,
+                                 (n_t - 1) // _COARSE_STEP + 1)
+    centre = _COARSE_STEP * int(np.argmax(coarse))
     lo = max(centre - 2 * _COARSE_STEP, 0)
     hi = min(centre + 2 * _COARSE_STEP, n_t - 1)
-    corr = correlation(slice(lo, hi + 1))
+    phase = 2.0 * np.pi * np.outer(t[lo:hi + 1], f)
+    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
+                        f, axis=1)
     k = int(np.argmax(corr))
     i = lo + k
+    if i == 0 or i == n_t - 1:
+        raise InvalidParameterError(
+            f"correlation peak lies at the edge of the +-{t_window:g} s lag window")
     if 0 < k < corr.size - 1:
         shift, _ = _parabola_peak(corr[k - 1], corr[k], corr[k + 1])
         return float(t[i] + shift * (t[1] - t[0]))
     return float(t[i])
+
+
+def _real_chirp(index, rate: float) -> np.ndarray:
+    """exp(i*pi*rate*index**2) for a real rate; the integer phase reduction
+    of ``analysis._chirp`` does not apply to it."""
+    index = np.asarray(index, dtype=float)
+    return np.exp(1j * np.pi * rate * index * index)
+
+
+def _coarse_correlation(cross, df: float, t0: float, dt: float, m: int) -> np.ndarray:
+    """Trapezoid integral of Re[cross(f) exp(2 pi i t f)] over f = j*df,
+    j = 0..len(cross)-1, at the m lags t = t0 + i*dt.
+
+    With ij = (i^2 + j^2 - (i - j)^2) / 2 the sum over j is a chirp times the
+    linear convolution of the weighted, chirped cross spectrum with a chirp
+    (Bluestein 1970; Rabiner, Schafer & Rader 1969), exact in one circular
+    convolution of length next_pow2(len(cross) + m - 1).
+    """
+    n_f = cross.size
+    rate = dt * df
+    j = np.arange(n_f)
+    weights = np.full(n_f, df)
+    weights[[0, -1]] *= 0.5
+    a = weights * cross * np.exp(2j * np.pi * t0 * df * j) * _real_chirp(j, rate)
+    size = 1 << (n_f + m - 2).bit_length()
+    offsets = np.arange(-(n_f - 1), m)
+    taps = np.zeros(size, dtype=complex)
+    taps[offsets % size] = _real_chirp(offsets, -rate)
+    y = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(taps))[:m]
+    return (_real_chirp(np.arange(m), rate) * y).real

@@ -29,7 +29,7 @@ from .analysis import (NORM_ABSOLUTE, CorrelationPlan, Spectrum, XcorrResult,
                        shot_noise_density, snu_normalize, spectral_correlation)
 from .config import ScenarioConfig, _find_root, config_from_dict
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
-from .errors import ConfigError, FastlightError
+from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
 from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
                        channel_response, detect_spectrum, difference,
@@ -338,8 +338,14 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    line = cfg.line.make()
-    source = cfg.source.make()
+    # Deterministic, so it is computed before any draw: a peak clipped by
+    # the prediction's lag window is a configuration error.
+    try:
+        predicted = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
+                                                cfg.source.make(), *cfg.band_hz)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
+                          f"in band_hz {cfg.band_hz}: {exc}") from exc
     point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0),
                                        want_fullband=False)
     curves = point.pop("curves")
@@ -361,8 +367,7 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
         "fwhm_fast_s": fast.fwhm,
         "band_squeezing_db": point["squeezing_db_band"],
         "analytic_squeezing_db": point["analytic_squeezing_db"],
-        "predicted_delta_t_s": predicted_correlation_shift(
-            line, cfg.offset_hz, source, *cfg.band_hz),
+        "predicted_delta_t_s": predicted,
     })
     _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary, created)
     return summary

@@ -15,8 +15,9 @@ from fastlight.cli import main
 from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
                               load_config, preset_coherent_ref,
                               preset_fig2_line, preset_fig4_advance)
+from fastlight.analysis import band_response
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
-from fastlight.errors import ConfigError, FastlightError
+from fastlight.errors import ConfigError, FastlightError, InvalidParameterError
 from oracles import dense_correlation_shift
 
 
@@ -326,6 +327,14 @@ def test_csv_rejects_non_finite_values(tmp_path):
     assert not os.path.exists(path)
 
 
+def _carries_edges(f_lo, f_hi) -> bool:
+    try:
+        band_response((), f_lo, f_hi)
+    except InvalidParameterError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
@@ -347,6 +356,10 @@ def test_config_round_trip_property(preset, data):
     lo, hi = bands["noise_band_hz" if base.scenario == "line-scan" else "band_hz"]
     freqs = np.fft.rfftfreq(min(base.segment_len, samples), 1.0 / rate)
     assume(np.any((freqs >= lo) & (freqs <= hi)))
+    # The bands it band-filters must carry band_response's raised-cosine edges.
+    for name in {"xcorr": ("band_hz",),
+                 "delay-scan": ("band_hz", "fullband_hz")}.get(base.scenario, ()):
+        assume(_carries_edges(*bands[name]))
     cfg = replace(
         base,
         seed=data.draw(st.integers(min_value=0, max_value=2 ** 32), label="seed"),
@@ -442,6 +455,53 @@ def test_cli_band_without_welch_bin_exits_2_before_any_draw(tmp_path, capsys, mo
         assert main([name, "--config", str(path)]) == 2
         assert "band_hz" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, preset, field", [
+    ("xcorr", preset_fig4_advance, "band_hz"),
+    ("delay-scan", preset_fig2_line, "band_hz"),
+    ("delay-scan", preset_fig2_line, "fullband_hz"),
+])
+def test_cli_band_too_narrow_for_its_edges_exits_2(tmp_path, capsys, monkeypatch,
+                                                   scenario, preset, field):
+    import fastlight.scenario as scenario_module
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario_module, "_measure_trace", no_draws)
+    # band_response's default edges need f_hi / f_lo of about 3.
+    cfg = {**preset().to_dict(), "scenario": scenario, field: [1e6, 1.2e6],
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([scenario, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'{field}'" in err and "edges" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_clipped_predicted_shift_exits_2_before_any_draw(tmp_path, capsys,
+                                                             monkeypatch):
+    import fastlight.scenario as scenario_module
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario_module, "synth_twin_spectra", no_draws)
+    # A 20 dB, 2 MHz line at 1 MHz advances the correlation past the
+    # prediction's +-150 ns search, which would return the window edge.
+    base = preset_fig4_advance().to_dict()
+    cfg = {**base, "line": {**base["line"], "peak_gain_db": 20.0, "fwhm_hz": 2e6},
+           "offset_hz": 1e6, "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18,
+                                          "traces": 3},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "offset_hz" in err and "band_hz" in err
+    assert os.listdir(tmp_path / "o") == []
 
 
 def test_cli_oversized_segment_len_is_clamped(tmp_path):

@@ -223,8 +223,85 @@ def test_line_validation():
 @pytest.mark.parametrize("fwhm_hz", [2.6e6, 10e6])
 @pytest.mark.parametrize("peak_db", [4.0, 12.0, 25.0, 40.0])
 def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
+    """Equal to the dense oracle bit for bit, in the xcorr band and the
+    delay-scan full band, with explicit edges, and on a lag grid whose coarse
+    stride does not end on the last lag; where the dense peak is clipped to
+    the edge of the lag window the prediction raises instead."""
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     line = calibrate(peak_db, fwhm_hz, 0.025)
-    for offset_hz in np.linspace(-10e6, 10e6, 5):
-        assert predicted_correlation_shift(line, offset_hz, source, 1e5, 3e6) == \
-            dense_correlation_shift(line, offset_hz, source, 1e5, 3e6)
+    cases = [(offset_hz, band, {}) for offset_hz in np.linspace(-10e6, 10e6, 5)
+             for band in ((1e5, 3e6), (1e4, 2e7))]
+    cases += [(5e6, (1e5, 3e6), {"edge_lo": 5e4, "edge_hi": 2e6}),
+              (-5e6, (1e5, 3e6), {"n_t": 2996})]
+    for offset_hz, band, kwargs in cases:
+        expected = dense_correlation_shift(line, offset_hz, source, *band, **kwargs)
+        if (peak_db, fwhm_hz, offset_hz) == (40.0, 2.6e6, 0.0):
+            # The noise-free peak lies beyond the +-150 ns search.
+            assert abs(expected) == 1.5e-7
+            with pytest.raises(InvalidParameterError, match="edge of the"):
+                predicted_correlation_shift(line, offset_hz, source, *band, **kwargs)
+        else:
+            assert predicted_correlation_shift(line, offset_hz, source, *band,
+                                               **kwargs) == expected
+
+
+def _advance_cross_spectrum(n_f=1600):
+    """The fig4-advance line's filtered cross spectrum on predict's grid."""
+    from fastlight.analysis import _FALL_3DB, band_response
+    from fastlight.config import preset_fig4_advance
+    from fastlight.simulate import build_targets
+
+    cfg = preset_fig4_advance()
+    f_lo, f_hi = cfg.band_hz
+    f_max = f_hi + (1.0 - _FALL_3DB) * 1.5 * f_hi
+    f, df = np.linspace(0.0, f_max * 1.02, n_f, retstep=True)
+    cross = (band_response(f, f_lo, f_hi) ** 2
+             * build_targets(cfg.source.make(), f).s_pc
+             * modulation_transfer(cfg.line.make(), 2 * np.pi * cfg.offset_hz, f))
+    return f, df, cross
+
+
+@pytest.mark.parametrize("n_t", [3001, 2996, 7])
+def test_coarse_correlation_matches_direct_trapezoid(n_t):
+    from fastlight.predict import _COARSE_STEP, _coarse_correlation
+
+    f, df, cross = _advance_cross_spectrum()
+    t, dt = np.linspace(-1.5e-7, 1.5e-7, n_t, retstep=True)
+    coarse = t[::_COARSE_STEP]
+    phase = 2 * np.pi * np.outer(coarse, f)
+    direct = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
+                          f, axis=1)
+    curve = _coarse_correlation(cross, df, t[0], _COARSE_STEP * dt, coarse.size)
+    assert curve.shape == direct.shape
+    assert np.max(np.abs(curve - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_predicted_correlation_shift_cos_sin_count(monkeypatch):
+    """Guards the chirp-z coarse pass: on the fig4-advance line only the
+    fine rows around the coarse peak take cos and sin in predict, at most
+    (4 _COARSE_STEP + 1) n_f elements each (65,600; the dense coarse pass
+    took 547,200).  band_response's ramps are not counted."""
+    from fastlight import predict
+    from fastlight.config import preset_fig4_advance
+
+    cfg = preset_fig4_advance()  # solved before the count starts
+    counts = {"cos": 0, "sin": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    def counted(name):
+        def wrapper(x, *args, **kwargs):
+            counts[name] += np.size(x)
+            return getattr(np, name)(x, *args, **kwargs)
+        return staticmethod(wrapper)
+
+    for name in counts:
+        setattr(CountingNumpy, name, counted(name))
+    monkeypatch.setattr(predict, "np", CountingNumpy())
+    predict.predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
+                                        cfg.source.make(), *cfg.band_hz)
+    n_f = 1600  # the default frequency grid
+    for name, count in counts.items():
+        assert 0 < count <= (4 * predict._COARSE_STEP + 1) * n_f, name
