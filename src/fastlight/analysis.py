@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DegeneratePeakError, IncompatibleSpectraError,
                      IncompatibleTracesError, InvalidParameterError)
-from .simulate import Trace, _is_power_of_two
+from .simulate import Trace, _is_power_of_two, _rfft_freqs
 
 NORM_ABSOLUTE = "absolute"
 NORM_DB = "db_re_shot_noise"
@@ -127,6 +127,14 @@ def shot_floor(mean_flux: float, sample_rate: float, segment_len: int,
 def _band_mask(frequencies, f_lo: float, f_hi: float) -> np.ndarray:
     """The bins of a frequency grid that ``band_squeezing_db`` averages."""
     return (frequencies >= f_lo) & (frequencies <= f_hi)
+
+
+def _band_bins(n_samples: int, sample_rate: float, f_lo: float, f_hi: float) -> range:
+    """The rfft bins of an n_samples record that ``_band_mask`` keeps in
+    [f_lo, f_hi]; an empty range when the band holds none."""
+    stop = min(n_samples // 2 + 1, int(f_hi * n_samples / sample_rate) + 2)
+    kept = np.flatnonzero(_band_mask(_rfft_freqs(n_samples, sample_rate, stop), f_lo, f_hi))
+    return range(int(kept[0]), int(kept[-1]) + 1) if kept.size else range(0)
 
 
 def band_squeezing_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:

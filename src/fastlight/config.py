@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import _band_mask, band_response
+from .analysis import _band_bins, band_response
 from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
                          GainLine, calibrate, peak_advance)
 from .errors import ConfigError, InvalidParameterError
@@ -87,7 +87,6 @@ class ScenarioConfig:
     fullband_hz: tuple = (1e4, 2e7)
     noise_band_hz: tuple = (5e5, 1e6)
     max_lag_s: float = 2e-6
-    segment_len: int = 65536
     seed: int = 12345
     out_dir: str = "out"
     jobs: int = 1
@@ -99,20 +98,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}")
         if self.scenario in ("line-scan", "delay-scan") and not self.detunings_hz:
             raise ConfigError("field 'detunings_hz' must be a non-empty list for scans")
+        sampling = self.sampling
+        if not (_is_finite(sampling.rate_hz) and sampling.rate_hz > 0.0):
+            raise ConfigError("field 'sampling.rate_hz' must be a finite number > 0")
+        if not (_is_int(sampling.samples) and _is_power_of_two(sampling.samples)):
+            raise ConfigError("field 'sampling.samples' must be a power of two")
+        if not _is_int(sampling.traces) or sampling.traces < 1:
+            raise ConfigError("field 'sampling.traces' must be an integer >= 1")
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
             lo, hi = getattr(self, name)
-            if not (0.0 < lo < hi < self.sampling.rate_hz / 2.0):
+            if not (0.0 < lo < hi < sampling.rate_hz / 2.0):
                 raise ConfigError(f"field '{name}' must satisfy 0 < lo < hi < Nyquist")
-        if not _is_power_of_two(self.sampling.samples):
-            raise ConfigError("field 'sampling.samples' must be a power of two")
-        if self.sampling.traces < 1:
-            raise ConfigError("field 'sampling.traces' must be >= 1")
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError("field 'jobs' must be an integer >= 1")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("field 'seed' must be a non-negative integer")
-        if not (_is_int(self.segment_len) and _is_power_of_two(self.segment_len)):
-            raise ConfigError("field 'segment_len' must be a power of two")
         if not _is_finite(self.offset_hz):
             raise ConfigError("field 'offset_hz' must be a finite number")
         if not all(_is_finite(d) for d in self.detunings_hz):
@@ -121,15 +121,13 @@ class ScenarioConfig:
             raise ConfigError("field 'channel.eta' must be a finite number in (0, 1]")
         if not (_is_finite(self.channel.excess_noise_db) and self.channel.excess_noise_db >= 0.0):
             raise ConfigError("field 'channel.excess_noise_db' must be a finite number >= 0")
-        # The squeezing figure averages the difference's Welch bins in its band.
+        # The noise figure averages the difference's rfft bins in this band.
         name = {"line-scan": "noise_band_hz", "delay-scan": "band_hz",
                 "xcorr": "band_hz"}.get(self.scenario)
-        if name is not None:
-            seg = min(self.segment_len, self.sampling.samples)
-            freqs = np.fft.rfftfreq(seg, 1.0 / self.sampling.rate_hz)
-            if not np.any(_band_mask(freqs, *getattr(self, name))):
-                raise ConfigError(f"field '{name}' holds no bin of the {seg}-point "
-                                  f"Welch spectrum at rate_hz {self.sampling.rate_hz}")
+        if name is not None and not _band_bins(sampling.samples, sampling.rate_hz,
+                                               *getattr(self, name)):
+            raise ConfigError(f"field '{name}' holds no bin of the rfft grid of "
+                              f"{sampling.samples} samples at rate_hz {sampling.rate_hz}")
         # The bands a scenario band-filters must carry band_response's
         # raised-cosine edges (an empty grid runs only its checks).
         filtered = {"delay-scan": ("band_hz", "fullband_hz"),

@@ -2,9 +2,8 @@
 
 Seed discipline: the master seed feeds a numpy SeedSequence; scan point i
 uses spawn_key (i,), trace j within a point uses (i, j), and each stochastic
-role within a trace (synthesis, channel noise, detections, the detected
-difference past the correlations' bins) uses (i, j, r).
-Each point's shot-noise floor is analytic and takes no draws.  Results are
+role within a trace (synthesis, channel noise, detections) uses (i, j, r).
+Each point's shot-noise level is analytic and takes no draws.  Results are
 therefore independent of execution order and identical runs produce
 byte-identical files.
 """
@@ -24,23 +23,22 @@ import scipy
 from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (NORM_ABSOLUTE, CorrelationPlan, Spectrum, XcorrResult,
-                       band_filter, band_squeezing_db, correlation_plan,
+                       _band_bins, band_filter, band_squeezing_db, correlation_plan,
                        cross_correlation, peak_delay, psd, shot_floor,
                        shot_noise_density, snu_normalize, spectral_correlation)
 from .config import ScenarioConfig, _find_root, config_from_dict
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
-from .simulate import (ChannelResponse, Trace, apply_channel, build_targets,
+from .simulate import (ChannelResponse, _rfft_freqs, apply_channel, build_targets,
                        channel_response, detect_spectrum, difference,
-                       difference_std, fractional_shift, shot_reference,
-                       synth_twin_spectra, synth_twin_traces, synthesis_factors,
-                       white_spectrum)
+                       fractional_shift, shot_reference, synth_twin_spectra,
+                       synth_twin_traces, synthesis_factors, white_spectrum)
 from .twinbeam import seeded_stats, squeezing_db
 
 # synth, channel, det ref p, det ref c, det fast p, det fast c, each on the
-# first K bins of the rfft grid; then the detected difference on the rest.
-_ROLES = 7
+# head of the rfft grid.
+_ROLES = 6
 
 
 def _point_seed(master: int, index: int) -> np.random.SeedSequence:
@@ -59,10 +57,10 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
 class _PointChain(NamedTuple):
     """Constants of one detuning point's measurement chain, shared by its traces.
 
-    The rfft grid is split at ``support``, the largest band support (0 when
-    nothing is correlated): the synthesis factors and the channel hold the
-    bins below it, ``tail_std`` the deviation of the detected difference on
-    the bins from it on.
+    Every trace is carried on the head of the rfft grid, its first
+    ``support`` bins: the largest band support, or one past the noise band's
+    last bin if that lies higher.  The synthesis factors and the channel hold
+    those bins; no curve and no noise figure reads a bin past them.
     """
 
     cfg: ScenarioConfig
@@ -71,8 +69,8 @@ class _PointChain(NamedTuple):
     factors: tuple | None  # synthesis factors; None for a coherent source
     channel: ChannelResponse
     plans: dict  # band name -> CorrelationPlan
+    noise_bins: range  # the noise band's bins
     support: int
-    tail_std: np.ndarray
 
 
 @lru_cache(maxsize=8)
@@ -88,7 +86,8 @@ def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPla
     return plan
 
 
-def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -> _PointChain:
+def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict,
+                 noise_band: tuple) -> _PointChain:
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
     stats = seeded_stats(source.gain1, source.seed_flux)
     mean_p, mean_c = stats.mean_p, stats.mean_c
@@ -96,23 +95,16 @@ def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict) -
     mean_c_out = gain0 * mean_c + (gain0 - 1.0)
     excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
                                         mean_c_out, cfg.channel.eta)
-    factors = None
-    if not cfg.source.coherent:
-        # The targets are dropped before the channel constants are built.
-        factors = synthesis_factors(build_targets(source, np.fft.rfftfreq(n, 1.0 / fs)),
-                                    n, fs, mean_p, mean_c)
     # Built before any draw, so a lag window too short fails first.
     plans = {name: _band_plan(n, fs, band, cfg.max_lag_s) for name, band in bands.items()}
-    k = max((plan.support for plan in plans.values()), default=0)
-    channel = channel_response(line, delta, n, fs, mean_c, excess_beam)
-    tail_std = difference_std(factors, channel, cfg.channel.eta, mean_p, mean_c, n, start=k)
-    # Copies, not views: a view would keep the whole grid's constants alive.
-    if factors is not None:
-        factors = tuple(f[:k].copy() for f in factors)
-    if channel.transfer is not None:
-        channel = channel._replace(transfer=channel.transfer[:k].copy(),
-                                   noise_std=channel.noise_std[:k].copy())
-    return _PointChain(cfg, mean_p, mean_c, factors, channel, plans, k, tail_std)
+    noise_bins = _band_bins(n, fs, *noise_band)
+    k = max([plan.support for plan in plans.values()] + [noise_bins.stop])
+    factors = None
+    if not cfg.source.coherent:
+        factors = synthesis_factors(build_targets(source, _rfft_freqs(n, fs, k)),
+                                    n, fs, mean_p, mean_c)
+    channel = channel_response(line, delta, n, fs, mean_c, excess_beam, bins=k)
+    return _PointChain(cfg, mean_p, mean_c, factors, channel, plans, noise_bins, k)
 
 
 def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
@@ -120,92 +112,66 @@ def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
         curves[f"{band}_{pair}"] = spectral_correlation(x1, x2, plan)
 
 
-def _draw_tail(out: np.ndarray, std: np.ndarray, seed, has_dc: bool):
-    """The detected difference on the bins from K on, drawn into ``out``:
-    real parts, then imaginary parts, N(0, std^2) each; DC and Nyquist real."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(std.size)
-    np.multiply(z, std, out=out.real)
-    rng.standard_normal(out=z)
-    np.multiply(z, std, out=out.imag)
-    out.imag[-1] = 0.0
-    if has_dc:
-        out.imag[0] = 0.0
-
-
-def _measure_trace(chain: _PointChain, roles) -> tuple[dict, Spectrum]:
-    """One trace of a point, carried as rfft spectra.  On the bins below the
-    largest band support K the pair is synthesized, the reference pair is
-    detected and correlated, and the fast pair goes through the channel, is
-    detected and correlated.  No curve reads a bin from K on, so there only
-    the detected difference is drawn, directly.  The joined difference goes
-    back to the time domain for its Welch spectrum."""
+def _measure_trace(chain: _PointChain, roles) -> tuple[dict, float]:
+    """One trace of a point, carried as rfft spectra on the head of the
+    grid: the pair is synthesized, the reference pair is detected and
+    correlated, and the fast pair goes through the channel, is detected and
+    correlated.  Returns the curves and the summed power |D_k|^2 of the
+    detected difference D = p - c over the noise band's bins."""
     cfg = chain.cfg
-    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    n = cfg.sampling.samples
     eta = cfg.channel.eta
     k = chain.support
-    diff = np.empty(n // 2 + 1, dtype=complex)
     curves = {}
-    if k:
-        if chain.factors is None:
-            rng = np.random.default_rng(roles[0])
-            xp = white_spectrum(n, chain.mean_p, rng, add_to=np.zeros(k, dtype=complex))
-            xc = white_spectrum(n, chain.mean_c, rng, add_to=np.zeros(k, dtype=complex))
-        else:
-            xp, xc = synth_twin_spectra(chain.factors, roles[0], n_samples=n)
-        probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2], n_samples=n)
-        conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3], n_samples=n)
-        _correlate(curves, "ref", probe_ref, conj_ref, chain)
-        del probe_ref, conj_ref
-        apply_channel(xc, chain.channel, roles[1], n_samples=n)
-        detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp, n_samples=n)
-        detect_spectrum(xc, eta, chain.channel.mean_out, roles[5], out=xc, n_samples=n)
-        _correlate(curves, "fast", xp, xc, chain)
-        np.subtract(xp, xc, out=diff[:k])
-        del xp, xc
-    if k < diff.size:
-        _draw_tail(diff[k:], chain.tail_std, roles[6], has_dc=k == 0)
-    samples = np.fft.irfft(diff, n)
-    del diff
-    # Trace keeps its own copy, so the irfft's array is dropped before Welch.
-    trace = Trace(fs, eta * chain.mean_p + eta * chain.channel.mean_out, samples)
-    del samples
-    return curves, psd(trace, min(cfg.segment_len, n))
+    if chain.factors is None:
+        rng = np.random.default_rng(roles[0])
+        xp = white_spectrum(n, chain.mean_p, rng, add_to=np.zeros(k, dtype=complex))
+        xc = white_spectrum(n, chain.mean_c, rng, add_to=np.zeros(k, dtype=complex))
+    else:
+        xp, xc = synth_twin_spectra(chain.factors, roles[0], n_samples=n)
+    probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2], n_samples=n)
+    conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3], n_samples=n)
+    _correlate(curves, "ref", probe_ref, conj_ref, chain)
+    apply_channel(xc, chain.channel, roles[1], n_samples=n)
+    detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp, n_samples=n)
+    detect_spectrum(xc, eta, chain.channel.mean_out, roles[5], out=xc, n_samples=n)
+    _correlate(curves, "fast", xp, xc, chain)
+    lo, hi = chain.noise_bins.start, chain.noise_bins.stop
+    diff = xp[lo:hi] - xc[lo:hi]
+    return curves, float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
 def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
-                   point_ss: np.random.SeedSequence, bands: dict) -> tuple[dict, Spectrum]:
+                   point_ss: np.random.SeedSequence, bands: dict,
+                   noise_band: tuple) -> tuple[dict, float]:
     """Run every trace of one detuning point.  Returns the trace-averaged
     correlation curves ("<band>_ref", "<band>_fast" for each of ``bands``)
-    and the difference spectrum normalized to the analytic shot-noise floor of
-    the detected pair's total mean flux."""
-    chain = _point_chain(cfg, line, source, delta, bands)
-    seg = min(cfg.segment_len, cfg.sampling.samples)
+    and the difference noise in ``noise_band`` in dB re shot noise: the mean
+    of |D_k|^2 over the band's rfft bins and the traces, divided by the
+    analytic shot level n M of every bin.  M = eta (mean_p + mean_c_out) is
+    the per-sample variance of shot noise of the detected pair's total flux."""
+    chain = _point_chain(cfg, line, source, delta, bands, noise_band)
     sums = {}
     lag_grid = None
-    diff_acc = np.zeros(seg // 2 + 1)
+    power = 0.0
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
         roles = np.random.SeedSequence(point_ss.entropy,
                                        spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        curves, spec_diff = _measure_trace(chain, roles)
+        curves, band_power = _measure_trace(chain, roles)
         for key, xc in curves.items():
             if key not in sums:
                 sums[key] = np.zeros_like(xc.values)
                 lag_grid = xc.lags
             sums[key] += xc.values
-        diff_acc += spec_diff.values
-        # Nothing of this trace outlives it into the next synthesis.
-        del curves, spec_diff
+        power += band_power
 
-    fs, eta = cfg.sampling.rate_hz, cfg.channel.eta
-    spectrum = Spectrum(np.fft.rfftfreq(seg, 1.0 / fs), diff_acc / n_traces,
-                        NORM_ABSOLUTE, seg, 0.5, "hann")
-    # The floor is an expectation, not an average over traces.
-    floor = shot_floor(eta * chain.mean_p + eta * chain.channel.mean_out, fs, seg)
+    n, eta = cfg.sampling.samples, cfg.channel.eta
+    # The shot level is an expectation, not an average over traces.
+    shot = n * eta * (chain.mean_p + chain.channel.mean_out)
     curves = {key: XcorrResult.from_values(lag_grid, acc / n_traces)
               for key, acc in sums.items()}
-    return curves, snu_normalize(spectrum, floor)
+    return curves, 10.0 * math.log10(power / (n_traces * len(chain.noise_bins) * shot))
 
 
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
@@ -218,13 +184,13 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
     bands = {"band": cfg.band_hz}
     if want_fullband:
         bands["full"] = cfg.fullband_hz
-    curves, normalized = _measure_point(cfg, line, source, delta, point_ss, bands)
+    curves, noise_db = _measure_point(cfg, line, source, delta, point_ss, bands, cfg.band_hz)
     gain0 = float(intensity_gain(line, delta))
     result = {
         "detuning_hz": detuning_hz,
         "gain_db": float(gain_db(line, delta)),
         "delay_s_band": peak_delay(curves["band_fast"], curves["band_ref"]),
-        "squeezing_db_band": band_squeezing_db(normalized, *cfg.band_hz),
+        "squeezing_db_band": noise_db,
         "analytic_squeezing_db": difference_noise_after_channel(
             source.gain1, max(gain0, 1.0), cfg.channel.eta, cfg.channel.excess_noise_db).db,
         "curves": curves,
@@ -240,7 +206,7 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
-    _, normalized = _measure_point(cfg, line, source, delta, point_ss, {})
+    _, noise_db = _measure_point(cfg, line, source, delta, point_ss, {}, cfg.noise_band_hz)
     f_band = np.linspace(cfg.noise_band_hz[0], cfg.noise_band_hz[1], 201)
     predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
                                                cfg.channel.excess_noise_db, f_band,
@@ -249,7 +215,7 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
         "detuning_hz": detuning_hz,
         "gain_db": float(gain_db(line, delta)),
         "predicted_noise_db": float(10.0 * np.log10(np.mean(predicted))),
-        "simulated_noise_db": band_squeezing_db(normalized, *cfg.noise_band_hz),
+        "simulated_noise_db": noise_db,
         "group_index": float(group_index(line, delta)),
     }
 
@@ -302,7 +268,7 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
         "seed_splitting": "SeedSequence(master, spawn_key=(point, trace, role))",
         "point_spawn_keys": list(range(len(cfg.detunings_hz) or 1)),
         "config_sha256": cfg.config_hash(),
-        # Spectra are normalized to the expected Welch density of shot noise.
+        # Noise is normalized to the expected shot-noise power of its bins.
         "shot_reference": "analytic",
         "fastlight_version": __version__,
         "numpy_version": np.__version__,

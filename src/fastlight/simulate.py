@@ -145,23 +145,31 @@ def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     return SpectralTargets(frequencies=f, s_pp=s_pp, s_cc=s_cc, s_pc=s_pc)
 
 
+def _rfft_freqs(n_samples: int, sample_rate: float, bins: int) -> np.ndarray:
+    """``np.fft.rfftfreq(n_samples, 1 / sample_rate)[:bins]`` to the bit,
+    computed on those bins only."""
+    return np.arange(bins) * (1.0 / (n_samples * (1.0 / sample_rate)))
+
+
 def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: float,
                       mean_p: float, mean_c: float):
     """Per-bin Cholesky factors (sigma_p, l21, l22) of the pair's bin covariance.
 
     They scale unit circular Gaussians into rfft bins of an n_samples-long
     pair hitting the targets; they depend only on the targets and the means,
-    so a scan point builds them once for all its traces.
+    so a scan point builds them once for all its traces.  The targets may
+    cover only the first bins of the rfft grid; the factors then hold those.
     """
     if not _is_power_of_two(n_samples):
         raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
     if mean_p <= 0.0 or mean_c <= 0.0:
         raise InvalidParameterError("mean fluxes must be positive")
-    expected = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    if targets.frequencies.shape != expected.shape or not np.allclose(
-            targets.frequencies, expected, rtol=1e-9, atol=1e-3):
+    bins = targets.frequencies.size
+    if bins > n_samples // 2 + 1 or not np.allclose(
+            targets.frequencies, _rfft_freqs(n_samples, sample_rate, bins),
+            rtol=1e-9, atol=1e-3):
         raise InvalidParameterError(
-            "targets grid does not match the rfft grid of (n_samples, sample_rate)")
+            "targets grid is not the rfft grid of (n_samples, sample_rate) or its first bins")
     s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
     sigma_p = np.sqrt(n_samples * mean_p * s_pp)
     l21 = np.sqrt(n_samples * mean_c) * s_pc / np.sqrt(s_pp)
@@ -215,7 +223,7 @@ def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: flo
     transformed.  Welch estimates of many such pairs converge to the targets.
     """
     factors = synthesis_factors(targets, n_samples, sample_rate, mean_p, mean_c)
-    xp, xc = synth_twin_spectra(factors, seed)
+    xp, xc = synth_twin_spectra(factors, seed, n_samples)
     return (Trace(sample_rate, mean_p, np.fft.irfft(xp, n_samples)),
             Trace(sample_rate, mean_c, np.fft.irfft(xc, n_samples)))
 
@@ -289,24 +297,33 @@ class ChannelResponse(NamedTuple):
 
 def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
                      sample_rate: float, mean_flux: float,
-                     excess_db: float = 0.0) -> ChannelResponse:
+                     excess_db: float = 0.0, bins: int | None = None) -> ChannelResponse:
     """Constants of ``propagate_channel`` for an n_samples trace of the given
-    mean flux; they are the same for every trace of a scan point."""
+    mean flux; they are the same for every trace of a scan point.  With
+    ``bins`` they cover only the first bins of the rfft grid (default: all
+    n_samples/2 + 1), and the last one is interior unless that is all."""
     if excess_db < 0.0:
         raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
     if line.g == 0.0 and excess_db == 0.0:
         return ChannelResponse(None, None, mean_flux)
-    freqs = np.fft.rfftfreq(n_samples, 1.0 / sample_rate)
-    gain0, transfer, added = line_response(line, carrier_offset, freqs)
+    nb = n_samples // 2 + 1
+    bins = nb if bins is None else bins
+    if not 1 <= bins <= nb:
+        raise InvalidParameterError(f"bins must lie in [1, {nb}], got {bins}")
+    gain0, transfer, added = line_response(line, carrier_offset,
+                                           _rfft_freqs(n_samples, sample_rate, bins))
     # Hermitian-symmetric application on the rfft grid: the shared DC and
     # Nyquist bins must stay real.
     transfer[0] = transfer[0].real
-    transfer[-1] = transfer[-1].real
+    interior = slice(1, bins)
+    if bins == nb:
+        transfer[-1] = transfer[-1].real
+        interior = slice(1, -1)
 
     mean_out = gain0 * mean_flux + (gain0 - 1.0)
     s_add = added + (10.0 ** (excess_db / 10.0) - 1.0)
     noise_std = np.sqrt(n_samples * mean_out * np.maximum(s_add, 0.0))
-    noise_std[1:-1] *= np.sqrt(0.5)
+    noise_std[interior] *= np.sqrt(0.5)
     noise_std[0] = 0.0
     return ChannelResponse(transfer, noise_std, mean_out)
 
@@ -334,56 +351,6 @@ def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
         z[-1] = 0.0
     x.imag += z
     return x
-
-
-def difference_std(factors, channel: ChannelResponse, eta: float, mean_p: float,
-                   mean_c: float, n_samples: int, start: int = 0) -> np.ndarray:
-    """Per-bin deviation of the detected difference p - c of an n_samples
-    record on its rfft bins [start, n/2 + 1).
-
-    p - c is what ``synth_twin_spectra`` (``factors``; None for the two white
-    spectra of per-sample variance mean_p and mean_c that a coherent source
-    draws), ``apply_channel`` on the conjugate and ``detect_spectrum`` on both
-    beams give.  Every stage is independent and Gaussian per bin, so every
-    bin of p - c is a zero-mean Gaussian: interior bins have independent real
-    and imaginary parts that share the returned deviation, DC and Nyquist are
-    real with it.  Per full interior bin the variance is
-    eta^2 (|sigma_p - T l21|^2 + |T|^2 l22^2) from the pair through the
-    transfer T, twice eta^2 noise_std^2 from the channel and
-    n (1 - eta) eta (mean_p + mean_c_out) from the detection vacuum.  A twin
-    pair has no DC fluctuation, so its DC bin carries the vacuum alone.
-    """
-    if not (0.0 < eta <= 1.0):
-        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
-    nb = n_samples // 2 + 1
-    if not 0 <= start <= nb:
-        raise InvalidParameterError(f"start must lie in [0, {nb}], got {start}")
-    bins = nb - start
-    if factors is None:
-        sigma_p = np.full(bins, np.sqrt(n_samples * mean_p))
-        l21 = np.zeros(bins)
-        l22 = np.full(bins, np.sqrt(n_samples * mean_c))
-    else:
-        sigma_p, l21, l22 = (f[start:] for f in factors)
-    if channel.transfer is None:
-        transfer, noise_std = 1.0, 0.0
-    else:
-        transfer, noise_std = channel.transfer[start:], channel.noise_std[start:]
-    pair = transfer * l21 - sigma_p
-    var = pair.real ** 2
-    var += pair.imag ** 2
-    del pair
-    var += np.abs(transfer) ** 2 * l22 ** 2
-    var *= eta ** 2
-    vacuum = n_samples * (1.0 - eta) * eta * (mean_p + channel.mean_out)
-    var += vacuum
-    if start == 0 and factors is not None:
-        var[0] = vacuum
-    # Interior bins split their variance between the real and imaginary
-    # parts; the channel's deviation is already per part.
-    var[(1 if start == 0 else 0):bins - 1] *= 0.5
-    var += (eta * noise_std) ** 2
-    return np.sqrt(var)
 
 
 def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,

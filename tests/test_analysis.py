@@ -260,11 +260,11 @@ def test_spectral_correlation_rejects_bad_inputs():
 
 
 def test_correlation_point_fft_count(monkeypatch):
-    """Guards the spectral chain: a trace stays an rfft spectrum from synthesis
-    to the difference, so per trace the only full-length transforms are the
-    difference's irfft and its Welch rfft; each band correlation of each pair
+    """Guards the spectral chain: a trace stays an rfft spectrum on the head
+    of the grid from synthesis to the band power of its difference, so no
+    trace takes a full-length transform; each band correlation of each pair
     is one chirp-z transform (an fft and an ifft no longer than
-    next_pow2(K + 2 n_lag)); the shot-noise floor is analytic and takes none."""
+    next_pow2(K + 2 n_lag)); the shot-noise level is analytic and takes none."""
     from fastlight import scenario
     from fastlight.config import config_from_dict, preset_fig2_line
 
@@ -297,25 +297,24 @@ def test_correlation_point_fft_count(monkeypatch):
         calls.clear()
         scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
                                             want_fullband)
-        assert count("rfft", "irfft") == 2 * traces
+        assert count("rfft", "irfft") == 0
         assert count("fft", "ifft") == 2 * bands * 2 * traces
         assert max(size for name, size in calls if name in ("fft", "ifft")) <= longest
     calls.clear()
     scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
-    assert len(calls) == 2 * traces
+    assert calls == []
 
 
 def test_trace_normal_draws_per_role(monkeypatch):
-    """Roles 0-5 draw on the bins below the largest band support K only (4 K
-    normals for the synthesis, 2 K for each other role) and role 6 draws the
-    detected difference on the rest, n/2 + 1 - K real and as many imaginary
-    normals: 14 K + 2 (n/2 + 1 - K) per trace, 2 (n/2 + 1) with nothing
-    correlated."""
+    """Roles 0-5 draw on the head of the rfft grid only, its first k bins (4 k
+    normals for the synthesis, 2 k for each other role): 14 k per trace.  k
+    is the largest band support, or one past the noise band's last bin when
+    nothing is correlated; there is no further role."""
     from fastlight import scenario
+    from fastlight.analysis import _band_bins
     from fastlight.config import config_from_dict, preset_fig2_line
 
     traces, n = 2, 1 << 16
-    nb = n // 2 + 1
     cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
                             "sampling": {"rate_hz": RATE, "samples": n, "traces": traces}})
     drawn = {}
@@ -335,8 +334,7 @@ def test_trace_normal_draws_per_role(monkeypatch):
                         lambda seed: seed if isinstance(seed, Counted) else Counted(seed))
 
     def per_trace(k):
-        return {0: traces * 4 * k, **{r: traces * 2 * k for r in range(1, 6)},
-                6: traces * 2 * (nb - k)}
+        return {0: traces * 4 * k, **{r: traces * 2 * k for r in range(1, 6)}}
 
     for want_fullband in (True, False):
         bands = (cfg.band_hz, cfg.fullband_hz) if want_fullband else (cfg.band_hz,)
@@ -345,10 +343,12 @@ def test_trace_normal_draws_per_role(monkeypatch):
         scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
                                             want_fullband)
         assert drawn == per_trace(k)
-        assert sum(drawn.values()) == traces * (14 * k + 2 * (nb - k))
+        assert sum(drawn.values()) == traces * 14 * k
+    k = _band_bins(n, RATE, *cfg.noise_band_hz).stop
+    assert 0 < k < 100
     drawn.clear()
     scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
-    assert drawn == {6: traces * 2 * nb}
+    assert drawn == per_trace(k)
 
 
 def test_noise_point_frees_each_trace():

@@ -352,9 +352,9 @@ def test_config_round_trip_property(preset, data):
 
     hz = st.integers(min_value=-3 * 10 ** 7, max_value=3 * 10 ** 7) | st.floats(-3e7, 3e7)
     bands = {"band_hz": band(), "fullband_hz": band(), "noise_band_hz": band()}
-    # The band a scenario reads its noise in must hold a bin of its Welch spectrum.
+    # The band a scenario reads its noise in must hold a bin of the rfft grid.
     lo, hi = bands["noise_band_hz" if base.scenario == "line-scan" else "band_hz"]
-    freqs = np.fft.rfftfreq(min(base.segment_len, samples), 1.0 / rate)
+    freqs = np.fft.rfftfreq(samples, 1.0 / rate)
     assume(np.any((freqs >= lo) & (freqs <= hi)))
     # The bands it band-filters must carry band_response's raised-cosine edges.
     for name in {"xcorr": ("band_hz",),
@@ -393,26 +393,34 @@ def test_presets_cover_documented_names():
         assert isinstance(load_config(name), ScenarioConfig)
 
 
-@pytest.mark.parametrize("override", [
-    {"segment_len": 1000},
-    {"max_lag_s": 1e-5},   # 25000 samples > 2^16 / 8
-    {"max_lag_s": 1e-10},  # below one sample period
-    {"seed": -1},
-    {"seed": 1.5},
-    {"detunings_hz": [float("nan"), 0.0]},
-    {"offset_hz": float("nan")},
-    {"jobs": True},
+_SAMPLING = {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1}
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"segment_len": 1000}, "unknown field 'segment_len'"),
+    ({"max_lag_s": 1e-5}, "'max_lag_s'"),   # 25000 samples > 2^16 / 8
+    ({"max_lag_s": 1e-10}, "'max_lag_s'"),  # below one sample period
+    ({"seed": -1}, "'seed'"),
+    ({"seed": 1.5}, "'seed'"),
+    ({"detunings_hz": [float("nan"), 0.0]}, "'detunings_hz'"),
+    ({"offset_hz": float("nan")}, "'offset_hz'"),
+    ({"jobs": True}, "'jobs'"),
+    ({"sampling": {**_SAMPLING, "traces": 2.5}}, "'sampling.traces'"),
+    ({"sampling": {**_SAMPLING, "traces": True}}, "'sampling.traces'"),
+    ({"sampling": {**_SAMPLING, "rate_hz": float("inf")}}, "'sampling.rate_hz'"),
+    ({"sampling": {**_SAMPLING, "samples": 65536.0}}, "'sampling.samples'"),
 ], ids=["segment_len", "max_lag_long", "max_lag_short", "seed_negative",
-        "seed_float", "detuning_nan", "offset_nan", "jobs_bool"])
-def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override):
+        "seed_float", "detuning_nan", "offset_nan", "jobs_bool", "traces_float",
+        "traces_bool", "rate_inf", "samples_float"])
+def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override, named):
     cfg = {**preset_fig2_line().to_dict(), "scenario": "delay-scan",
-           "detunings_hz": [0.0],
-           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+           "detunings_hz": [0.0], "sampling": _SAMPLING,
            "out_dir": str(tmp_path / "o"), **override}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["delay-scan", "--config", str(path)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
     assert not (tmp_path / "o").exists()
 
 
@@ -440,7 +448,7 @@ def test_cli_band_without_welch_bin_exits_2_before_any_draw(tmp_path, capsys, mo
         raise AssertionError("a trace was drawn")
 
     monkeypatch.setattr(scenario, "_measure_trace", no_draws)
-    # 2048 samples give Welch bins 1.22 MHz apart: none in 0.5-1 MHz.
+    # 2048 samples give rfft bins 1.22 MHz apart: none in 0.5-1 MHz.
     out = tmp_path / "line"
     assert main(["line-scan", "--preset", "fig2-line", "--samples", "2048",
                  "--out-dir", str(out)]) == 2
@@ -504,10 +512,8 @@ def test_cli_clipped_predicted_shift_exits_2_before_any_draw(tmp_path, capsys,
     assert os.listdir(tmp_path / "o") == []
 
 
-def test_cli_oversized_segment_len_is_clamped(tmp_path):
-    cfg = {**preset_fig2_line().to_dict(), "detunings_hz": [0.0], "segment_len": 1 << 20,
-           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 14, "traces": 1},
-           "out_dir": str(tmp_path / "o")}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["line-scan", "--config", str(path)]) == 0
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == fastlight.__version__

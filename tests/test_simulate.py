@@ -9,7 +9,7 @@ from fastlight.errors import IncompatibleTracesError, InvalidParameterError
 from fastlight.simulate import (SpectralTargets, Trace, apply_channel,
                                 apply_detection, build_targets,
                                 channel_response, detect_spectrum, difference,
-                                difference_std, fractional_shift,
+                                fractional_shift,
                                 load_trace_binary, load_trace_csv,
                                 propagate_channel, save_trace_binary,
                                 save_trace_csv, shot_reference, synth_twin_spectra,
@@ -323,9 +323,8 @@ N_SPLIT = 1 << 12
 DRAWS = 1500
 
 
-def _chain_constants(n, coherent):
-    factors = None if coherent else synthesis_factors(_targets(n), n, RATE,
-                                                      STATS.mean_p, STATS.mean_c)
+def _chain_constants(n):
+    factors = synthesis_factors(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c)
     channel = channel_response(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n, RATE,
                                STATS.mean_c, 0.3)
     return factors, channel
@@ -335,12 +334,7 @@ def _fast_pair(factors, channel, eta, n, seed, bins):
     """The detected fast pair from the spectral kernels on the first ``bins``
     bins of the grid: synthesis, the channel on the conjugate, detection."""
     synth, chan, det_p, det_c = np.random.SeedSequence(seed).spawn(4)
-    if factors is None:
-        rng = np.random.default_rng(synth)
-        p = white_spectrum(n, STATS.mean_p, rng, add_to=np.zeros(bins, dtype=complex))
-        c = white_spectrum(n, STATS.mean_c, rng, add_to=np.zeros(bins, dtype=complex))
-    else:
-        p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n_samples=n)
+    p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n_samples=n)
     head = channel._replace(transfer=channel.transfer[:bins],
                             noise_std=channel.noise_std[:bins])
     apply_channel(c, head, chan, n_samples=n)
@@ -356,29 +350,24 @@ def _assert_z_spread(z):
     assert abs(z.mean()) < 3.0 / np.sqrt(z.size), z.mean()
 
 
-@pytest.mark.parametrize("coherent", [False, True], ids=["twin", "coherent"])
-def test_difference_std_matches_the_composed_kernels(coherent):
-    """Per bin and part, the variance of p - c from the whole-grid kernels is
-    the one ``difference_std`` gives, DC and Nyquist included."""
-    n, eta = N_SPLIT, 0.9
-    nb = n // 2 + 1
-    factors, channel = _chain_constants(n, coherent)
-    power = np.zeros((2, nb))
-    for r in range(DRAWS):
-        p, c = _fast_pair(factors, channel, eta, n, (83, int(coherent), r), nb)
-        p -= c
-        power[0] += p.real ** 2
-        power[1] += p.imag ** 2
-    power /= DRAWS
-    var = difference_std(factors, channel, eta, STATS.mean_p, STATS.mean_c, n) ** 2
-    se = var * np.sqrt(2.0 / DRAWS)
-    z_re = (power[0] - var) / se
-    assert not power[1, [0, -1]].any()
-    assert abs(z_re[0]) < 3.0 and abs(z_re[-1]) < 3.0, (z_re[0], z_re[-1])
-    _assert_z_spread(np.concatenate((z_re, ((power[1] - var) / se)[1:-1])))
-    k = 300
-    tail = difference_std(factors, channel, eta, STATS.mean_p, STATS.mean_c, n, start=k)
-    assert np.array_equal(tail, np.sqrt(var[k:]))
+@pytest.mark.parametrize("k", [1, 300, N_SPLIT // 2, N_SPLIT // 2 + 1])
+def test_head_constants_equal_the_whole_grid_sliced(k):
+    """Synthesis factors and channel constants built on the first k rfft bins
+    are the whole grid's first k, to the bit: below k = n/2 + 1 the last bin
+    is interior (complex transfer, noise deviation per part), at k = n/2 + 1
+    it is the real Nyquist bin."""
+    n = N_SPLIT
+    whole_factors, whole = _chain_constants(n)
+    head_targets = build_targets(SOURCE, np.fft.rfftfreq(n, 1.0 / RATE)[:k])
+    factors = synthesis_factors(head_targets, n, RATE, STATS.mean_p, STATS.mean_c)
+    for got, want in zip(factors, whole_factors):
+        assert np.array_equal(got, want[:k])
+    head = channel_response(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n, RATE,
+                            STATS.mean_c, 0.3, bins=k)
+    assert head.mean_out == whole.mean_out
+    assert np.array_equal(head.transfer, whole.transfer[:k])
+    assert np.array_equal(head.noise_std, whole.noise_std[:k])
+    assert (head.transfer[-1].imag == 0.0) == (k in (1, n // 2 + 1))
 
 
 def test_fast_pair_head_matches_the_whole_grid_draw():
@@ -387,7 +376,7 @@ def test_fast_pair_head_matches_the_whole_grid_draw():
     head bin is complex, and per bin |p|^2, |c|^2 and Re(p c*) agree."""
     n, eta, k = N_SPLIT, 0.9, 300
     nb = n // 2 + 1
-    factors, channel = _chain_constants(n, coherent=False)
+    factors, channel = _chain_constants(n)
     whole, _ = synth_twin_spectra(factors, 85)
     p, c = synth_twin_spectra(tuple(f[:k].copy() for f in factors), 85, n_samples=n)
     assert np.array_equal(p.real, whole.real[:k])
