@@ -131,7 +131,7 @@ class ScenarioConfig:
         # The bands a scenario band-filters must carry band_response's
         # raised-cosine edges (an empty grid runs only its checks).
         filtered = {"delay-scan": ("band_hz", "fullband_hz"),
-                    "xcorr": ("band_hz",)}.get(self.scenario, ())
+                    "xcorr": ("band_hz",), "selftest": ("band_hz",)}.get(self.scenario, ())
         for name in filtered:
             try:
                 band_response((), *getattr(self, name))
@@ -156,6 +156,9 @@ class ScenarioConfig:
             raise ConfigError("field 'source': twin-beam runs need gain1 > 1 "
                               "(the conjugate is dark at gain1 = 1); "
                               "use coherent: true for a coherent pair")
+        if self.source.coherent and self.scenario in ("delay-scan", "xcorr"):
+            raise ConfigError(f"field 'source.coherent' must be false on {self.scenario}: "
+                              "its delays are read from the correlation of a twin pair")
 
     def to_dict(self) -> dict:
         return _as_dict(self)

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -22,18 +23,15 @@ import scipy
 
 from . import __version__
 from .amplifier import difference_noise_after_channel
-from .analysis import (NORM_ABSOLUTE, CorrelationPlan, Spectrum, XcorrResult,
-                       _band_bins, band_filter, band_squeezing_db, correlation_plan,
-                       cross_correlation, peak_delay, psd, shot_floor,
-                       shot_noise_density, snu_normalize, spectral_correlation)
-from .config import ScenarioConfig, _find_root, config_from_dict
+from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_plan,
+                       peak_delay, spectral_correlation)
+from .config import ChannelConfig, LineConfig, ScenarioConfig, _find_root
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
 from .simulate import (ChannelResponse, _rfft_freqs, apply_channel, build_targets,
-                       channel_response, detect_spectrum, difference,
-                       fractional_shift, shot_reference, synth_twin_spectra,
-                       synth_twin_traces, synthesis_factors, white_spectrum)
+                       channel_response, detect_spectrum, synth_twin_spectra,
+                       synthesis_factors, white_spectrum)
 from .twinbeam import seeded_stats, squeezing_db
 
 # synth, channel, det ref p, det ref c, det fast p, det fast c, each on the
@@ -221,14 +219,12 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
 
 
 def _noise_point_worker(args) -> dict:
-    cfg_dict, index, detuning = args
-    cfg = config_from_dict(cfg_dict)
+    cfg, index, detuning = args
     return _measure_noise_point(cfg, detuning, _point_seed(cfg.seed, index))
 
 
 def _correlation_point_worker(args) -> dict:
-    cfg_dict, index, detuning = args
-    cfg = config_from_dict(cfg_dict)
+    cfg, index, detuning = args
     out = _measure_correlation_point(cfg, detuning, _point_seed(cfg.seed, index),
                                      want_fullband=True)
     out.pop("curves")
@@ -236,29 +232,33 @@ def _correlation_point_worker(args) -> dict:
 
 
 def _map_points(worker, cfg: ScenarioConfig):
-    args = [(cfg.to_dict(), i, d) for i, d in enumerate(cfg.detunings_hz)]
+    args = [(cfg, i, d) for i, d in enumerate(cfg.detunings_hz)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             return list(pool.map(worker, args))
     return [worker(a) for a in args]
 
 
-def _require_finite(path, items):
+def _require_finite(path, bad):
     """Refuse to write NaN or infinity; the error names the offending keys."""
-    bad = {key: None for key, v in items if isinstance(v, float) and not math.isfinite(v)}
     if bad:
         raise FastlightError(f"non-finite {', '.join(bad)} not written to "
                              f"{os.path.basename(path)}")
 
 
-def _write_csv(path, columns, rows, created):
-    _require_finite(path, ((c, float(row[c])) for row in rows for c in columns))
+def _write_csv(path, columns: dict, created):
+    """Write {name: values} as a CSV with a header row, each cell the repr
+    of a float."""
+    columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+    _require_finite(path, [name for name, values in columns.items()
+                           if not np.isfinite(values).all()])
     # Registered before the file exists, so a failed write is cleaned up too.
     created.append(path)
+    row = ",".join(["{!r}"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(row[c])) for c in columns) + "\n")
+        fh.writelines(row.format(*cells) for cells in
+                      zip(*(values.tolist() for values in columns.values())))
 
 
 def _base_summary(cfg: ScenarioConfig) -> dict:
@@ -277,7 +277,8 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
 
 
 def _write_summary(path, summary, created):
-    _require_finite(path, summary.items())
+    _require_finite(path, [key for key, v in summary.items()
+                           if isinstance(v, float) and not math.isfinite(v)])
     created.append(path)
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -289,14 +290,15 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
     # Looked up at call time, so a worker wrapped by perfbench's tracer is the one run.
     if cfg.scenario == "line-scan":
         worker, file_name = _noise_point_worker, "line_scan.csv"
-        columns = ["detuning_hz", "gain_db", "predicted_noise_db",
-                   "simulated_noise_db", "group_index"]
+        names = ["detuning_hz", "gain_db", "predicted_noise_db",
+                 "simulated_noise_db", "group_index"]
     else:
         worker, file_name = _correlation_point_worker, "delay_scan.csv"
-        columns = ["detuning_hz", "delay_s_fullband", "delay_s_band",
-                   "squeezing_db_band", "analytic_squeezing_db"]
+        names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
+                 "squeezing_db_band", "analytic_squeezing_db"]
     rows = _map_points(worker, cfg)
-    _write_csv(os.path.join(cfg.out_dir, file_name), columns, rows, created)
+    _write_csv(os.path.join(cfg.out_dir, file_name),
+               {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
     summary["rows"] = len(rows)
     _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary, created)
@@ -316,10 +318,8 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
                                        want_fullband=False)
     curves = point.pop("curves")
     ref, fast = curves["band_ref"], curves["band_fast"]
-    rows = [{"lag_s": lag, "c_ref": cr, "c_fast": cf}
-            for lag, cr, cf in zip(ref.lags, ref.values, fast.values)]
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),
-               ["lag_s", "c_ref", "c_fast"], rows, created)
+               {"lag_s": ref.lags, "c_ref": ref.values, "c_fast": fast.values}, created)
 
     summary = _base_summary(cfg)
     summary.update({
@@ -340,8 +340,9 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_selftest(cfg: ScenarioConfig, created) -> dict:
-    """Fast internal consistency battery; prints one line per check."""
-    fs = cfg.sampling.rate_hz
+    """Fast internal consistency battery; prints one line per check.  Every
+    check but the calibration runs the scenarios' own head chain, with no
+    gain, no loss and no excess, each on its own point seed."""
     checks = {}
 
     line = calibrate(7.5, 10e6, 0.025)
@@ -354,38 +355,33 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
     checks["calibration_roundtrip"] = bool(abs(peak - 7.5) < 1e-9
                                            and abs(fwhm - 10e6) / 10e6 < 1e-6)
 
-    ss = np.random.SeedSequence(cfg.seed, spawn_key=(101,))
-    t1, _ = shot_reference(1e6, 1e6, 1 << 16, fs, ss)
-    spec = psd(t1, 1 << 14)
-    snu = np.mean(spec.values[1:]) / shot_noise_density(1e6, fs)
-    checks["shot_floor_unity"] = bool(abs(snu - 1.0) < 0.05)
+    # Sized so that each statistical check passes by more than 5 standard errors.
+    bench = replace(cfg, line=LineConfig(peak_gain_db=0.0),
+                    channel=ChannelConfig(eta=1.0, excess_noise_db=0.0),
+                    sampling=replace(cfg.sampling, samples=1 << 18, traces=16))
 
-    base = band_filter(t1, 1e5, 3e6)
-    shifted = fractional_shift(base, 12e-9)
-    delay = peak_delay(cross_correlation(base, shifted, 1e-6),
-                       cross_correlation(base, base, 1e-6))
+    def noise_db(coherent: bool, key: int, band: tuple) -> float:
+        point = replace(bench, source=replace(cfg.source, coherent=coherent))
+        return _measure_point(point, point.line.make(), point.source.make(), 0.0,
+                              _point_seed(cfg.seed, key), {}, band)[1]
+
+    # Coherent beams read the analytic shot level n M.
+    shot_db = noise_db(True, 101, cfg.fullband_hz)
+    checks["shot_floor_unity"] = bool(abs(10.0 ** (shot_db / 10.0) - 1.0) < 0.05)
+
+    n, fs = bench.sampling.samples, bench.sampling.rate_hz
+    plan = correlation_plan(n, fs, cfg.band_hz, 1e-6)
+    x = white_spectrum(n, 1.0, _point_seed(cfg.seed, 103),
+                       add_to=np.zeros(plan.support, dtype=complex))
+    delayed = x * np.exp(-2j * np.pi * _rfft_freqs(n, fs, plan.support) * 12e-9)
+    delay = peak_delay(spectral_correlation(x, delayed, plan),
+                       spectral_correlation(x, x, plan))
     checks["delay_estimator_12ns"] = bool(abs(delay - 12e-9) < 0.2e-9)
 
-    source = cfg.source.make()
-    stats = seeded_stats(source.gain1, source.seed_flux)
-    n_small = 1 << 17
-    targets = build_targets(source, np.fft.rfftfreq(n_small, 1.0 / fs))
-
-    def twin_pair(*spawn_key):
-        return synth_twin_traces(targets, n_small, fs, stats.mean_p, stats.mean_c,
-                                 np.random.SeedSequence(cfg.seed, spawn_key=spawn_key))
-
-    diff_acc = 0.0
-    for j in range(6):
-        sd = psd(difference(*twin_pair(102, j)), 1 << 14)
-        diff_acc = diff_acc + sd.values
-    norm = snu_normalize(Spectrum(sd.frequencies, diff_acc / 6, NORM_ABSOLUTE, 1 << 14),
-                         shot_floor(stats.mean_p + stats.mean_c, fs, 1 << 14))
-    band_db = band_squeezing_db(norm, *cfg.band_hz)
-    checks["twin_band_squeezing"] = bool(abs(band_db - squeezing_db(source.gain1)) < 0.5)
-
-    checks["determinism"] = bool(np.array_equal(twin_pair(104)[0].samples,
-                                                twin_pair(104)[0].samples))
+    twin_db = noise_db(False, 102, cfg.band_hz)
+    checks["twin_band_squeezing"] = bool(
+        abs(twin_db - squeezing_db(cfg.source.resolved_gain1())) < 0.5)
+    checks["determinism"] = noise_db(False, 102, cfg.band_hz) == twin_db
 
     for name, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} selftest:{name}")

@@ -66,27 +66,44 @@ def var_standard_error(sample_var, n_samples):
     return sample_var * np.sqrt(2.0 / n_samples)
 
 
+# The last dense grid's key, lags, frequencies and cos/sin phase matrices
+# (77 MB at the default size); a new grid replaces it.
+_GRID = {}
+
+
+def _dense_grid(t_window: float, n_t: int, f_top: float, n_f: int):
+    key = (t_window, n_t, f_top, n_f)
+    if key not in _GRID:
+        _GRID.clear()
+        t = np.linspace(-t_window, t_window, n_t)
+        f = np.linspace(0.0, f_top, n_f)
+        phase = 2.0 * np.pi * np.outer(t, f)
+        _GRID[key] = t, f, np.cos(phase), np.sin(phase)
+        for array in _GRID[key]:
+            array.setflags(write=False)
+    return _GRID[key]
+
+
 def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, edge_lo=None,
                             edge_hi=None, t_window=1.5e-7, n_t=3001, n_f=1600):
     """Reference for ``predicted_correlation_shift``: the same trapezoid
     correlation evaluated on every one of the n_t lags, then the
-    parabolic-refined argmax."""
+    parabolic-refined argmax.  The phase matrices of the last (lag,
+    frequency) grid are reused, so consecutive calls on one grid evaluate
+    cos and sin once."""
     from fastlight.analysis import _FALL_3DB, band_response
     from fastlight.dispersion import modulation_transfer
     from fastlight.simulate import build_targets
 
     edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
     f_max = f_hi + (1.0 - _FALL_3DB) * edge_hi_val
-    f = np.linspace(0.0, f_max * 1.02, n_f)
+    t, f, cos_phase, sin_phase = _dense_grid(t_window, n_t, f_max * 1.02, n_f)
     response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
     cross = response ** 2 * s_pc * transfer
 
-    t = np.linspace(-t_window, t_window, n_t)
-    phase = 2.0 * np.pi * np.outer(t, f)
-    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                        f, axis=1)
+    corr = np.trapezoid(cos_phase * cross.real - sin_phase * cross.imag, f, axis=1)
     i = int(np.argmax(corr))
     if 0 < i < n_t - 1:
         y0, y1, y2 = corr[i - 1], corr[i], corr[i + 1]

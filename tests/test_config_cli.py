@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -230,6 +231,51 @@ def test_cli_selftest(tmp_path):
     assert report["all_passed"] is True
 
 
+def _double_variance(white_spectrum):
+    return lambda n, variance, *args, **kwargs: white_spectrum(n, 2.0 * variance,
+                                                               *args, **kwargs)
+
+
+def _swap_pair(spectral_correlation):
+    return lambda x1, x2, plan: spectral_correlation(x2, x1, plan)
+
+
+def _anticorrelate(synthesis_factors):
+    def factors(*args, **kwargs):
+        sigma_p, l21, l22 = synthesis_factors(*args, **kwargs)
+        return sigma_p, -l21, l22
+    return factors
+
+
+@pytest.mark.parametrize("kernel, mutate, check", [
+    ("white_spectrum", _double_variance, "shot_floor_unity"),
+    ("spectral_correlation", _swap_pair, "delay_estimator_12ns"),
+    ("synthesis_factors", _anticorrelate, "twin_band_squeezing"),
+])
+def test_selftest_fails_on_a_broken_chain_kernel(tmp_path, capsys, monkeypatch,
+                                                  kernel, mutate, check):
+    """A kernel of the scenarios' chain, broken as the scenario module sees
+    it, fails its check, and only that one."""
+    import fastlight.scenario as scenario
+
+    monkeypatch.setattr(scenario, kernel, mutate(getattr(scenario, kernel)))
+    assert main(["selftest", "--out-dir", str(tmp_path / "st")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL selftest:{check}"]
+
+
+def test_selftest_passes_at_every_seed(tmp_path, capsys):
+    import fastlight.scenario as scenario
+
+    cfg = replace(load_config("fig2-line"), scenario="selftest", out_dir=str(tmp_path))
+    failed = {}
+    for seed in range(200):
+        checks = scenario._run_selftest(replace(cfg, seed=seed), [])["checks"]
+        assert len(checks) == 5
+        failed.update({seed: name for name, ok in checks.items() if not ok})
+    assert failed == {}
+
+
 def test_partial_outputs_removed_on_error(tmp_path, monkeypatch):
     import fastlight.scenario as scenario
 
@@ -319,11 +365,10 @@ def test_csv_rejects_non_finite_values(tmp_path):
     import fastlight.scenario as scenario
 
     path = str(tmp_path / "scan.csv")
-    rows = [{"detuning_hz": 0.0, "delay_s_band": 1e-9},
-            {"detuning_hz": 1e6, "delay_s_band": float("inf")}]
+    columns = {"detuning_hz": [0.0, 1e6], "delay_s_band": [1e-9, float("inf")]}
     created = []
     with pytest.raises(FastlightError, match="delay_s_band"):
-        scenario._write_csv(path, ["detuning_hz", "delay_s_band"], rows, created)
+        scenario._write_csv(path, columns, created)
     assert not os.path.exists(path)
 
 
@@ -383,6 +428,8 @@ def test_config_round_trip_property(preset, data):
                      config_from_dict(json.loads(json.dumps(original.to_dict())))):
             assert back == original
             assert back.config_hash() == original.config_hash()
+        # As the scan workers receive it.
+        assert pickle.loads(pickle.dumps(original)) == original
     assert as_floats == cfg
     assert as_floats.config_hash() == cfg.config_hash()
 
@@ -422,6 +469,25 @@ def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override, nam
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["delay-scan", "xcorr"])
+def test_cli_coherent_source_on_correlation_scenarios_exits_2(tmp_path, capsys,
+                                                               monkeypatch, command):
+    """Delays and band squeezing are read from a twin pair's correlation, so
+    a coherent source is refused before any draw."""
+    import fastlight.scenario as scenario
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario, "white_spectrum", no_draws)
+    out = tmp_path / "o"
+    assert main([command, "--preset", "coherent-ref", "--traces", "2", "--samples",
+                 "65536", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "source.coherent" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -469,6 +535,7 @@ def test_cli_band_without_welch_bin_exits_2_before_any_draw(tmp_path, capsys, mo
     ("xcorr", preset_fig4_advance, "band_hz"),
     ("delay-scan", preset_fig2_line, "band_hz"),
     ("delay-scan", preset_fig2_line, "fullband_hz"),
+    ("selftest", preset_fig2_line, "band_hz"),
 ])
 def test_cli_band_too_narrow_for_its_edges_exits_2(tmp_path, capsys, monkeypatch,
                                                    scenario, preset, field):
