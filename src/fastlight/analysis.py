@@ -280,8 +280,10 @@ class CorrelationPlan(NamedTuple):
     weights: the squared band response on [0, K), DC (and Nyquist, when the
         support is the whole grid) halved, as the one-sided sums count them.
     chirp_in, chirp_out, kernel: the Bluestein chirp-z factors that evaluate
-        the inverse DFT at lags -n_lag..n_lag only; kernel is the FFT of the
-        chirp filter, of length next_pow2(K + 2 n_lag).
+        the inverse DFT of a two-sided spectrum on bins -(K-1)..K-1 at lags
+        -n_lag..n_lag only (``lag_curves``); chirp_in holds the two sides'
+        factor 1/2, and kernel is the FFT of the chirp filter, of the
+        smallest 2^a 3^b 5^c 7^d length >= 2K - 1 + 2 n_lag.
     lags: the lag grid in seconds.
     """
 
@@ -298,6 +300,22 @@ def _chirp(index, n: int, sign: float) -> np.ndarray:
     """exp(sign * i*pi*index**2 / n), with the phase reduced exactly in integers."""
     index = np.asarray(index, dtype=np.int64)
     return np.exp(sign * 1j * np.pi * ((index * index) % (2 * n)) / n)
+
+
+def _smooth_size(target: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d at or above target, a fast FFT length."""
+    best = 1 << (target - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                best = min(best, p3 << (-(-target // p3) - 1).bit_length())
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
 
 
 @lru_cache(maxsize=32)
@@ -322,17 +340,19 @@ def _plan(n: int, sample_rate: float, band: tuple | None, n_lag: int) -> Correla
     weights[0] *= 0.5
     if k == bins:
         weights[-1] *= 0.5
-    # C(m) = (2/n) Re sum_k w_k Y_k exp(2 pi i k m / n) is the irfft of Y
-    # restricted to [0, K).  With km = (k^2 + m^2 - (m - k)^2) / 2 it is a
-    # chirp times the linear convolution of w Y chirp with a chirp filter
-    # (Bluestein 1970; Rabiner, Schafer & Rader, Bell Syst. Tech. J. 48:1249,
-    # 1969), exact in a circular convolution of length M >= K + 2 n_lag.
-    m = 1 << (k + 2 * n_lag - 1).bit_length()
-    offsets = np.arange(-(k - 1), 2 * n_lag + 1)
+    # Re sum_{k<K} a_k exp(2 pi i k m / n) = sum_{|k|<K} Z_k exp(2 pi i k m / n)
+    # with Z_k = a_k / 2, Z_-k = conj(a_k) / 2 and Z_0 = Re a_0, and two such
+    # real sums ride as the real and imaginary parts of one.  With
+    # km = (k^2 + m^2 - (m - k)^2) / 2 the sum is a chirp times the linear
+    # convolution of Z chirp with a chirp filter (Bluestein 1970; Rabiner,
+    # Schafer & Rader, Bell Syst. Tech. J. 48:1249, 1969), exact in a circular
+    # convolution of length M >= (2K - 1) + (2 n_lag + 1) - 1.
+    m = _smooth_size(2 * k - 1 + 2 * n_lag)
+    offsets = np.arange(-(2 * k - 2), 2 * n_lag + 1)
     taps = np.zeros(m, dtype=complex)
-    taps[offsets % m] = _chirp(offsets - n_lag, n, -1.0)
+    taps[offsets % m] = _chirp(offsets - n_lag + k - 1, n, -1.0)
     lag_index = np.arange(-n_lag, n_lag + 1)
-    plan = CorrelationPlan(n, k, weights, weights * _chirp(np.arange(k), n, 1.0),
+    plan = CorrelationPlan(n, k, weights, 0.5 * _chirp(np.arange(1 - k, k), n, 1.0),
                            _chirp(lag_index, n, 1.0), np.fft.fft(taps),
                            lag_index / sample_rate)
     # Every caller of a cached plan shares its arrays.
@@ -368,23 +388,23 @@ def _band_energy(x, weights) -> float:
                  + np.einsum("i,i,i->", weights, x.imag, x.imag))
 
 
-def spectral_correlation(x1, x2, plan: CorrelationPlan) -> XcorrResult:
-    """Band-filtered normalized cross-correlation from two rfft spectra.
+def cross_spectrum(x1, x2, plan: CorrelationPlan) -> np.ndarray:
+    """The band-weighted, energy-normalized cross spectrum
+    w conj(x1) x2 / sqrt(E1 E2) on the plan's K bins, whose ``lag_curves``
+    is the normalized band-filtered correlation of the two records.
 
     x1 and x2 are ``np.fft.rfft`` of two real n-sample records, or at least
-    their first ``plan.support`` bins; later bins are never read.  Returns
-    what ``cross_correlation(band_filter(a), band_filter(b), max_lag)``
-    returns: the inverse transform of H^2 conj(x1) x2 (the generalized
-    cross-correlation of Knapp & Carter, IEEE TASSP 24:320, 1976) at the
-    plan's lags only, by one chirp-z transform over the band's support,
-    normalized by the band-limited energies from Parseval's theorem.
+    their first ``plan.support`` bins; later bins are never read.  E1 and E2
+    are the band-limited energies sum w |x|^2 (Parseval's theorem).  The
+    transform is linear, so the curve of a sum of cross spectra is the sum
+    of their curves.
     """
     k = plan.support
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
     if x1.ndim != 1 or x2.ndim != 1 or min(x1.size, x2.size) < k:
         raise IncompatibleTracesError(
-            f"spectral_correlation needs 1-d spectra of at least {k} bins")
+            f"a correlation needs 1-d spectra of at least {k} bins")
     if max(x1.size, x2.size) > plan.n // 2 + 1:
         raise InvalidParameterError("spectra are longer than the plan's rfft grid")
     x1 = x1[:k]
@@ -395,14 +415,43 @@ def spectral_correlation(x1, x2, plan: CorrelationPlan) -> XcorrResult:
             "zero-energy or non-finite trace has no normalized correlation")
     cross = np.conjugate(x1, dtype=complex)
     cross *= x2
-    cross *= plan.chirp_in
-    conv = np.fft.fft(cross, plan.kernel.size)
+    # The curve is (2/n) Re(...) over the geometric mean of the energies, each
+    # (2/n) times a weighted sum: the factors 2/n cancel.
+    cross *= plan.weights / np.sqrt(energy)
+    return cross
+
+
+def lag_curves(a, b, plan: CorrelationPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The curves Re sum_k a_k exp(2 pi i k m / n) and the same of b, at the
+    plan's lags m, from one chirp-z transform of the two-sided spectrum of
+    a + i b over bins -(K-1)..K-1 (an FFT and an inverse FFT of the plan's
+    kernel length).  a and b are cross spectra from ``cross_spectrum``, or
+    sums or means of them."""
+    k = plan.support
+    a = np.asarray(a)[:k]
+    ib = 1j * np.asarray(b)[:k]
+    z = np.zeros(2 * k - 1, dtype=complex)
+    z[k - 1:] = a + ib
+    z[:k] += np.conjugate(a - ib)[::-1]
+    z *= plan.chirp_in
+    conv = np.fft.fft(z, plan.kernel.size)
     conv *= plan.kernel
     conv = np.fft.ifft(conv)[:plan.lags.size]
     conv *= plan.chirp_out
-    # The curve is (2/n) Re(...) over the geometric mean of the energies, each
-    # (2/n) times a weighted sum: the factors 2/n cancel.
-    values = conv.real / np.sqrt(energy)
+    return conv.real, conv.imag
+
+
+def spectral_correlation(x1, x2, plan: CorrelationPlan) -> XcorrResult:
+    """Band-filtered normalized cross-correlation from two rfft spectra.
+
+    Returns what ``cross_correlation(band_filter(a), band_filter(b),
+    max_lag)`` returns: the inverse transform of H^2 conj(x1) x2 (the
+    generalized cross-correlation of Knapp & Carter, IEEE TASSP 24:320,
+    1976) at the plan's lags only, normalized by the band-limited energies;
+    ``lag_curves`` of ``cross_spectrum`` with nothing in the second slot.
+    """
+    a = cross_spectrum(x1, x2, plan)
+    values, _ = lag_curves(a, np.zeros_like(a), plan)
     return XcorrResult.from_values(plan.lags, values)
 
 

@@ -2,7 +2,8 @@
 
 One subcommand per scenario (line-scan, delay-scan, xcorr, selftest); every
 subcommand accepts --config/--preset plus overrides for seed, output
-directory, trace count, trace length, sample rate and parallelism.
+directory and sample rate, and every one but selftest, whose sizes are
+fixed, also for trace count, trace length and parallelism.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -48,9 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"built-in preset (default: {_DEFAULT_PRESET[name]})")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out-dir", help="output directory override")
+        p.add_argument("--rate", type=float, help="sample rate override, Hz")
+        if name == "selftest":
+            continue
         p.add_argument("--traces", type=int, help="traces per scan point override")
         p.add_argument("--samples", type=int, help="samples per trace override")
-        p.add_argument("--rate", type=float, help="sample rate override, Hz")
         p.add_argument("--jobs", type=int, help="parallel workers across scan points")
     return parser
 
@@ -59,11 +62,13 @@ def _resolve_config(args) -> ScenarioConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
     base = load_config(args.config or args.preset or _DEFAULT_PRESET[args.scenario])
+    # selftest registers no --traces, --samples or --jobs.
+    traces, samples, jobs = (getattr(args, name, None) for name in ("traces", "samples", "jobs"))
     sampling = base.sampling
-    if args.traces is not None:
-        sampling = replace(sampling, traces=args.traces)
-    if args.samples is not None:
-        sampling = replace(sampling, samples=args.samples)
+    if traces is not None:
+        sampling = replace(sampling, traces=traces)
+    if samples is not None:
+        sampling = replace(sampling, samples=samples)
     if args.rate is not None:
         sampling = replace(sampling, rate_hz=args.rate)
     overrides = {"scenario": args.scenario, "sampling": sampling}
@@ -71,8 +76,8 @@ def _resolve_config(args) -> ScenarioConfig:
         overrides["seed"] = args.seed
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
+    if jobs is not None:
+        overrides["jobs"] = jobs
     try:
         return replace(base, **overrides)
     except ConfigError:

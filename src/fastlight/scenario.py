@@ -24,7 +24,7 @@ import scipy
 from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_plan,
-                       peak_delay, spectral_correlation)
+                       cross_spectrum, lag_curves, peak_delay, spectral_correlation)
 from .config import ChannelConfig, LineConfig, ScenarioConfig, _find_root
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
@@ -105,22 +105,22 @@ def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict,
     return _PointChain(cfg, mean_p, mean_c, factors, channel, plans, noise_bins, k)
 
 
-def _correlate(curves: dict, pair: str, x1, x2, chain: _PointChain):
+def _correlate(sums: dict, pair: str, x1, x2, chain: _PointChain):
     for band, plan in chain.plans.items():
-        curves[f"{band}_{pair}"] = spectral_correlation(x1, x2, plan)
+        sums[band][pair] += cross_spectrum(x1, x2, plan)
 
 
-def _measure_trace(chain: _PointChain, roles) -> tuple[dict, float]:
+def _measure_trace(chain: _PointChain, roles, sums: dict) -> float:
     """One trace of a point, carried as rfft spectra on the head of the
-    grid: the pair is synthesized, the reference pair is detected and
-    correlated, and the fast pair goes through the channel, is detected and
-    correlated.  Returns the curves and the summed power |D_k|^2 of the
-    detected difference D = p - c over the noise band's bins."""
+    grid: the pair is synthesized, the reference pair is detected, and the
+    fast pair goes through the channel and is detected.  Each pair's cross
+    spectrum in each band is added to ``sums[band]["ref"|"fast"]``.  Returns
+    the summed power |D_k|^2 of the detected difference D = p - c over the
+    noise band's bins."""
     cfg = chain.cfg
     n = cfg.sampling.samples
     eta = cfg.channel.eta
     k = chain.support
-    curves = {}
     if chain.factors is None:
         rng = np.random.default_rng(roles[0])
         xp = white_spectrum(n, chain.mean_p, rng, add_to=np.zeros(k, dtype=complex))
@@ -129,14 +129,14 @@ def _measure_trace(chain: _PointChain, roles) -> tuple[dict, float]:
         xp, xc = synth_twin_spectra(chain.factors, roles[0], n_samples=n)
     probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2], n_samples=n)
     conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3], n_samples=n)
-    _correlate(curves, "ref", probe_ref, conj_ref, chain)
+    _correlate(sums, "ref", probe_ref, conj_ref, chain)
     apply_channel(xc, chain.channel, roles[1], n_samples=n)
     detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp, n_samples=n)
     detect_spectrum(xc, eta, chain.channel.mean_out, roles[5], out=xc, n_samples=n)
-    _correlate(curves, "fast", xp, xc, chain)
+    _correlate(sums, "fast", xp, xc, chain)
     lo, hi = chain.noise_bins.start, chain.noise_bins.stop
     diff = xp[lo:hi] - xc[lo:hi]
-    return curves, float(np.sum(diff.real ** 2 + diff.imag ** 2))
+    return float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
 def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
@@ -147,28 +147,32 @@ def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
     and the difference noise in ``noise_band`` in dB re shot noise: the mean
     of |D_k|^2 over the band's rfft bins and the traces, divided by the
     analytic shot level n M of every bin.  M = eta (mean_p + mean_c_out) is
-    the per-sample variance of shot noise of the detected pair's total flux."""
+    the per-sample variance of shot noise of the detected pair's total flux.
+
+    The traces' cross spectra are summed per band and pair, and each band's
+    two mean curves come from one paired chirp-z transform of the sums (the
+    generalized cross-correlation averages cross spectra, then inverts once;
+    Knapp & Carter 1976), so the transforms per point do not grow with the
+    trace count."""
     chain = _point_chain(cfg, line, source, delta, bands, noise_band)
-    sums = {}
-    lag_grid = None
+    sums = {band: {pair: np.zeros(plan.support, dtype=complex) for pair in ("ref", "fast")}
+            for band, plan in chain.plans.items()}
     power = 0.0
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
         roles = np.random.SeedSequence(point_ss.entropy,
                                        spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        curves, band_power = _measure_trace(chain, roles)
-        for key, xc in curves.items():
-            if key not in sums:
-                sums[key] = np.zeros_like(xc.values)
-                lag_grid = xc.lags
-            sums[key] += xc.values
-        power += band_power
+        power += _measure_trace(chain, roles, sums)
 
+    curves = {}
+    for band, plan in chain.plans.items():
+        pair = sums[band]
+        ref, fast = lag_curves(pair["ref"] / n_traces, pair["fast"] / n_traces, plan)
+        curves[f"{band}_ref"] = XcorrResult.from_values(plan.lags, ref)
+        curves[f"{band}_fast"] = XcorrResult.from_values(plan.lags, fast)
     n, eta = cfg.sampling.samples, cfg.channel.eta
     # The shot level is an expectation, not an average over traces.
     shot = n * eta * (chain.mean_p + chain.channel.mean_out)
-    curves = {key: XcorrResult.from_values(lag_grid, acc / n_traces)
-              for key, acc in sums.items()}
     return curves, 10.0 * math.log10(power / (n_traces * len(chain.noise_bins) * shot))
 
 
@@ -233,8 +237,10 @@ def _correlation_point_worker(args) -> dict:
 
 def _map_points(worker, cfg: ScenarioConfig):
     args = [(cfg, i, d) for i, d in enumerate(cfg.detunings_hz)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # The fork start method launches every worker at once: no more than points.
+    workers = min(cfg.jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, args))
     return [worker(a) for a in args]
 
@@ -307,10 +313,12 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     # Deterministic, so it is computed before any draw: a peak clipped by
-    # the prediction's lag window is a configuration error.
+    # the prediction's lag window, the measured one at a 0.1 ns step, is a
+    # configuration error.
     try:
-        predicted = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
-                                                cfg.source.make(), *cfg.band_hz)
+        predicted = predicted_correlation_shift(
+            cfg.line.make(), cfg.offset_hz, cfg.source.make(), *cfg.band_hz,
+            t_window=cfg.max_lag_s, n_t=2 * round(cfg.max_lag_s / 1e-10) + 1)
     except InvalidParameterError as exc:
         raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
                           f"in band_hz {cfg.band_hz}: {exc}") from exc
@@ -342,7 +350,7 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
 def _run_selftest(cfg: ScenarioConfig, created) -> dict:
     """Fast internal consistency battery; prints one line per check.  Every
     check but the calibration runs the scenarios' own head chain, with no
-    gain, no loss and no excess, each on its own point seed."""
+    gain and no excess, each on its own point seed.  Its sizes are fixed."""
     checks = {}
 
     line = calibrate(7.5, 10e6, 0.025)
@@ -357,16 +365,17 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
 
     # Sized so that each statistical check passes by more than 5 standard errors.
     bench = replace(cfg, line=LineConfig(peak_gain_db=0.0),
-                    channel=ChannelConfig(eta=1.0, excess_noise_db=0.0),
                     sampling=replace(cfg.sampling, samples=1 << 18, traces=16))
 
-    def noise_db(coherent: bool, key: int, band: tuple) -> float:
-        point = replace(bench, source=replace(cfg.source, coherent=coherent))
+    def noise_db(coherent: bool, key: int, band: tuple, eta: float = 1.0) -> float:
+        point = replace(bench, source=replace(cfg.source, coherent=coherent),
+                        channel=ChannelConfig(eta=eta, excess_noise_db=0.0))
         return _measure_point(point, point.line.make(), point.source.make(), 0.0,
                               _point_seed(cfg.seed, key), {}, band)[1]
 
-    # Coherent beams read the analytic shot level n M.
-    shot_db = noise_db(True, 101, cfg.fullband_hz)
+    # Coherent beams detected at eta = 0.5, eta times each beam plus vacuum,
+    # read the analytic shot level n eta (mean_p + mean_c).
+    shot_db = noise_db(True, 101, cfg.fullband_hz, eta=0.5)
     checks["shot_floor_unity"] = bool(abs(10.0 ** (shot_db / 10.0) - 1.0) < 0.05)
 
     n, fs = bench.sampling.samples, bench.sampling.rate_hz

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, _parabola_peak,
                                 band_filter, band_response, band_squeezing_db,
-                                correlation_plan, cross_correlation, peak_delay,
-                                psd, shot_floor, shot_noise_density,
-                                snu_normalize, spectral_correlation)
+                                correlation_plan, cross_correlation, cross_spectrum,
+                                lag_curves, peak_delay, psd, shot_floor,
+                                shot_noise_density, snu_normalize,
+                                spectral_correlation)
 from fastlight.errors import (DegeneratePeakError, IncompatibleSpectraError,
                               IncompatibleTracesError, InvalidParameterError)
 from fastlight.simulate import Trace, fractional_shift, shot_reference
@@ -207,6 +208,13 @@ def test_spectral_correlation_matches_time_domain_oracle(data):
         np.testing.assert_allclose(got.fwhm, oracle.fwhm, rtol=0, atol=1e-6 / RATE)
 
 
+def _is_7_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 def test_correlation_plan_support_is_where_the_band_is():
     n = 1 << 14
     freqs = np.fft.rfftfreq(n, 1.0 / RATE)
@@ -216,7 +224,18 @@ def test_correlation_plan_support_is_where_the_band_is():
         assert plan.support == np.flatnonzero(h2)[-1] + 1
         assert plan.weights[0] == 0.5 * h2[0]
         np.testing.assert_array_equal(plan.weights[1:], h2[1:plan.support])
-        assert plan.kernel.size == 1 << (plan.support + 2 * 250 - 1).bit_length()
+        # The smallest 2^a 3^b 5^c 7^d at or above 2K - 1 + 2 n_lag.
+        size = plan.kernel.size
+        assert size >= 2 * plan.support - 1 + 2 * 250
+        assert all(not _is_7_smooth(m) for m in range(2 * plan.support - 1 + 2 * 250, size))
+        assert _is_7_smooth(size)
+    # At the presets' sizes: both bands of fig2-line, the band of fig4-advance.
+    from fastlight.config import preset_fig2_line, preset_fig4_advance
+    for cfg, bands, sizes in ((preset_fig2_line(), ("band_hz", "fullband_hz"), [11250, 18225]),
+                              (preset_fig4_advance(), ("band_hz",), [15000])):
+        n, rate = cfg.sampling.samples, cfg.sampling.rate_hz
+        assert [correlation_plan(n, rate, getattr(cfg, band), cfg.max_lag_s).kernel.size
+                for band in bands] == sizes
     # One plan per (n, rate, band, lag window), whatever the lag's spelling.
     assert correlation_plan(n, RATE, (1e5, 3e6), 1e-7) is correlation_plan(
         n, RATE, [100000, 3000000], 1e-7 + 1e-13)
@@ -238,6 +257,43 @@ def test_bins_past_the_support_never_reach_the_curve(seed, log_n, n_lag):
     got = spectral_correlation(xa, xb, plan)
     assert np.array_equal(got.values, want.values)
     assert got.peak_lag == want.peak_lag and np.array_equal(got.fwhm, want.fwhm, equal_nan=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), log_n=st.integers(min_value=8, max_value=14),
+       n_lag=st.integers(min_value=1, max_value=64), traces=st.integers(1, 4),
+       all_pass=st.booleans())
+def test_paired_lag_curves_equal_the_separate_and_per_trace_curves(seed, log_n, n_lag,
+                                                                   traces, all_pass):
+    """One transform of a + i b carries the curve of a in its real part and
+    that of b in its imaginary part, and the curve of summed cross spectra is
+    the sum of the per-trace curves; the all-pass support holds Nyquist."""
+    n = 1 << log_n
+    rng = np.random.default_rng(seed)
+    plan = correlation_plan(n, RATE, None if all_pass else (RATE / 400, RATE / 40),
+                            min(n_lag, n // 8) / RATE)
+    assert (plan.support == n // 2 + 1) == all_pass
+
+    def spectrum():
+        return np.fft.rfft(rng.standard_normal(n))
+
+    pairs = {}
+    for name in ("ref", "fast"):
+        pairs[name] = []
+        for _ in range(traces):
+            x1 = spectrum()
+            pairs[name].append((x1, 0.6 * x1 + spectrum()))
+    crossed = {name: [cross_spectrum(x1, x2, plan) for x1, x2 in pair]
+               for name, pair in pairs.items()}
+    a, b = crossed["ref"][0], crossed["fast"][0]
+    ref, fast = lag_curves(a, b, plan)
+    np.testing.assert_allclose(ref, lag_curves(a, np.zeros_like(b), plan)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fast, lag_curves(b, np.zeros_like(a), plan)[0], rtol=0, atol=1e-12)
+    mean_ref, mean_fast = lag_curves(sum(crossed["ref"]) / traces,
+                                     sum(crossed["fast"]) / traces, plan)
+    for got, pair in ((mean_ref, pairs["ref"]), (mean_fast, pairs["fast"])):
+        want = np.mean([spectral_correlation(x1, x2, plan).values for x1, x2 in pair], axis=0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_spectral_correlation_rejects_bad_inputs():
@@ -262,20 +318,13 @@ def test_spectral_correlation_rejects_bad_inputs():
 def test_correlation_point_fft_count(monkeypatch):
     """Guards the spectral chain: a trace stays an rfft spectrum on the head
     of the grid from synthesis to the band power of its difference, so no
-    trace takes a full-length transform; each band correlation of each pair
-    is one chirp-z transform (an fft and an ifft no longer than
-    next_pow2(K + 2 n_lag)); the shot-noise level is analytic and takes none."""
+    trace takes a full-length transform; the traces' cross spectra are summed,
+    and each band's reference and fast curves are one paired chirp-z
+    transform per point (an fft and an ifft of the plan's kernel length),
+    whatever the trace count; the shot-noise level is analytic and takes none."""
     from fastlight import scenario
     from fastlight.config import config_from_dict, preset_fig2_line
 
-    traces = 2
-    cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
-                            "sampling": {"rate_hz": RATE, "samples": 1 << 16,
-                                         "traces": traces}})
-    n_lag = round(cfg.max_lag_s * RATE)
-    longest = max(1 << (correlation_plan(1 << 16, RATE, band, cfg.max_lag_s).support
-                        + 2 * n_lag - 1).bit_length()
-                  for band in (cfg.band_hz, cfg.fullband_hz))
     calls = []
 
     def counted(fn):
@@ -285,24 +334,27 @@ def test_correlation_point_fft_count(monkeypatch):
             return out
         return wrapper
 
-    # The plans are built once per process, before this point's traces.
-    scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0), True)
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-
-    def count(*names):
-        return sum(name in names for name, _ in calls)
-
-    for want_fullband, bands in ((True, 2), (False, 1)):
-        calls.clear()
-        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
-                                            want_fullband)
-        assert count("rfft", "irfft") == 0
-        assert count("fft", "ifft") == 2 * bands * 2 * traces
-        assert max(size for name, size in calls if name in ("fft", "ifft")) <= longest
-    calls.clear()
-    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
-    assert calls == []
+    base = preset_fig2_line().to_dict()
+    for traces in (1, 3):
+        cfg = config_from_dict({**base, "scenario": "delay-scan",
+                                "sampling": {"rate_hz": RATE, "samples": 1 << 16,
+                                             "traces": traces}})
+        sizes = [correlation_plan(1 << 16, RATE, band, cfg.max_lag_s).kernel.size
+                 for band in (cfg.band_hz, cfg.fullband_hz)]
+        # The plans are built once per process, before this point's traces.
+        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0), True)
+        with monkeypatch.context() as patch:
+            for name in ("rfft", "irfft", "fft", "ifft"):
+                patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            for want_fullband, bands in ((True, 2), (False, 1)):
+                calls.clear()
+                scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
+                                                    want_fullband)
+                assert sorted(calls) == sorted((name, size) for size in sizes[:bands]
+                                               for name in ("fft", "ifft"))
+            calls.clear()
+            scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
+            assert calls == []
 
 
 def test_trace_normal_draws_per_role(monkeypatch):

@@ -225,15 +225,60 @@ def test_cli_delay_scan_with_jobs(tmp_path):
     assert len(lines) == 1 + 2
 
 
+def test_scan_pool_has_no_more_workers_than_points(monkeypatch):
+    """The fork start method launches every worker at once, so a scan asks
+    for at most one worker per point; the stand-in pool starts nothing."""
+    import fastlight.scenario as scenario
+
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, args):
+            return map(worker, args)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", Recording)
+    cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6))
+    for jobs, want in ((1000, [3]), (2, [2]), (1, [])):
+        asked.clear()
+        rows = scenario._map_points(lambda args: args[1], replace(cfg, jobs=jobs))
+        assert rows == [0, 1, 2] and asked == want
+
+
 def test_cli_selftest(tmp_path):
     assert main(["selftest", "--out-dir", str(tmp_path / "st"), "--seed", "4"]) == 0
     report = json.loads((tmp_path / "st" / "selftest.json").read_text())
     assert report["all_passed"] is True
 
 
+@pytest.mark.parametrize("option", ["--samples", "--traces", "--jobs"])
+def test_cli_selftest_refuses_size_options(tmp_path, capsys, option):
+    """The selftest's sizes are fixed, so it takes no size override."""
+    out = tmp_path / "st"
+    with pytest.raises(SystemExit) as exited:
+        main(["selftest", option, "2", "--out-dir", str(out)])
+    assert exited.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _double_variance(white_spectrum):
     return lambda n, variance, *args, **kwargs: white_spectrum(n, 2.0 * variance,
                                                                *args, **kwargs)
+
+
+def _double_vacuum(detect_spectrum):
+    # The vacuum's variance is (1 - eta) eta mean_flux; nothing else reads the flux.
+    return lambda x, eta, mean_flux, *args, **kwargs: detect_spectrum(x, eta, 2.0 * mean_flux,
+                                                                      *args, **kwargs)
 
 
 def _swap_pair(spectral_correlation):
@@ -249,6 +294,7 @@ def _anticorrelate(synthesis_factors):
 
 @pytest.mark.parametrize("kernel, mutate, check", [
     ("white_spectrum", _double_variance, "shot_floor_unity"),
+    ("detect_spectrum", _double_vacuum, "shot_floor_unity"),
     ("spectral_correlation", _swap_pair, "delay_estimator_12ns"),
     ("synthesis_factors", _anticorrelate, "twin_band_squeezing"),
 ])
@@ -564,12 +610,13 @@ def test_cli_clipped_predicted_shift_exits_2_before_any_draw(tmp_path, capsys,
         raise AssertionError("a trace was drawn")
 
     monkeypatch.setattr(scenario_module, "synth_twin_spectra", no_draws)
-    # A 20 dB, 2 MHz line at 1 MHz advances the correlation past the
-    # prediction's +-150 ns search, which would return the window edge.
+    # A 20 dB, 2 MHz line at 1 MHz shifts the correlation peak by about
+    # +155.9 ns, past a 100 ns lag window, where the prediction, searched
+    # over the lag window, would return the window edge.
     base = preset_fig4_advance().to_dict()
     cfg = {**base, "line": {**base["line"], "peak_gain_db": 20.0, "fwhm_hz": 2e6},
-           "offset_hz": 1e6, "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18,
-                                          "traces": 3},
+           "offset_hz": 1e6, "max_lag_s": 1e-7,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18, "traces": 3},
            "out_dir": str(tmp_path / "o")}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -577,6 +624,21 @@ def test_cli_clipped_predicted_shift_exits_2_before_any_draw(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "configuration error" in err and "offset_hz" in err and "band_hz" in err
     assert os.listdir(tmp_path / "o") == []
+
+
+def test_cli_xcorr_predicts_over_the_measured_lag_window(tmp_path):
+    """A peak past +-150 ns but inside the 2 us lag window is predicted,
+    not refused."""
+    base = preset_fig4_advance().to_dict()
+    cfg = {**base, "line": {**base["line"], "peak_gain_db": 20.0, "fwhm_hz": 2e6},
+           "offset_hz": 1e6, "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18,
+                                          "traces": 3},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["predicted_delta_t_s"] == pytest.approx(155.9e-9, abs=0.05e-9)
 
 
 def test_package_version_matches_pyproject():
