@@ -18,6 +18,9 @@ from .twinbeam import TwinBeamSource, seeded_stats
 
 # Lag stride of the coarse pass of the correlation peak search.
 _COARSE_STEP = 10
+# The correlation's trapezoid sum over f = j*df repeats in lag with period
+# 1/df; a +-t window of at most 1/(_ALIAS_MARGIN*df) holds one copy of the peak.
+_ALIAS_MARGIN = 2.2
 
 
 def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
@@ -70,11 +73,13 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     cross-correlation measurement converges to.  Raises
     ``InvalidParameterError`` when the peak lies on the first or last lag of
     the +-t_window search, where the window edge would be returned in its
-    place.
+    place, or when t_window exceeds ``alias_free_lag``.
     """
-    edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
-    f_max = f_hi + (1.0 - _FALL_3DB) * edge_hi_val
-    f, df = np.linspace(0.0, f_max * 1.02, n_f, retstep=True)
+    limit = alias_free_lag(f_hi, edge_hi, n_f)
+    if t_window > limit:
+        raise InvalidParameterError(f"lag window +-{t_window:g} s exceeds the +-{limit:g} s "
+                                    f"an {n_f}-point frequency grid resolves without aliasing")
+    f, df = np.linspace(0.0, _frequency_top(f_hi, edge_hi), n_f, retstep=True)
     response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
@@ -102,6 +107,18 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
         shift, _ = _parabola_peak(corr[k - 1], corr[k], corr[k + 1])
         return float(t[i] + shift * (t[1] - t[0]))
     return float(t[i])
+
+
+def alias_free_lag(f_hi: float, edge_hi: float | None = None, n_f: int = 1600) -> float:
+    """Widest half-window t of lags over which ``predicted_correlation_shift``
+    with n_f frequencies sees one copy of the correlation peak."""
+    return (n_f - 1) / (_ALIAS_MARGIN * _frequency_top(f_hi, edge_hi))
+
+
+def _frequency_top(f_hi: float, edge_hi: float | None) -> float:
+    """Top of the prediction's frequency grid: past the band's upper edge."""
+    edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
+    return (f_hi + (1.0 - _FALL_3DB) * edge_hi_val) * 1.02
 
 
 def _real_chirp(index, rate: float) -> np.ndarray:

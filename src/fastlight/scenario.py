@@ -28,7 +28,8 @@ from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_pla
 from .config import ChannelConfig, LineConfig, ScenarioConfig, _find_root
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
-from .predict import predicted_correlation_shift, predicted_difference_noise_snu
+from .predict import (alias_free_lag, predicted_correlation_shift,
+                      predicted_difference_noise_snu)
 from .simulate import (ChannelResponse, _rfft_freqs, apply_channel, build_targets,
                        channel_response, detect_spectrum, synth_twin_spectra,
                        synthesis_factors, white_spectrum)
@@ -313,12 +314,14 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     # Deterministic, so it is computed before any draw: a peak clipped by
-    # the prediction's lag window, the measured one at a 0.1 ns step, is a
-    # configuration error.
+    # the prediction's lag window is a configuration error.  The window is
+    # the measured one, narrowed to where the prediction does not alias,
+    # searched at a quarter sample period.
+    window = min(cfg.max_lag_s, alias_free_lag(cfg.band_hz[1]))
     try:
         predicted = predicted_correlation_shift(
             cfg.line.make(), cfg.offset_hz, cfg.source.make(), *cfg.band_hz,
-            t_window=cfg.max_lag_s, n_t=2 * round(cfg.max_lag_s / 1e-10) + 1)
+            t_window=window, n_t=2 * round(4.0 * cfg.sampling.rate_hz * window) + 1)
     except InvalidParameterError as exc:
         raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
                           f"in band_hz {cfg.band_hz}: {exc}") from exc

@@ -19,6 +19,7 @@ from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
 from fastlight.analysis import band_response
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
 from fastlight.errors import ConfigError, FastlightError, InvalidParameterError
+from fastlight.predict import predicted_correlation_shift
 from oracles import dense_correlation_shift
 
 
@@ -639,6 +640,24 @@ def test_cli_xcorr_predicts_over_the_measured_lag_window(tmp_path):
     assert main(["xcorr", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["predicted_delta_t_s"] == pytest.approx(155.9e-9, abs=0.05e-9)
+
+
+def test_cli_xcorr_prediction_does_not_alias_on_a_wide_band(tmp_path):
+    """The prediction's 1600-point frequency grid repeats in lag every
+    ~10 us on a 1-100 MHz band; over a 13 us lag window it is searched only
+    where it holds one peak, and equals the +-150 ns prediction."""
+    base = preset_fig4_advance().to_dict()
+    cfg = {**base, "band_hz": [1e6, 1e8], "max_lag_s": 1.3e-5,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18, "traces": 2},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    loaded = config_from_dict(cfg)
+    expected = predicted_correlation_shift(loaded.line.make(), loaded.offset_hz,
+                                           loaded.source.make(), 1e6, 1e8)
+    assert summary["predicted_delta_t_s"] == pytest.approx(expected, abs=1e-15)
 
 
 def test_package_version_matches_pyproject():

@@ -246,6 +246,26 @@ def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
                                                **kwargs) == expected
 
 
+def test_predicted_correlation_shift_refuses_an_aliased_lag_window():
+    """Past alias_free_lag the trapezoid sum's copy of the peak, one period
+    1/df away, would lie inside the window."""
+    from fastlight.analysis import _FALL_3DB
+    from fastlight.predict import alias_free_lag
+
+    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
+    line = calibrate(12.0, 10e6, 0.025)
+    limit = alias_free_lag(2e7)
+    df = (2e7 + (1.0 - _FALL_3DB) * 3e7) * 1.02 / 1599
+    assert 2.0 * limit < 1.0 / df < 2.5 * limit
+    inside = predicted_correlation_shift(line, 0.0, source, 1e6, 2e7, t_window=limit,
+                                         n_t=2 * round(limit / 1e-10) + 1)
+    assert inside == pytest.approx(predicted_correlation_shift(line, 0.0, source, 1e6, 2e7),
+                                   abs=1e-12)
+    with pytest.raises(InvalidParameterError, match="aliasing"):
+        predicted_correlation_shift(line, 0.0, source, 1e6, 2e7, t_window=1.01 * limit,
+                                    n_t=2 * round(limit / 1e-10) + 1)
+
+
 def _advance_cross_spectrum(n_f=1600):
     """The fig4-advance line's filtered cross spectrum on predict's grid."""
     from fastlight.analysis import _FALL_3DB, band_response
