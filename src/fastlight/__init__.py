@@ -3,7 +3,7 @@ experiments: Lorentzian gain-line dispersion, quantum-limited
 phase-insensitive amplification, correlated photocurrent synthesis, and
 cross-correlation delay measurement."""
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 from .amplifier import (amp_mean, amp_variance, difference_noise_after_channel,
                         loss_channel, snu_out)
@@ -18,12 +18,10 @@ from .errors import (ConfigError, DegeneratePeakError, FastlightError,
                      IncompatibleSpectraError, IncompatibleTracesError,
                      InvalidParameterError)
 from .simulate import (ChannelResponse, SpectralTargets, Trace, apply_channel,
-                       apply_detection, build_targets, channel_response,
-                       detect_spectrum, difference, fractional_shift,
-                       load_trace_binary, load_trace_csv, propagate_channel,
-                       save_trace_binary, save_trace_csv, shot_reference,
-                       synth_twin_spectra, synth_twin_traces, synthesis_factors,
-                       white_spectrum)
+                       build_targets, channel_response, detect_spectrum,
+                       difference, fractional_shift, load_trace_binary,
+                       load_trace_csv, save_trace_binary, save_trace_csv,
+                       synth_twin_spectra, synthesis_factors, white_spectrum)
 from .twinbeam import (BeamStats, TwinBeamSource, gain_for_squeezing,
                        intensity_difference_variance, seeded_stats,
                        squeezing_db)

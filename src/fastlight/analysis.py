@@ -35,7 +35,6 @@ class Spectrum:
     normalization: str = NORM_ABSOLUTE
     segment_len: int = 0
     overlap: float = 0.5
-    window: str = "hann"
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -52,19 +51,17 @@ class Spectrum:
 
 def _settings_match(a: Spectrum, b: Spectrum) -> bool:
     return (a.segment_len == b.segment_len and a.overlap == b.overlap
-            and a.window == b.window
             and a.frequencies.shape == b.frequencies.shape
             and np.allclose(a.frequencies, b.frequencies, rtol=1e-12, atol=1e-6))
 
 
-def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
-        window: str = "hann") -> Spectrum:
+def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5) -> Spectrum:
     """Welch power spectral density of a trace, one-sided, density-normalized.
 
     The integral of the returned density over frequency equals the trace
     variance (Parseval) up to estimator error.  Computed in numpy with the
     conventions of ``scipy.signal.welch(..., detrend=False,
-    scaling="density")``: periodic window, full segments only, mean over
+    scaling="density")``: periodic Hann window, full segments only, mean over
     segments, interior bins doubled.
     """
     if not _is_power_of_two(segment_len):
@@ -74,11 +71,7 @@ def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
             f"segment_len {segment_len} exceeds trace length {len(trace)}")
     if not (0.0 <= overlap_fraction < 1.0):
         raise InvalidParameterError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
-    if window == "hann":
-        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    else:
-        from scipy.signal import get_window
-        w = get_window(window, segment_len)
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
     step = segment_len - int(overlap_fraction * segment_len)
     segments = np.lib.stride_tricks.sliding_window_view(trace.samples, segment_len)[::step]
     spec = np.fft.rfft(segments * w, axis=-1)
@@ -86,7 +79,7 @@ def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5,
     values /= trace.sample_rate * np.sum(w * w)
     values[1:-1] *= 2.0
     freqs = np.fft.rfftfreq(segment_len, 1.0 / trace.sample_rate)
-    return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction, window)
+    return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction)
 
 
 def snu_normalize(spec: Spectrum, reference: Spectrum) -> Spectrum:
@@ -97,8 +90,7 @@ def snu_normalize(spec: Spectrum, reference: Spectrum) -> Spectrum:
         raise IncompatibleSpectraError("spectrum and reference differ in normalization")
     with np.errstate(divide="ignore"):
         values = 10.0 * np.log10(spec.values / reference.values)
-    return Spectrum(spec.frequencies, values, NORM_DB,
-                    spec.segment_len, spec.overlap, spec.window)
+    return Spectrum(spec.frequencies, values, NORM_DB, spec.segment_len, spec.overlap)
 
 
 def shot_noise_density(mean_flux: float, sample_rate: float) -> float:
@@ -107,21 +99,21 @@ def shot_noise_density(mean_flux: float, sample_rate: float) -> float:
 
 
 def shot_floor(mean_flux: float, sample_rate: float, segment_len: int,
-               overlap: float = 0.5, window: str = "hann") -> Spectrum:
+               overlap: float = 0.5) -> Spectrum:
     """Expected ``psd`` of shot noise of the given mean flux: the exact Welch
     density of white noise with per-sample variance mean_flux.
 
     ``psd`` divides by ``sample_rate * sum(w**2)`` and doubles only the
     interior bins, so the expectation is ``shot_noise_density`` inside and
-    half of it at DC and Nyquist, for every window and overlap.  The
-    settings are recorded so that ``snu_normalize`` can check them.
+    half of it at DC and Nyquist, for every overlap.  The settings are
+    recorded so that ``snu_normalize`` can check them.
     """
     if not _is_power_of_two(segment_len):
         raise InvalidParameterError(f"segment_len must be a power of two, got {segment_len}")
     values = np.full(segment_len // 2 + 1, shot_noise_density(mean_flux, sample_rate))
     values[[0, -1]] *= 0.5
     return Spectrum(np.fft.rfftfreq(segment_len, 1.0 / sample_rate), values,
-                    NORM_ABSOLUTE, segment_len, overlap, window)
+                    NORM_ABSOLUTE, segment_len, overlap)
 
 
 def _band_mask(frequencies, f_lo: float, f_hi: float) -> np.ndarray:
@@ -152,41 +144,39 @@ def band_squeezing_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:
 # Band filtering
 
 
-def band_response(frequencies, f_lo: float, f_hi: float,
-                  edge_lo: float | None = None, edge_hi: float | None = None):
+def _band_end(f_hi: float) -> float:
+    """The frequency from which ``band_response`` with upper corner f_hi is
+    zero: the top of its falling ramp, 1.5 f_hi wide."""
+    return f_hi + (1.0 - _FALL_3DB) * (1.5 * f_hi)
+
+
+def band_response(frequencies, f_lo: float, f_hi: float):
     """Real, even filter response: unity midband, raised-cosine edges whose
     half-power points sit exactly at f_lo and f_hi.
 
-    edge_lo/edge_hi are the widths of the rising/falling cosine ramps;
-    defaults are f_lo and 1.5 * f_hi.  The response is identically zero
-    outside the ramps.
+    The rising cosine ramp is f_lo wide and the falling one 1.5 * f_hi.  The
+    response is identically zero outside the ramps, from ``_band_end(f_hi)``
+    up.
     """
     if not (0.0 < f_lo < f_hi):
         raise InvalidParameterError(f"need 0 < f_lo < f_hi, got ({f_lo}, {f_hi})")
-    edge_lo = f_lo if edge_lo is None else edge_lo
-    edge_hi = 1.5 * f_hi if edge_hi is None else edge_hi
-    if edge_lo <= 0.0 or edge_hi <= 0.0:
-        raise InvalidParameterError("edge widths must be positive")
-    a = f_lo - _RISE_3DB * edge_lo
-    b = a + edge_lo
+    edge_hi = 1.5 * f_hi
+    a = f_lo - _RISE_3DB * f_lo
+    b = a + f_lo
     c = f_hi - _FALL_3DB * edge_hi
-    d = c + edge_hi
-    if a < 0.0:
-        raise InvalidParameterError("lower edge extends below zero frequency; shrink edge_lo")
     if b > c:
         raise InvalidParameterError("filter edges overlap; band too narrow for these edges")
     f = np.abs(np.asarray(frequencies, dtype=float))
     h = np.zeros_like(f)
     rising = (f > a) & (f < b)
-    h[rising] = np.sin(0.5 * np.pi * (f[rising] - a) / edge_lo) ** 2
+    h[rising] = np.sin(0.5 * np.pi * (f[rising] - a) / f_lo) ** 2
     h[(f >= b) & (f <= c)] = 1.0
-    falling = (f > c) & (f < d)
+    falling = (f > c) & (f < _band_end(f_hi))
     h[falling] = np.cos(0.5 * np.pi * (f[falling] - c) / edge_hi) ** 2
     return h
 
 
-def band_filter(trace: Trace, f_lo: float, f_hi: float,
-                edge_lo: float | None = None, edge_hi: float | None = None) -> Trace:
+def band_filter(trace: Trace, f_lo: float, f_hi: float) -> Trace:
     """Zero-phase band filter with half-power corners at f_lo and f_hi.
 
     Applied in the frequency domain; apply the identical call to every trace
@@ -196,7 +186,7 @@ def band_filter(trace: Trace, f_lo: float, f_hi: float,
         raise InvalidParameterError(
             f"need 0 < f_lo < f_hi < Nyquist ({trace.nyquist:g}), got ({f_lo}, {f_hi})")
     freqs = np.fft.rfftfreq(len(trace), 1.0 / trace.sample_rate)
-    h = band_response(freqs, f_lo, f_hi, edge_lo, edge_hi)
+    h = band_response(freqs, f_lo, f_hi)
     x = np.fft.rfft(trace.samples) * h
     return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, len(trace)))
 
@@ -323,10 +313,8 @@ def _plan(n: int, sample_rate: float, band: tuple | None, n_lag: int) -> Correla
         h2 = np.ones(bins)
     else:
         f_lo, f_hi = band
-        # band_response is zero from f_hi + (1 - _FALL_3DB) * 1.5 f_hi on; it
-        # is evaluated on a few bins past that and trimmed to its last nonzero.
-        f_max = f_hi + (1.0 - _FALL_3DB) * 1.5 * f_hi
-        head = min(bins, int(np.ceil(f_max * n / sample_rate)) + 2)
+        # Evaluated on a few bins past _band_end and trimmed to its last nonzero.
+        head = min(bins, int(np.ceil(_band_end(f_hi) * n / sample_rate)) + 2)
         h2 = band_response(np.fft.rfftfreq(n, 1.0 / sample_rate)[:head], f_lo, f_hi) ** 2
         nonzero = np.flatnonzero(h2)
         h2 = h2[:nonzero[-1] + 1] if nonzero.size else h2[:0]
@@ -363,7 +351,7 @@ def correlation_plan(n_samples: int, sample_rate: float, band: tuple | None,
                      max_lag: float) -> CorrelationPlan:
     """The ``CorrelationPlan`` of n-sample records for ``spectral_correlation``.
 
-    band is (f_lo, f_hi) in Hz for the default-edged ``band_response``, or
+    band is (f_lo, f_hi) in Hz for ``band_response``, or
     None for the all-pass.  The lag window is +-round(max_lag*sample_rate)
     samples.  Plans are cached per process on (n, sample_rate, band, n_lag).
     """

@@ -393,12 +393,14 @@ def load_config(path_or_preset: str) -> ScenarioConfig:
     if path_or_preset in PRESETS:
         return PRESETS[path_or_preset]()
     if os.path.exists(path_or_preset):
-        with open(path_or_preset, "r") as fh:
-            try:
+        try:
+            with open(path_or_preset, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"cannot parse {path_or_preset}: line {exc.lineno}, "
-                                  f"column {exc.colno}: {exc.msg}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse {path_or_preset}: line {exc.lineno}, "
+                              f"column {exc.colno}: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path_or_preset}: {exc}") from exc
         return config_from_dict(data)
     raise ConfigError(f"unknown preset or missing file '{path_or_preset}'; "
                       f"presets: {sorted(PRESETS)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _FALL_3DB, _parabola_peak, band_response
+from .analysis import _band_end, _parabola_peak, band_response
 from .dispersion import GainLine, line_response, modulation_transfer
 from .errors import InvalidParameterError
 from .simulate import build_targets
@@ -18,6 +18,8 @@ from .twinbeam import TwinBeamSource, seeded_stats
 
 # Lag stride of the coarse pass of the correlation peak search.
 _COARSE_STEP = 10
+# Points of the frequency grid the predicted correlation is integrated on.
+_N_F = 1600
 # The correlation's trapezoid sum over f = j*df repeats in lag with period
 # 1/df; a +-t window of at most 1/(_ALIAS_MARGIN*df) holds one copy of the peak.
 _ALIAS_MARGIN = 2.2
@@ -61,10 +63,7 @@ def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
 
 def predicted_correlation_shift(line: GainLine, offset_hz: float,
                                 source: TwinBeamSource, f_lo: float, f_hi: float,
-                                edge_lo: float | None = None,
-                                edge_hi: float | None = None,
-                                t_window: float = 1.5e-7,
-                                n_t: int = 3001, n_f: int = 1600) -> float:
+                                t_window: float = 1.5e-7, n_t: int = 3001) -> float:
     """Noise-free peak lag of the band-filtered probe/conjugate correlation.
 
     Integrates the filtered cross spectrum against the channel transfer and
@@ -75,12 +74,12 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     the +-t_window search, where the window edge would be returned in its
     place, or when t_window exceeds ``alias_free_lag``.
     """
-    limit = alias_free_lag(f_hi, edge_hi, n_f)
+    limit = alias_free_lag(f_hi)
     if t_window > limit:
         raise InvalidParameterError(f"lag window +-{t_window:g} s exceeds the +-{limit:g} s "
-                                    f"an {n_f}-point frequency grid resolves without aliasing")
-    f, df = np.linspace(0.0, _frequency_top(f_hi, edge_hi), n_f, retstep=True)
-    response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
+                                    f"an {_N_F}-point frequency grid resolves without aliasing")
+    f, df = np.linspace(0.0, _frequency_top(f_hi), _N_F, retstep=True)
+    response = band_response(f, f_lo, f_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
     cross = response ** 2 * s_pc * transfer
@@ -109,16 +108,15 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     return float(t[i])
 
 
-def alias_free_lag(f_hi: float, edge_hi: float | None = None, n_f: int = 1600) -> float:
+def alias_free_lag(f_hi: float) -> float:
     """Widest half-window t of lags over which ``predicted_correlation_shift``
-    with n_f frequencies sees one copy of the correlation peak."""
-    return (n_f - 1) / (_ALIAS_MARGIN * _frequency_top(f_hi, edge_hi))
+    sees one copy of the correlation peak."""
+    return (_N_F - 1) / (_ALIAS_MARGIN * _frequency_top(f_hi))
 
 
-def _frequency_top(f_hi: float, edge_hi: float | None) -> float:
+def _frequency_top(f_hi: float) -> float:
     """Top of the prediction's frequency grid: past the band's upper edge."""
-    edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
-    return (f_hi + (1.0 - _FALL_3DB) * edge_hi_val) * 1.02
+    return _band_end(f_hi) * 1.02
 
 
 def _real_chirp(index, rate: float) -> np.ndarray:

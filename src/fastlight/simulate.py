@@ -1,12 +1,14 @@
-"""Seeded synthesis and propagation of correlated photocurrent traces.
+"""Seeded synthesis, propagation and detection of correlated photocurrent
+spectra, and the trace type with its I/O for imported records.
 
 The photocurrent model is semiclassical: each trace stores zero-mean
 fluctuations (photons per sample) riding on a bright mean flux that is
 tracked separately.  A coherent beam of mean flux ``m`` has white fluctuations
-with per-sample variance ``m`` (1 shot-noise unit).  All synthesis happens in
-the frequency domain so that target spectra are hit exactly in expectation:
-an rfft bin of an N-sample trace carries E|X[k]|^2 = N * m * s(f_k) when the
-one-sided spectrum in shot-noise units is s(f).
+with per-sample variance ``m`` (1 shot-noise unit).  The chain runs on rfft
+spectra so that target spectra are hit exactly in expectation: an rfft bin of
+an N-sample record carries E|X[k]|^2 = N * m * s(f_k) when the one-sided
+spectrum in shot-noise units is s(f).  Record lengths are powers of two, so
+the rfft grid ends on a real Nyquist bin.
 
 Reproducibility: every stochastic operation takes a seed (int or
 numpy.random.SeedSequence).  Scans derive per-task seeds by SeedSequence
@@ -118,14 +120,6 @@ class SpectralTargets:
             raise InvalidParameterError("per-bin spectral matrix is not positive semidefinite")
 
 
-def correlation_band_weight(source: TwinBeamSource, f):
-    """Roll-off weight of the correlation band: 1 in band, 1/2 at half the
-    pair bandwidth, -> 0 far outside."""
-    f = np.asarray(f, dtype=float)
-    corner = source.pair_bandwidth / 2.0
-    return 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
-
-
 def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     """Spectral embedding of the seeded-pair statistics.
 
@@ -134,9 +128,12 @@ def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     The cross spectrum is s_pc = 2 sqrt(G1 (G1-1)) * w(f), which distributes
     the closed-form covariance over the correlation band and keeps the
     per-bin spectral matrix positive definite for any weight w in [0, 1].
+    The weight rolls off the correlation band: 1 in band, 1/2 at half the
+    pair bandwidth, -> 0 far outside.
     """
     f = np.asarray(frequencies, dtype=float)
-    w = correlation_band_weight(source, f)
+    corner = source.pair_bandwidth / 2.0
+    w = 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
     g1 = source.gain1
     excess = 2.0 * (g1 - 1.0) * w
     s_pp = 1.0 + excess
@@ -151,6 +148,11 @@ def _rfft_freqs(n_samples: int, sample_rate: float, bins: int) -> np.ndarray:
     return np.arange(bins) * (1.0 / (n_samples * (1.0 / sample_rate)))
 
 
+def _require_power_of_two(n_samples: int):
+    if not _is_power_of_two(n_samples):
+        raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
+
+
 def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: float,
                       mean_p: float, mean_c: float):
     """Per-bin Cholesky factors (sigma_p, l21, l22) of the pair's bin covariance.
@@ -160,8 +162,7 @@ def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: flo
     so a scan point builds them once for all its traces.  The targets may
     cover only the first bins of the rfft grid; the factors then hold those.
     """
-    if not _is_power_of_two(n_samples):
-        raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
+    _require_power_of_two(n_samples)
     if mean_p <= 0.0 or mean_c <= 0.0:
         raise InvalidParameterError("mean fluxes must be positive")
     bins = targets.frequencies.size
@@ -177,21 +178,20 @@ def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: flo
     return sigma_p, l21, l22
 
 
-def synth_twin_spectra(factors, seed,
-                       n_samples: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one correlated pair of rfft spectra from ``synthesis_factors``.
+def synth_twin_spectra(factors, seed, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one correlated pair of rfft spectra of n_samples records from
+    ``synthesis_factors``.
 
     Per positive-frequency bin a complex bivariate circular Gaussian is drawn
     with the factors' covariance.  Bin 0 is zero (zero-mean traces); the
-    Nyquist bin is real and carries the full variance in one real draw.  The
-    factors may hold only the first bins of the grid of an n_samples record
-    (default: they cover the whole grid); the pair is then drawn on those
-    bins only, and its last bin is an interior one.
+    Nyquist bin is real and carries the full variance in one real draw.  When
+    the factors hold only the first bins of the grid, the pair is drawn on
+    those bins only, and its last bin is an interior one.
     """
+    _require_power_of_two(n_samples)
     sigma_p, l21, l22 = factors
     rng = np.random.default_rng(seed)
     nb = sigma_p.size
-    whole = n_samples is None or nb == n_samples // 2 + 1
     xp = np.empty(nb, dtype=complex)
     xc = np.empty(nb, dtype=complex)
     # Four unit normals per bin (probe re/im, conjugate re/im), drawn one row
@@ -209,23 +209,10 @@ def synth_twin_spectra(factors, seed,
     xp *= np.sqrt(0.5)
     xp[0] = 0.0
     xc[0] = 0.0
-    if whole:
+    if nb == n_samples // 2 + 1:
         xp[-1] = sigma_p[-1] * zp_nyq
         xc[-1] = l21[-1] * zp_nyq + l22[-1] * zc_nyq
     return xp, xc
-
-
-def synth_twin_traces(targets: SpectralTargets, n_samples: int, sample_rate: float,
-                      mean_p: float, mean_c: float, seed) -> tuple[Trace, Trace]:
-    """Synthesize one correlated trace pair hitting the spectral targets.
-
-    The pair's spectra come from ``synth_twin_spectra`` and are inverse
-    transformed.  Welch estimates of many such pairs converge to the targets.
-    """
-    factors = synthesis_factors(targets, n_samples, sample_rate, mean_p, mean_c)
-    xp, xc = synth_twin_spectra(factors, seed, n_samples)
-    return (Trace(sample_rate, mean_p, np.fft.irfft(xp, n_samples)),
-            Trace(sample_rate, mean_c, np.fft.irfft(xc, n_samples)))
 
 
 def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.ndarray:
@@ -240,6 +227,7 @@ def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.nda
     K < n/2 + 1 bins it is K real parts, then K imaginary parts: the real
     parts are the whole grid's first K, and there is no Nyquist bin.
     """
+    _require_power_of_two(n_samples)
     nb = n_samples // 2 + 1
     bins = nb if add_to is None else add_to.size
     if not 1 <= bins <= nb:
@@ -262,23 +250,6 @@ def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.nda
     return out
 
 
-def shot_reference(mean_p: float, mean_c: float, n_samples: int, sample_rate: float,
-                   seed) -> tuple[Trace, Trace]:
-    """Two independent coherent (white, 1 SNU) traces with the given means.
-
-    Used as the shot-noise calibration pair: their difference reads exactly
-    1 SNU against the total power mean_p + mean_c.
-    """
-    if mean_p <= 0.0 or mean_c <= 0.0:
-        raise InvalidParameterError("mean fluxes must be positive")
-    if not _is_power_of_two(n_samples):
-        raise InvalidParameterError(f"n_samples must be a power of two, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    t1 = Trace(sample_rate, mean_p, rng.standard_normal(n_samples) * np.sqrt(mean_p))
-    t2 = Trace(sample_rate, mean_c, rng.standard_normal(n_samples) * np.sqrt(mean_c))
-    return t1, t2
-
-
 class ChannelResponse(NamedTuple):
     """Constants of the dispersive gain line for one offset, input mean and
     rfft grid.
@@ -297,17 +268,20 @@ class ChannelResponse(NamedTuple):
 
 def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
                      sample_rate: float, mean_flux: float,
-                     excess_db: float = 0.0, bins: int | None = None) -> ChannelResponse:
-    """Constants of ``propagate_channel`` for an n_samples trace of the given
-    mean flux; they are the same for every trace of a scan point.  With
-    ``bins`` they cover only the first bins of the rfft grid (default: all
-    n_samples/2 + 1), and the last one is interior unless that is all."""
+                     excess_db: float = 0.0, *, bins: int) -> ChannelResponse:
+    """Constants of the gain line for n_samples records of the given mean
+    flux, on the first ``bins`` bins of their rfft grid (the last one is
+    interior unless that is the whole grid); the same for every trace of a
+    scan point.  The added noise has one-sided spectrum
+    (Gbar(f) - 1) * Gbar(f) / G(offset) in output-beam SNU, with Gbar(f) the
+    sideband-averaged intensity gain, plus the flat ``excess_db`` floor.
+    """
+    _require_power_of_two(n_samples)
     if excess_db < 0.0:
         raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
     if line.g == 0.0 and excess_db == 0.0:
         return ChannelResponse(None, None, mean_flux)
     nb = n_samples // 2 + 1
-    bins = nb if bins is None else bins
     if not 1 <= bins <= nb:
         raise InvalidParameterError(f"bins must lie in [1, {nb}], got {bins}")
     gain0, transfer, added = line_response(line, carrier_offset,
@@ -329,15 +303,17 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
 
 
 def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
-                  n_samples: int | None = None) -> np.ndarray:
-    """Send an rfft spectrum through the gain line, in place; returns x.
+                  n_samples: int) -> np.ndarray:
+    """Send an rfft spectrum of an n_samples record through the gain line,
+    in place; returns x.
 
     Multiplies by the transfer and adds independent circular Gaussian noise
     with the response's per-bin deviation.  An identity response leaves x
-    untouched and draws nothing.  x and the response may hold only the first
-    bins of the grid of an n_samples record (default: the whole grid); the
-    noise is then drawn on those bins only, and the last one is interior.
+    untouched and draws nothing.  When x and the response hold only the
+    first bins of the grid, the noise is drawn on those bins only, and the
+    last one is interior.
     """
+    _require_power_of_two(n_samples)
     if response.transfer is None:
         return x
     x *= response.transfer
@@ -347,75 +323,30 @@ def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
     x.real += z
     rng.standard_normal(out=z)
     z *= response.noise_std
-    if n_samples is None or x.size == n_samples // 2 + 1:
+    if x.size == n_samples // 2 + 1:
         z[-1] = 0.0
     x.imag += z
     return x
 
 
-def propagate_channel(trace: Trace, line: GainLine, carrier_offset: float,
-                      excess_db: float = 0.0, seed=0) -> Trace:
-    """Send a trace through the dispersive gain line.
+def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed, n_samples: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Detection with efficiency eta on an rfft spectrum of an n_samples
+    record: eta*x plus the white vacuum spectrum of per-sample variance
+    (1 - eta) * eta * mean_flux, so the SNU map is exactly eta*s + (1 - eta)
+    in expectation and the detected mean flux is eta * mean_flux.
 
-    The fluctuation spectrum is multiplied by the absolute transfer
-    G(offset) * M(f), the mean flux follows the amplifier mean
-    G*m + (G - 1), and independent Gaussian noise is added with one-sided
-    spectrum (Gbar(f) - 1) * Gbar(f) / G(offset) in output-beam SNU, where
-    Gbar(f) is the sideband-averaged intensity gain.  ``excess_db`` adds a
-    flat technical floor, also in the propagated beam's own SNU.
-
-    In the flat-gain limit (line width >> trace bandwidth) the output mean
-    and variance reproduce the ideal amplifier relations and the SNU map is
-    exactly G*s + (G - 1).  A zero-gain line with zero excess returns the
-    input unchanged (no generator draws are consumed).  This is
-    ``channel_response`` and ``apply_channel`` between an rfft and an irfft.
-    """
-    n = len(trace)
-    response = channel_response(line, carrier_offset, n, trace.sample_rate,
-                                trace.mean_flux, excess_db)
-    if response.transfer is None:
-        return trace
-    x = apply_channel(np.fft.rfft(trace.samples), response, seed)
-    return Trace(trace.sample_rate, response.mean_out, np.fft.irfft(x, n))
-
-
-def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed,
-                    out: np.ndarray | None = None,
-                    n_samples: int | None = None) -> np.ndarray:
-    """Detection with efficiency eta on an rfft spectrum: eta*x plus the
-    white vacuum spectrum of per-sample variance (1 - eta) * eta * mean_flux.
-
-    Writes into ``out`` (which may be x itself) or a new array.  x may hold
-    only the first bins of the grid of an n_samples record (default: x is the
-    whole grid); the vacuum is then drawn on those bins only, as
-    ``white_spectrum`` draws them.  eta = 1 draws nothing and leaves the
-    values of x bit-exact.
+    Writes into ``out`` (which may be x itself) or a new array.  When x
+    holds only the first bins of the grid, the vacuum is drawn on those bins
+    only, as ``white_spectrum`` draws them.  eta = 1 draws nothing and leaves
+    the values of x bit-exact.
     """
     if not (0.0 < eta <= 1.0):
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     out = np.multiply(x, eta, out=out)
     if eta < 1.0:
-        n = 2 * (x.size - 1) if n_samples is None else n_samples
-        white_spectrum(n, (1.0 - eta) * eta * mean_flux, seed, add_to=out)
+        white_spectrum(n_samples, (1.0 - eta) * eta * mean_flux, seed, add_to=out)
     return out
-
-
-def apply_detection(trace: Trace, eta: float, seed=0) -> Trace:
-    """Beam-splitter detection model with efficiency eta.
-
-    Scales the mean by eta and the fluctuations by eta while adding white
-    vacuum noise of per-sample variance (1 - eta) * eta * mean_flux, so the
-    SNU map is exactly eta*s + (1 - eta) in expectation.  eta = 1 is the
-    identity (bit-exact, no generator draws).  This is ``detect_spectrum``
-    between an rfft and an irfft.
-    """
-    if not (0.0 < eta <= 1.0):
-        raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
-    if eta == 1.0:
-        return trace
-    x = np.fft.rfft(trace.samples)
-    detect_spectrum(x, eta, trace.mean_flux, seed, out=x)
-    return Trace(trace.sample_rate, eta * trace.mean_flux, np.fft.irfft(x, len(trace)))
 
 
 def fractional_shift(trace: Trace, delay: float) -> Trace:

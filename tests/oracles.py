@@ -84,21 +84,19 @@ def _dense_grid(t_window: float, n_t: int, f_top: float, n_f: int):
     return _GRID[key]
 
 
-def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, edge_lo=None,
-                            edge_hi=None, t_window=1.5e-7, n_t=3001, n_f=1600):
+def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, t_window=1.5e-7, n_t=3001):
     """Reference for ``predicted_correlation_shift``: the same trapezoid
     correlation evaluated on every one of the n_t lags, then the
     parabolic-refined argmax.  The phase matrices of the last (lag,
     frequency) grid are reused, so consecutive calls on one grid evaluate
     cos and sin once."""
-    from fastlight.analysis import _FALL_3DB, band_response
+    from fastlight.analysis import _band_end, band_response
     from fastlight.dispersion import modulation_transfer
+    from fastlight.predict import _N_F
     from fastlight.simulate import build_targets
 
-    edge_hi_val = 1.5 * f_hi if edge_hi is None else edge_hi
-    f_max = f_hi + (1.0 - _FALL_3DB) * edge_hi_val
-    t, f, cos_phase, sin_phase = _dense_grid(t_window, n_t, f_max * 1.02, n_f)
-    response = band_response(f, f_lo, f_hi, edge_lo, edge_hi)
+    t, f, cos_phase, sin_phase = _dense_grid(t_window, n_t, _band_end(f_hi) * 1.02, _N_F)
+    response = band_response(f, f_lo, f_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
     cross = response ** 2 * s_pc * transfer

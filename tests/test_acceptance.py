@@ -18,9 +18,9 @@ from fastlight.config import config_from_dict, preset_fig2_line
 from fastlight.dispersion import (calibrate, gain_db, modulation_transfer,
                                   peak_advance)
 from fastlight.scenario import _measure_correlation_point, _point_seed
-from fastlight.simulate import (build_targets, difference, fractional_shift,
-                                propagate_channel, shot_reference,
-                                synth_twin_traces)
+from fastlight.simulate import (Trace, apply_channel, build_targets, channel_response,
+                                fractional_shift, synth_twin_spectra,
+                                synthesis_factors)
 from fastlight.twinbeam import gain_for_squeezing, seeded_stats
 
 from oracles import mc_amplifier, var_standard_error
@@ -54,16 +54,18 @@ def test_criterion_2_squeezing_anchor():
     g1 = gain_for_squeezing(-2.5)
     stats = seeded_stats(g1, 1e6)
     n, seg, n_traces = 1 << 20, 1 << 16, 100
-    targets = build_targets(
-        preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE))
+    mean = stats.mean_p + stats.mean_c
+    factors = synthesis_factors(build_targets(
+        preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE)),
+        n, RATE, stats.mean_p, stats.mean_c)
     acc = acc_ref = None
     for j in range(n_traces):
-        p, c = synth_twin_traces(targets, n, RATE, stats.mean_p, stats.mean_c,
-                                 np.random.SeedSequence(101, spawn_key=(j,)))
-        spec = psd(difference(p, c), seg)
-        sp, sc = shot_reference(stats.mean_p, stats.mean_c, n, RATE,
-                                np.random.SeedSequence(102, spawn_key=(j,)))
-        ref = psd(difference(sp, sc), seg)
+        xp, xc = synth_twin_spectra(factors, np.random.SeedSequence(101, spawn_key=(j,)), n)
+        spec = psd(Trace(RATE, mean, np.fft.irfft(xp, n) - np.fft.irfft(xc, n)), seg)
+        # The shot-noise reference: two independent coherent beams.
+        rng = np.random.default_rng(np.random.SeedSequence(102, spawn_key=(j,)))
+        sp = rng.standard_normal(n) * np.sqrt(stats.mean_p)
+        ref = psd(Trace(RATE, mean, sp - rng.standard_normal(n) * np.sqrt(stats.mean_c)), seg)
         acc = spec.values if acc is None else acc + spec.values
         acc_ref = ref.values if acc_ref is None else acc_ref + ref.values
     norm = snu_normalize(
@@ -94,14 +96,17 @@ def test_criterion_4_snu_corollary():
     t0 = time.time()
     line = calibrate(10 * np.log10(1.25), 1e15, 0.025)
     n, seg, n_traces = 1 << 18, 1 << 15, 120
+    channel = channel_response(line, 0.0, n, RATE, 1e6, bins=n // 2 + 1)
     acc = None
     for j in range(n_traces):
-        t, _ = shot_reference(1e6, 1e6, n, RATE, np.random.SeedSequence(201, spawn_key=(j,)))
-        out = propagate_channel(t, line, 0.0, 0.0, np.random.SeedSequence(202, spawn_key=(j,)))
-        spec = psd(out, seg)
+        coherent = np.random.default_rng(
+            np.random.SeedSequence(201, spawn_key=(j,))).standard_normal(n) * np.sqrt(1e6)
+        x = apply_channel(np.fft.rfft(coherent), channel,
+                          np.random.SeedSequence(202, spawn_key=(j,)), n)
+        spec = psd(Trace(RATE, channel.mean_out, np.fft.irfft(x, n)), seg)
         acc = spec.values if acc is None else acc + spec.values
     mask = (spec.frequencies >= 1e5) & (spec.frequencies <= 3e6)
-    snu = np.mean(acc[mask]) / n_traces / shot_noise_density(out.mean_flux, RATE)
+    snu = np.mean(acc[mask]) / n_traces / shot_noise_density(channel.mean_out, RATE)
     got_db = 10 * np.log10(snu)
     ok = abs(got_db - 1.7609) < 0.05
     _report("criterion-4 snu-corollary", ok,
@@ -111,7 +116,7 @@ def test_criterion_4_snu_corollary():
 
 def test_criterion_5_delay_estimator():
     t0 = time.time()
-    base, _ = shot_reference(1e6, 1e6, 1 << 18, RATE, seed=301)
+    base = Trace(RATE, 1e6, np.random.default_rng(301).standard_normal(1 << 18) * np.sqrt(1e6))
     banded = band_filter(base, 1e5, 3e6)
     ref = cross_correlation(banded, banded, 2e-6)
     errors = []
@@ -171,12 +176,14 @@ def test_criterion_8_correlation_width():
     g1 = gain_for_squeezing(-2.5)
     stats = seeded_stats(g1, 1e6)
     n, n_traces = 1 << 19, 30
-    targets = build_targets(
-        preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE))
+    factors = synthesis_factors(build_targets(
+        preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE)),
+        n, RATE, stats.mean_p, stats.mean_c)
     acc = None
     for j in range(n_traces):
-        p, c = synth_twin_traces(targets, n, RATE, stats.mean_p, stats.mean_c,
-                                 np.random.SeedSequence(401, spawn_key=(j,)))
+        sp, sc = synth_twin_spectra(factors, np.random.SeedSequence(401, spawn_key=(j,)), n)
+        p = Trace(RATE, stats.mean_p, np.fft.irfft(sp, n))
+        c = Trace(RATE, stats.mean_c, np.fft.irfft(sc, n))
         xc = cross_correlation(band_filter(p, 1e5, 3e6), band_filter(c, 1e5, 3e6), 2e-6)
         acc = xc.values if acc is None else acc + xc.values
     from fastlight.analysis import XcorrResult

@@ -71,8 +71,13 @@ def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
 def test_cli_import_and_preset_skip_signal_and_optimize(preset):
-    code = ("import sys, fastlight.cli\n"
+    """Neither the CLI, a preset nor the trace toolkit's spectra import
+    scipy.signal or scipy.optimize."""
+    code = ("import sys, numpy as np, fastlight.cli\n"
+            "from fastlight import Trace, psd, shot_floor, snu_normalize\n"
             f"fastlight.cli.load_config({preset!r})\n"
+            "t = Trace(1e9, 1.0, np.random.default_rng(0).standard_normal(4096))\n"
+            "snu_normalize(psd(t, 1024), shot_floor(t.mean_flux, t.sample_rate, 1024))\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
     assert _run_python(code).stdout.strip() == "[]"
 
@@ -156,6 +161,19 @@ def test_cli_rejects_malformed_json(tmp_path, capsys):
     bad.write_text('{"scenario": ')
     assert main(["xcorr", "--config", str(bad)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_cli_unreadable_config_exits_2_naming_the_path(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"scenario": "xcorr", "seed": "\xff"}')
+    assert main(["xcorr", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(path) in err
+    assert not (tmp_path / "o").exists()
 
 
 def _tiny_xcorr_args(out_dir, seed=777):
@@ -592,7 +610,7 @@ def test_cli_band_too_narrow_for_its_edges_exits_2(tmp_path, capsys, monkeypatch
         raise AssertionError("a trace was drawn")
 
     monkeypatch.setattr(scenario_module, "_measure_trace", no_draws)
-    # band_response's default edges need f_hi / f_lo of about 3.
+    # band_response's edges need f_hi / f_lo of about 3.
     cfg = {**preset().to_dict(), "scenario": scenario, field: [1e6, 1.2e6],
            "out_dir": str(tmp_path / "o")}
     path = tmp_path / "cfg.json"

@@ -224,16 +224,15 @@ def test_line_validation():
 @pytest.mark.parametrize("peak_db", [4.0, 12.0, 25.0, 40.0])
 def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
     """Equal to the dense oracle bit for bit, in the xcorr band and the
-    delay-scan full band, with explicit edges, and on a lag grid whose coarse
-    stride does not end on the last lag; where the dense peak is clipped to
+    delay-scan full band, and on a lag grid whose coarse stride does not end
+    on the last lag; where the dense peak is clipped to
     the edge of the lag window the prediction raises instead."""
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     line = calibrate(peak_db, fwhm_hz, 0.025)
     # Band-major, so consecutive oracle calls share one dense grid.
     cases = [(offset_hz, band, {}) for band in ((1e5, 3e6), (1e4, 2e7))
              for offset_hz in np.linspace(-10e6, 10e6, 5)]
-    cases += [(5e6, (1e5, 3e6), {"edge_lo": 5e4, "edge_hi": 2e6}),
-              (-5e6, (1e5, 3e6), {"n_t": 2996})]
+    cases.append((-5e6, (1e5, 3e6), {"n_t": 2996}))
     for offset_hz, band, kwargs in cases:
         expected = dense_correlation_shift(line, offset_hz, source, *band, **kwargs)
         if (peak_db, fwhm_hz, offset_hz) == (40.0, 2.6e6, 0.0):
@@ -249,13 +248,13 @@ def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
 def test_predicted_correlation_shift_refuses_an_aliased_lag_window():
     """Past alias_free_lag the trapezoid sum's copy of the peak, one period
     1/df away, would lie inside the window."""
-    from fastlight.analysis import _FALL_3DB
-    from fastlight.predict import alias_free_lag
+    from fastlight.analysis import _band_end
+    from fastlight.predict import _N_F, alias_free_lag
 
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     line = calibrate(12.0, 10e6, 0.025)
     limit = alias_free_lag(2e7)
-    df = (2e7 + (1.0 - _FALL_3DB) * 3e7) * 1.02 / 1599
+    df = _band_end(2e7) * 1.02 / (_N_F - 1)
     assert 2.0 * limit < 1.0 / df < 2.5 * limit
     inside = predicted_correlation_shift(line, 0.0, source, 1e6, 2e7, t_window=limit,
                                          n_t=2 * round(limit / 1e-10) + 1)
@@ -266,16 +265,16 @@ def test_predicted_correlation_shift_refuses_an_aliased_lag_window():
                                     n_t=2 * round(limit / 1e-10) + 1)
 
 
-def _advance_cross_spectrum(n_f=1600):
+def _advance_cross_spectrum():
     """The fig4-advance line's filtered cross spectrum on predict's grid."""
-    from fastlight.analysis import _FALL_3DB, band_response
+    from fastlight.analysis import _band_end, band_response
     from fastlight.config import preset_fig4_advance
+    from fastlight.predict import _N_F
     from fastlight.simulate import build_targets
 
     cfg = preset_fig4_advance()
     f_lo, f_hi = cfg.band_hz
-    f_max = f_hi + (1.0 - _FALL_3DB) * 1.5 * f_hi
-    f, df = np.linspace(0.0, f_max * 1.02, n_f, retstep=True)
+    f, df = np.linspace(0.0, _band_end(f_hi) * 1.02, _N_F, retstep=True)
     cross = (band_response(f, f_lo, f_hi) ** 2
              * build_targets(cfg.source.make(), f).s_pc
              * modulation_transfer(cfg.line.make(), 2 * np.pi * cfg.offset_hz, f))
@@ -323,6 +322,5 @@ def test_predicted_correlation_shift_cos_sin_count(monkeypatch):
     monkeypatch.setattr(predict, "np", CountingNumpy())
     predict.predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
                                         cfg.source.make(), *cfg.band_hz)
-    n_f = 1600  # the default frequency grid
     for name, count in counts.items():
-        assert 0 < count <= (4 * predict._COARSE_STEP + 1) * n_f, name
+        assert 0 < count <= (4 * predict._COARSE_STEP + 1) * predict._N_F, name

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 from fastlight.analysis import psd, shot_noise_density
 from fastlight.dispersion import GainLine, calibrate
 from fastlight.errors import IncompatibleTracesError, InvalidParameterError
-from fastlight.simulate import (SpectralTargets, Trace, apply_channel,
-                                apply_detection, build_targets,
-                                channel_response, detect_spectrum, difference,
-                                fractional_shift,
+from fastlight.simulate import (ChannelResponse, SpectralTargets, Trace,
+                                apply_channel, build_targets, channel_response,
+                                detect_spectrum, difference, fractional_shift,
                                 load_trace_binary, load_trace_csv,
-                                propagate_channel, save_trace_binary,
-                                save_trace_csv, shot_reference, synth_twin_spectra,
-                                synth_twin_traces, synthesis_factors,
+                                save_trace_binary, save_trace_csv,
+                                synth_twin_spectra, synthesis_factors,
                                 white_spectrum)
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing, seeded_stats
 from oracles import channel_round_trip, hermitian_pair
@@ -28,8 +26,24 @@ def _targets(n):
     return build_targets(SOURCE, np.fft.rfftfreq(n, 1.0 / RATE))
 
 
+def _factors(n):
+    return synthesis_factors(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c)
+
+
 def _pair(n, seed):
-    return synth_twin_traces(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c, seed)
+    """One synthesized pair of traces: the spectral draw, inverse transformed."""
+    xp, xc = synth_twin_spectra(_factors(n), seed, n)
+    return (Trace(RATE, STATS.mean_p, np.fft.irfft(xp, n)),
+            Trace(RATE, STATS.mean_c, np.fft.irfft(xc, n)))
+
+
+def _white(n, seed, mean=1e6):
+    """A coherent (white, 1 SNU) trace of the given mean flux."""
+    return Trace(RATE, mean, np.random.default_rng(seed).standard_normal(n) * np.sqrt(mean))
+
+
+def _channel(line, offset, n, mean_flux, excess_db=0.0):
+    return channel_response(line, offset, n, RATE, mean_flux, excess_db, bins=n // 2 + 1)
 
 
 def test_trace_validation():
@@ -48,7 +62,7 @@ def test_trace_rejects_non_finite_samples(bad):
 
 
 def test_trace_samples_are_locked():
-    t, _ = shot_reference(1e6, 1e6, 1 << 12, RATE, 0)
+    t = _white(1 << 12, 0)
     with pytest.raises(ValueError):
         t.samples[0] = 1.0
 
@@ -93,9 +107,9 @@ def test_targets_validation():
 
 def test_synth_rejects_mismatched_grid():
     with pytest.raises(InvalidParameterError):
-        synth_twin_traces(_targets(1 << 12), 1 << 13, RATE, 1e6, 1e6, 0)
+        synthesis_factors(_targets(1 << 12), 1 << 13, RATE, 1e6, 1e6)
     with pytest.raises(InvalidParameterError):
-        synth_twin_traces(_targets(1000), 1000, RATE, 1e6, 1e6, 0)
+        synthesis_factors(_targets(1000), 1000, RATE, 1e6, 1e6)
 
 
 def test_synth_traces_are_real_and_zero_mean():
@@ -121,12 +135,10 @@ def test_synth_parseval():
 
 def test_synth_welch_converges_to_targets():
     n = 1 << 16
-    tgt = _targets(n)
     acc_p = acc_d = None
     n_traces = 60
     for j in range(n_traces):
-        p, c = synth_twin_traces(tgt, n, RATE, STATS.mean_p, STATS.mean_c,
-                                 np.random.SeedSequence(5, spawn_key=(j,)))
+        p, c = _pair(n, np.random.SeedSequence(5, spawn_key=(j,)))
         sp = psd(p, 1 << 13)
         sd = psd(difference(p, c), 1 << 13)
         acc_p = sp.values if acc_p is None else acc_p + sp.values
@@ -158,22 +170,26 @@ def test_synth_determinism():
     assert not np.array_equal(p1.samples, p3.samples)
 
 
-def test_shot_reference_properties():
+def test_coherent_pair_difference_reads_one_snu():
     n = 1 << 18
-    t1, t2 = shot_reference(STATS.mean_p, STATS.mean_c, n, RATE, seed=3)
-    assert t1.mean_flux + t2.mean_flux == STATS.mean_p + STATS.mean_c
+    rng = np.random.default_rng(3)
+    t1 = _white(n, rng, STATS.mean_p)
+    t2 = _white(n, rng, STATS.mean_c)
     d = difference(t1, t2)
+    assert d.mean_flux == STATS.mean_p + STATS.mean_c
     spec = psd(d, 1 << 14)
     snu = np.mean(spec.values[1:]) / shot_noise_density(d.mean_flux, RATE)
     assert 10 * np.log10(snu) == pytest.approx(0.0, abs=0.05)
 
 
 def test_propagate_vacuum_is_bit_identical():
-    p, _ = _pair(1 << 14, seed=1)
-    line = GainLine(g=0.0, gamma=1e7)
-    out = propagate_channel(p, line, 0.0, 0.0, seed=5)
-    assert np.array_equal(out.samples, p.samples)
-    assert out.mean_flux == p.mean_flux
+    n = 1 << 14
+    x, _ = synth_twin_spectra(_factors(n), 1, n)
+    kept = x.copy()
+    vacuum = _channel(GainLine(g=0.0, gamma=1e7), 0.0, n, STATS.mean_p)
+    assert vacuum.mean_out == STATS.mean_p
+    assert apply_channel(x, vacuum, 5, n) is x
+    assert np.array_equal(x, kept)
 
 
 def test_propagate_flat_gain_matches_amplifier_snu():
@@ -181,15 +197,16 @@ def test_propagate_flat_gain_matches_amplifier_snu():
     # lands at 2G - 1 = 1.5 SNU (+1.76 dB).
     line = calibrate(10 * np.log10(1.25), 1e15, 0.025)
     n = 1 << 17
+    channel = _channel(line, 0.0, n, 1e6)
     acc = None
     n_traces = 50
     for j in range(n_traces):
-        t, _ = shot_reference(1e6, 1e6, n, RATE, np.random.SeedSequence(21, spawn_key=(j,)))
-        out = propagate_channel(t, line, 0.0, 0.0, np.random.SeedSequence(22, spawn_key=(j,)))
-        spec = psd(out, 1 << 14)
+        x = np.fft.rfft(_white(n, np.random.SeedSequence(21, spawn_key=(j,))).samples)
+        apply_channel(x, channel, np.random.SeedSequence(22, spawn_key=(j,)), n)
+        spec = psd(Trace(RATE, channel.mean_out, np.fft.irfft(x, n)), 1 << 14)
         acc = spec.values if acc is None else acc + spec.values
-    assert out.mean_flux == pytest.approx(1.25e6 + 0.25, rel=1e-12)
-    snu = np.mean(acc[1:]) / n_traces / shot_noise_density(out.mean_flux, RATE)
+    assert channel.mean_out == pytest.approx(1.25e6 + 0.25, rel=1e-12)
+    snu = np.mean(acc[1:]) / n_traces / shot_noise_density(channel.mean_out, RATE)
     assert 10 * np.log10(snu) == pytest.approx(10 * np.log10(1.5), abs=0.1)
 
 
@@ -198,12 +215,14 @@ def test_propagate_added_noise_uncorrelated_with_input():
     line = calibrate(6.0, 1e15, 0.025)
     n = 1 << 16
     gain0 = 10 ** 0.6
+    channel = _channel(line, 0.0, n, 1e6)
     cross = 0.0
     n_traces = 40
     for j in range(n_traces):
-        t, _ = shot_reference(1e6, 1e6, n, RATE, np.random.SeedSequence(31, spawn_key=(j,)))
-        out = propagate_channel(t, line, 0.0, 0.0, np.random.SeedSequence(32, spawn_key=(j,)))
-        added = out.samples - gain0 * t.samples
+        t = _white(n, np.random.SeedSequence(31, spawn_key=(j,)))
+        x = apply_channel(np.fft.rfft(t.samples), channel,
+                          np.random.SeedSequence(32, spawn_key=(j,)), n)
+        added = np.fft.irfft(x, n) - gain0 * t.samples
         cross += np.dot(added, t.samples) / n
     cross /= n_traces
     # Null hypothesis scale: var(added)*var(input)/n per trace.
@@ -212,32 +231,33 @@ def test_propagate_added_noise_uncorrelated_with_input():
 
 
 def test_detection_identity_and_loss_map():
-    p, _ = _pair(1 << 16, seed=55)
-    out = apply_detection(p, 1.0, seed=6)
-    assert np.array_equal(out.samples, p.samples)
+    n = 1 << 16
+    x, _ = synth_twin_spectra(_factors(n), 55, n)
+    assert np.array_equal(detect_spectrum(x, 1.0, STATS.mean_p, 6, n), x)
     eta = 0.95
     n_traces = 40
     acc = 0.0
     for j in range(n_traces):
-        t, _ = shot_reference(1e6, 1e6, 1 << 16, RATE, np.random.SeedSequence(41, spawn_key=(j,)))
-        out = apply_detection(t, eta, np.random.SeedSequence(42, spawn_key=(j,)))
-        acc += np.var(out.samples) / out.mean_flux
+        x = np.fft.rfft(_white(n, np.random.SeedSequence(41, spawn_key=(j,))).samples)
+        detect_spectrum(x, eta, 1e6, np.random.SeedSequence(42, spawn_key=(j,)), n, out=x)
+        acc += np.var(np.fft.irfft(x, n)) / (eta * 1e6)
     assert acc / n_traces == pytest.approx(1.0, abs=0.01)  # coherent stays 1 SNU
 
 
 def test_detection_on_squeezed_difference():
     # 0.5625 SNU through eta = 0.95 -> 0.584 +/- 0.01 over 100 traces.
     n = 1 << 18
-    tgt = _targets(n)
+    factors = _factors(n)
     eta = 0.95
     acc = 0.0
     n_traces = 100
     for j in range(n_traces):
-        p, c = synth_twin_traces(tgt, n, RATE, STATS.mean_p, STATS.mean_c,
-                                 np.random.SeedSequence(51, spawn_key=(j,)))
-        pd_ = apply_detection(p, eta, np.random.SeedSequence(52, spawn_key=(j,)))
-        cd = apply_detection(c, eta, np.random.SeedSequence(53, spawn_key=(j,)))
-        d = difference(pd_, cd)
+        xp, xc = synth_twin_spectra(factors, np.random.SeedSequence(51, spawn_key=(j,)), n)
+        detect_spectrum(xp, eta, STATS.mean_p, np.random.SeedSequence(52, spawn_key=(j,)), n,
+                        out=xp)
+        detect_spectrum(xc, eta, STATS.mean_c, np.random.SeedSequence(53, spawn_key=(j,)), n,
+                        out=xc)
+        d = Trace(RATE, eta * (STATS.mean_p + STATS.mean_c), np.fft.irfft(xp - xc, n))
         spec = psd(d, 1 << 15)
         in_band = (spec.frequencies > 2.5e5) & (spec.frequencies < 3e6)
         acc += np.mean(spec.values[in_band]) / shot_noise_density(d.mean_flux, RATE)
@@ -288,19 +308,41 @@ def test_white_spectrum_adds_in_place():
 
 
 def test_spectral_kernel_identities_are_bit_exact():
-    x = np.fft.rfft(_pair(1 << 12, seed=3)[0].samples)
+    """eta = 1 and a vacuum line leave the head of a pair spectrum as it is."""
+    n, k = 1 << 12, 300
+    x, _ = synth_twin_spectra(tuple(f[:k] for f in _factors(n)), 3, n)
     kept = x.copy()
-    assert np.array_equal(detect_spectrum(x, 1.0, 1e6, 4), kept)
-    vacuum = channel_response(GainLine(g=0.0, gamma=1e7), 0.0, 1 << 12, RATE, 1e6)
+    assert np.array_equal(detect_spectrum(x, 1.0, 1e6, 4, n), kept)
+    vacuum = channel_response(GainLine(g=0.0, gamma=1e7), 0.0, n, RATE, 1e6, bins=k)
     assert vacuum.transfer is None and vacuum.mean_out == 1e6
-    assert apply_channel(x, vacuum, 5) is x
+    assert apply_channel(x, vacuum, 5, n) is x
     assert np.array_equal(x, kept)
+
+
+@pytest.mark.parametrize("n", [1001, 1000])
+@pytest.mark.parametrize("kernel", ["white_spectrum", "synth_twin_spectra",
+                                    "channel_response", "apply_channel"])
+def test_kernels_refuse_a_length_that_is_not_a_power_of_two(kernel, n):
+    """Only a power-of-two n has the real Nyquist bin n/2 the kernels draw."""
+    line = calibrate(7.5, 10e6, 0.025)
+    factors = tuple(f[:n // 2 + 1] for f in _factors(1 << 11))
+    response = ChannelResponse(np.ones(n // 2 + 1, dtype=complex), np.ones(n // 2 + 1), 1e6)
+    calls = {
+        "white_spectrum": lambda: white_spectrum(n, 1.0, 0),
+        "synth_twin_spectra": lambda: synth_twin_spectra(factors, 0, n),
+        "channel_response": lambda: channel_response(line, 0.0, n, RATE, 1e6,
+                                                     bins=n // 2 + 1),
+        "apply_channel": lambda: apply_channel(np.zeros(n // 2 + 1, dtype=complex),
+                                               response, 0, n),
+    }
+    with pytest.raises(InvalidParameterError, match="power of two"):
+        calls[kernel]()
 
 
 def test_synthesis_spectra_reproduce_out_of_place_draw():
     n = 1 << 12
     factors = synthesis_factors(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c)
-    got = synth_twin_spectra(factors, np.random.SeedSequence(71))
+    got = synth_twin_spectra(factors, np.random.SeedSequence(71), n)
     want = hermitian_pair(*factors, np.random.SeedSequence(71))
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-12 * np.abs(w).max())
@@ -309,13 +351,15 @@ def test_synthesis_spectra_reproduce_out_of_place_draw():
 @pytest.mark.parametrize("offset, excess_db", [(0.0, 0.0), (6.5e6, 0.3), (-2e7, 0.0)])
 def test_channel_reproduces_out_of_place_round_trip(offset, excess_db):
     line = calibrate(7.5, 10e6, 0.025)
-    p, _ = _pair(1 << 12, seed=17)
+    n = 1 << 12
+    p, _ = _pair(n, seed=17)
     seed = np.random.SeedSequence(72)
-    out = propagate_channel(p, line, 2 * np.pi * offset, excess_db, seed)
+    channel = _channel(line, 2 * np.pi * offset, n, p.mean_flux, excess_db)
+    out = np.fft.irfft(apply_channel(np.fft.rfft(p.samples), channel, seed, n), n)
     samples, mean_out = channel_round_trip(p.samples, RATE, p.mean_flux, line,
                                            2 * np.pi * offset, excess_db, seed)
-    assert out.mean_flux == mean_out
-    np.testing.assert_allclose(out.samples, samples, rtol=0,
+    assert channel.mean_out == mean_out
+    np.testing.assert_allclose(out, samples, rtol=0,
                                atol=1e-12 * np.abs(samples).max())
 
 
@@ -324,22 +368,20 @@ DRAWS = 1500
 
 
 def _chain_constants(n):
-    factors = synthesis_factors(_targets(n), n, RATE, STATS.mean_p, STATS.mean_c)
-    channel = channel_response(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n, RATE,
-                               STATS.mean_c, 0.3)
-    return factors, channel
+    return _factors(n), _channel(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n,
+                                 STATS.mean_c, 0.3)
 
 
 def _fast_pair(factors, channel, eta, n, seed, bins):
     """The detected fast pair from the spectral kernels on the first ``bins``
     bins of the grid: synthesis, the channel on the conjugate, detection."""
     synth, chan, det_p, det_c = np.random.SeedSequence(seed).spawn(4)
-    p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n_samples=n)
+    p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n)
     head = channel._replace(transfer=channel.transfer[:bins],
                             noise_std=channel.noise_std[:bins])
-    apply_channel(c, head, chan, n_samples=n)
-    detect_spectrum(p, eta, STATS.mean_p, det_p, out=p, n_samples=n)
-    detect_spectrum(c, eta, channel.mean_out, det_c, out=c, n_samples=n)
+    apply_channel(c, head, chan, n)
+    detect_spectrum(p, eta, STATS.mean_p, det_p, n, out=p)
+    detect_spectrum(c, eta, channel.mean_out, det_c, n, out=c)
     return p, c
 
 
@@ -377,12 +419,12 @@ def test_fast_pair_head_matches_the_whole_grid_draw():
     n, eta, k = N_SPLIT, 0.9, 300
     nb = n // 2 + 1
     factors, channel = _chain_constants(n)
-    whole, _ = synth_twin_spectra(factors, 85)
-    p, c = synth_twin_spectra(tuple(f[:k].copy() for f in factors), 85, n_samples=n)
+    whole, _ = synth_twin_spectra(factors, 85, n)
+    p, c = synth_twin_spectra(tuple(f[:k].copy() for f in factors), 85, n)
     assert np.array_equal(p.real, whole.real[:k])
     assert p[-1].imag != 0.0 and c[-1].imag != 0.0
     head = channel._replace(transfer=channel.transfer[:k], noise_std=channel.noise_std[:k])
-    assert apply_channel(np.zeros(k, dtype=complex), head, 86, n_samples=n)[-1].imag != 0.0
+    assert apply_channel(np.zeros(k, dtype=complex), head, 86, n)[-1].imag != 0.0
     stats = []
     for bins in (k, nb):
         acc = np.zeros((2, 3, k))
