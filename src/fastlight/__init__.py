@@ -3,7 +3,7 @@ experiments: Lorentzian gain-line dispersion, quantum-limited
 phase-insensitive amplification, correlated photocurrent synthesis, and
 cross-correlation delay measurement."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .amplifier import (amp_mean, amp_variance, difference_noise_after_channel,
                         loss_channel, snu_out)

@@ -456,12 +456,19 @@ def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
 
 
 def _check_unique_peak(result: XcorrResult, tie_tol: float = 1e-6):
+    """Refuse a curve whose maxima within ``tie_tol`` of the top lie more
+    than two lags apart, past the three lags the parabola refines: a flat
+    curve or two separated peaks.  A maximum is a sample no lower than its
+    neighbours, so the samples on the slopes of one broad smooth peak,
+    however close to the top, are not."""
     values = result.values
-    top = values.max()
-    ties = np.flatnonzero(values >= top - tie_tol)
-    if ties.size > 3 or (ties.size > 1 and np.ptp(ties) > 2):
+    padded = np.concatenate(([-np.inf], values, [-np.inf]))
+    maxima = np.flatnonzero((values >= padded[:-2]) & (values >= padded[2:])
+                            & (values >= values.max() - tie_tol))
+    if maxima.size > 1 and maxima[-1] - maxima[0] > 2:
         raise DegeneratePeakError(
-            f"correlation peak degenerate: {ties.size} samples within {tie_tol} of the maximum")
+            f"correlation peak degenerate: maxima {maxima[-1] - maxima[0]} lags apart "
+            f"within {tie_tol} of the top")
 
 
 def peak_delay(c_fast: XcorrResult, c_ref: XcorrResult) -> float:

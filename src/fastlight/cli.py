@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import PRESETS, ScenarioConfig, load_config
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.version:
-        print(f"fastlight {__version__} (numpy {np.__version__}, scipy {scipy.__version__})")
+        print(f"fastlight {__version__} (numpy {np.__version__})")
         return 0
     if args.scenario is None:
         parser.print_help()

@@ -13,19 +13,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_plan,
                        cross_spectrum, lag_curves, peak_delay, spectral_correlation)
-from .config import ChannelConfig, LineConfig, ScenarioConfig, _find_root
+from .config import ChannelConfig, LineConfig, ScenarioConfig
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import (alias_free_lag, predicted_correlation_shift,
@@ -237,13 +237,79 @@ def _correlation_point_worker(args) -> dict:
 
 
 def _map_points(worker, cfg: ScenarioConfig):
+    """``[worker(a) for a in args]`` over the scan points, in ``min(jobs,
+    points)`` forked children when that is more than one and the platform
+    forks.  Child w computes ``args[w::workers]``; the parent computes none,
+    so its memory peak stays that of the loaded program."""
     args = [(cfg, i, d) for i, d in enumerate(cfg.detunings_hz)]
-    # The fork start method launches every worker at once: no more than points.
     workers = min(cfg.jobs, len(args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, args))
-    return [worker(a) for a in args]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [worker(a) for a in args]
+    children = []  # (pid, read end of its pipe)
+    reports = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_share(worker, args[w::workers], read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as fh:
+                reports.append(fh.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for pid, read_fd in children:
+            os.close(read_fd)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    rows = [None] * len(args)
+    failures = []  # (index of the failed point, its exception)
+    for w, (code, report) in enumerate(zip(codes, reports)):
+        if code != 0:
+            raise FastlightError(f"scan worker {w} ended with status {code} "
+                                 "before reporting its points")
+        done, error = pickle.loads(report)
+        rows[w:w + len(done) * workers:workers] = done
+        if error is not None:
+            failures.append((w + len(done) * workers, error))
+    if failures:
+        # The first failed point's error, as a serial run would raise it.
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return rows
+
+
+def _run_share(worker, share, read_fd, write_fd):
+    """A forked child's whole life: run ``worker`` over ``share``, then
+    write ``(rows, exception or None)`` pickled to its pipe and end in
+    ``os._exit``, so the child never runs the parent's remaining code, exit
+    handlers or stdio flushes.  It exits 1 without a report when pickling
+    or writing fails."""
+    status = 1
+    try:
+        os.close(read_fd)
+        rows, error = [], None
+        try:
+            for a in share:
+                rows.append(worker(a))
+        except Exception as exc:
+            error = exc
+        report = pickle.dumps((rows, error))
+        with open(write_fd, "wb") as fh:
+            fh.write(report)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _require_finite(path, bad):
@@ -279,7 +345,6 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
         "shot_reference": "analytic",
         "fastlight_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
     }
 
 
@@ -348,6 +413,90 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     })
     _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary, created)
     return summary
+
+
+def _find_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Root of f in the bracket [a, b] by Brent's method.
+
+    The iteration, stopping rule and iteration cap (100) of
+    ``scipy.optimize.brentq``: stop when the bracket half-width is below
+    (xtol + rtol*|x|)/2.  Kept in the package, which does not depend on
+    scipy.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(100):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                # Secant step.
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                # Inverse quadratic interpolation.
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise RuntimeError("root not bracketed to tolerance after 100 iterations")
+
+
+@lru_cache(maxsize=1)
+def _solve_advance_line() -> tuple[float, float]:
+    """Solve the advance preset's line strength and its anchor offset.
+
+    A 10 MHz line cannot advance the 0.1-3 MHz correlation band by 12 ns
+    while keeping the gain at the operating point near one (the advance-gain
+    trade-off of a single Lorentzian caps |advance| below ~0.11/gamma
+    seconds), so the preset narrows the line and solves the gain coefficient
+    such that the predicted band-filtered correlation shift at the operating
+    offset equals the target.  The returned anchor offset is where the plain
+    group-delay expression gives exactly the target advance.
+    """
+    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
+    band_lo, band_hi = 1e5, 3e6
+
+    def shift_error(peak_db: float) -> float:
+        line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
+        shift = predicted_correlation_shift(line, _ADVANCE_OFFSET_HZ, source,
+                                            band_lo, band_hi)
+        return shift - ADVANCE_TARGET_S
+
+    peak_db = _find_root(shift_error, 4.0, 40.0, xtol=1e-9, rtol=1e-12)
+    line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
+
+    def advance_error(offset_hz: float) -> float:
+        return peak_advance(line, 2.0 * math.pi * offset_hz) - ADVANCE_TARGET_S
+
+    gamma_hz = line.gamma / (2.0 * math.pi)
+    anchor_hz = _find_root(advance_error, math.sqrt(3.0) * gamma_hz, _ADVANCE_OFFSET_HZ,
+                           xtol=1e-3, rtol=1e-12)
+    return float(peak_db), float(anchor_hz)
 
 
 def _run_selftest(cfg: ScenarioConfig, created) -> dict:

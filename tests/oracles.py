@@ -9,7 +9,11 @@ brute-force form of the predicted correlation shift, and
 correlation kernels.  ``hermitian_pair`` and ``channel_round_trip`` are the
 straightforward out-of-place forms of the synthesis and channel draws, which
 the in-place spectral kernels must reproduce from the same seed.
+``solve_advance_line`` is the solve behind the ``fig4-advance`` preset's
+compiled-in line strength and anchor offset.
 """
+
+import math
 
 import numpy as np
 
@@ -109,6 +113,38 @@ def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, t_window=1.5e-7
         if denom < 0.0:
             return float(t[i] + 0.5 * (y0 - y2) / denom * (t[1] - t[0]))
     return float(t[i])
+
+
+def solve_advance_line(shift, find_root):
+    """Solve the advance preset's peak gain (dB) and anchor offset (Hz),
+    which ``fastlight.config`` holds as ``_ADVANCE_PEAK_DB`` and
+    ``_ADVANCE_ANCHOR_HZ``; the comment there says why the line is narrowed.
+
+    ``shift`` is ``predicted_correlation_shift`` or a stand-in with its
+    first five arguments; ``find_root(f, a, b, xtol=, rtol=)`` is a
+    bracketing root finder such as ``scipy.optimize.brentq``.
+    """
+    from fastlight.config import (_ADVANCE_FWHM_HZ, _ADVANCE_OFFSET_HZ,
+                                  ADVANCE_TARGET_S)
+    from fastlight.dispersion import DEFAULT_CELL_LENGTH, calibrate, peak_advance
+    from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing
+
+    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
+
+    def shift_error(peak_db):
+        line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
+        return shift(line, _ADVANCE_OFFSET_HZ, source, 1e5, 3e6) - ADVANCE_TARGET_S
+
+    peak_db = find_root(shift_error, 4.0, 40.0, xtol=1e-9, rtol=1e-12)
+    line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
+
+    def advance_error(offset_hz):
+        return peak_advance(line, 2.0 * math.pi * offset_hz) - ADVANCE_TARGET_S
+
+    gamma_hz = line.gamma / (2.0 * math.pi)
+    anchor_hz = find_root(advance_error, math.sqrt(3.0) * gamma_hz, _ADVANCE_OFFSET_HZ,
+                          xtol=1e-3, rtol=1e-12)
+    return float(peak_db), float(anchor_hz)
 
 
 def circular_correlation(a, b, n_lag):

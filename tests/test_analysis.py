@@ -481,6 +481,26 @@ def test_peak_delay_degenerate_flat_correlation():
         peak_delay(flat, flat)
 
 
+def test_peak_delay_degenerate_separated_maxima():
+    lags = np.arange(-50, 51) / RATE
+    x = np.arange(-50, 51)
+    twin = np.exp(-0.5 * ((x - 20) / 4.0) ** 2) + np.exp(-0.5 * ((x + 20) / 4.0) ** 2)
+    one = XcorrResult.from_values(lags, np.exp(-0.5 * (x / 4.0) ** 2))
+    with pytest.raises(DegeneratePeakError):
+        peak_delay(XcorrResult.from_values(lags, twin), one)
+
+
+def test_peak_delay_accepts_a_broad_smooth_peak():
+    """Samples within the tie tolerance of the top on the slopes of one
+    peak are no second maximum."""
+    lags = np.arange(-500, 501) / RATE
+    x = np.arange(-500, 501)
+    broad = XcorrResult.from_values(lags, 0.335 - 1e-7 * (x - 3.3) ** 2)
+    assert np.sum(broad.values >= broad.values.max() - 1e-6) > 3
+    one = XcorrResult.from_values(lags, np.exp(-0.5 * (x / 4.0) ** 2))
+    assert peak_delay(broad, one) == pytest.approx(3.3 / RATE, abs=1e-6 / RATE)
+
+
 def test_peak_delay_grid_mismatch():
     lags_a = np.arange(-50, 51) / RATE
     lags_b = np.arange(-40, 41) / RATE

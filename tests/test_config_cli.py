@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fastlight
-from fastlight import config as config_module
 from fastlight.cli import main
 from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
                               load_config, preset_coherent_ref,
@@ -20,7 +19,8 @@ from fastlight.analysis import band_response
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
 from fastlight.errors import ConfigError, FastlightError, InvalidParameterError
 from fastlight.predict import predicted_correlation_shift
-from oracles import dense_correlation_shift
+from fastlight.scenario import _find_root
+from oracles import dense_correlation_shift, solve_advance_line
 
 
 def test_fig2_preset_hits_gain_anchor():
@@ -41,20 +41,26 @@ def test_fig4_preset_advance_anchor_and_gain():
     assert gain_op <= 1.25
 
 
-def test_fig4_preset_solve_equals_dense_reference(monkeypatch):
+def test_fig4_preset_constants_are_the_solve():
+    """The compiled-in line strength and anchor offset are what the solve
+    returns with the package's chirp-z shift, bit for bit."""
     cfg = preset_fig4_advance()
-    monkeypatch.setattr(config_module, "predicted_correlation_shift",
-                        dense_correlation_shift)
-    peak_db, anchor_hz = config_module._solve_advance_line.__wrapped__()
+    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, _find_root)
     assert cfg.line.peak_gain_db == peak_db
     assert cfg.advance_anchor_offset_hz == anchor_hz
 
 
-def test_advance_root_finder_matches_brentq(monkeypatch):
+def test_fig4_preset_solve_equals_dense_reference():
+    cfg = preset_fig4_advance()
+    peak_db, anchor_hz = solve_advance_line(dense_correlation_shift, _find_root)
+    assert cfg.line.peak_gain_db == peak_db
+    assert cfg.advance_anchor_offset_hz == anchor_hz
+
+
+def test_advance_root_finder_matches_brentq():
     from scipy.optimize import brentq
-    peak_db, anchor_hz = config_module._solve_advance_line.__wrapped__()
-    monkeypatch.setattr(config_module, "_find_root", brentq)
-    ref_peak_db, ref_anchor_hz = config_module._solve_advance_line.__wrapped__()
+    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, _find_root)
+    ref_peak_db, ref_anchor_hz = solve_advance_line(predicted_correlation_shift, brentq)
     # The solve's xtol: 1e-9 dB for the line strength, 1e-3 Hz for the anchor.
     assert abs(peak_db - ref_peak_db) <= 1e-9
     assert abs(anchor_hz - ref_anchor_hz) <= 1e-3
@@ -71,15 +77,22 @@ def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
 def test_cli_import_and_preset_skip_signal_and_optimize(preset):
-    """Neither the CLI, a preset nor the trace toolkit's spectra import
-    scipy.signal or scipy.optimize."""
+    """Neither the CLI, a preset nor the trace toolkit's spectra import any
+    scipy module or concurrent.futures, and no preset solves anything: the
+    fig4-advance line is compiled in."""
     code = ("import sys, numpy as np, fastlight.cli\n"
             "from fastlight import Trace, psd, shot_floor, snu_normalize\n"
+            "from fastlight.predict import predicted_correlation_shift as shift\n"
+            "calls = []\n"
+            "sys.setprofile(lambda frame, event, arg: calls.append(1) if event == 'call'"
+            " and frame.f_code is shift.__code__ else None)\n"
             f"fastlight.cli.load_config({preset!r})\n"
+            "sys.setprofile(None)\n"
             "t = Trace(1e9, 1.0, np.random.default_rng(0).standard_normal(4096))\n"
             "snu_normalize(psd(t, 1024), shot_floor(t.mean_flux, t.sample_rate, 1024))\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))")
-    assert _run_python(code).stdout.strip() == "[]"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith('concurrent.futures')), len(calls))")
+    assert _run_python(code).stdout.strip() == "[] 0"
 
 
 def test_selftest_writes_strict_json_without_scipy_optimize(tmp_path):
@@ -144,8 +157,10 @@ def test_config_hash_ignores_out_dir():
     assert a.config_hash() != c.config_hash()
 
 
-def test_cli_version():
+def test_cli_version(capsys):
     assert main(["--version"]) == 0
+    assert capsys.readouterr().out == (f"fastlight {fastlight.__version__} "
+                                       f"(numpy {np.__version__})\n")
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -244,32 +259,74 @@ def test_cli_delay_scan_with_jobs(tmp_path):
     assert len(lines) == 1 + 2
 
 
-def test_scan_pool_has_no_more_workers_than_points(monkeypatch):
-    """The fork start method launches every worker at once, so a scan asks
-    for at most one worker per point; the stand-in pool starts nothing."""
+def _three_point_scan(scenario, tmp_path, **fields):
+    cfg = {**preset_fig2_line().to_dict(), "scenario": scenario,
+           "detunings_hz": [-6e6, 0.0, 13e6],
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 16, "traces": 1},
+           "out_dir": str(tmp_path / "o"), **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_scan_pool_has_no_more_workers_than_points():
+    """A scan forks min(jobs, points) children and computes no point in the
+    parent; one job computes every point in the parent."""
     import fastlight.scenario as scenario
 
-    asked = []
-
-    class Recording:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, worker, args):
-            return map(worker, args)
-
-    monkeypatch.setattr(scenario, "ProcessPoolExecutor", Recording)
     cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6))
-    for jobs, want in ((1000, [3]), (2, [2]), (1, [])):
-        asked.clear()
-        rows = scenario._map_points(lambda args: args[1], replace(cfg, jobs=jobs))
-        assert rows == [0, 1, 2] and asked == want
+    for jobs, want in ((1000, 3), (2, 2), (1, 1)):
+        pids = scenario._map_points(lambda args: os.getpid(), replace(cfg, jobs=jobs))
+        assert len(pids) == 3 and len(set(pids)) == want
+        assert (os.getpid() in pids) == (jobs == 1)
+    assert scenario._map_points(lambda args: args[1], replace(cfg, jobs=2)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("scenario, file_name", [("line-scan", "line_scan.csv"),
+                                                 ("delay-scan", "delay_scan.csv")])
+def test_scan_outputs_do_not_depend_on_jobs(tmp_path, scenario, file_name):
+    path = _three_point_scan(scenario, tmp_path)
+    outputs = []
+    for jobs in ("1", "2", "5"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([scenario, "--config", str(path), "--jobs", jobs,
+                     "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in (file_name, "summary.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_config_error_in_a_scan_worker_exits_2(tmp_path, capsys):
+    """The lag-window check runs in each point, so at two jobs it raises in
+    the forked workers; the parent re-raises it with its type."""
+    path = _three_point_scan("delay-scan", tmp_path, max_lag_s=5e-8)
+    assert main(["delay-scan", "--config", str(path), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "max_lag_s" in err
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_scan_worker_that_dies_raises_and_is_reaped():
+    import fastlight.scenario as scenario
+
+    def worker(args):
+        if args[1] == 1:
+            os._exit(1)
+        return args[1]
+
+    cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6), jobs=3)
+    with pytest.raises(FastlightError, match="scan worker 1"):
+        scenario._map_points(worker, cfg)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_scan_prints_its_line_once(tmp_path):
+    path = _three_point_scan("line-scan", tmp_path)
+    code = ("import sys\nfrom fastlight.cli import main\n"
+            f"sys.exit(main(['line-scan', '--config', {str(path)!r}, '--jobs', '2']))")
+    proc = _run_python(code, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote line-scan outputs to {tmp_path / 'o'}\n"
 
 
 def test_cli_selftest(tmp_path):
@@ -658,6 +715,23 @@ def test_cli_xcorr_predicts_over_the_measured_lag_window(tmp_path):
     assert main(["xcorr", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["predicted_delta_t_s"] == pytest.approx(155.9e-9, abs=0.05e-9)
+
+
+def test_cli_xcorr_broad_peak_is_not_degenerate(tmp_path):
+    """A 30 dB / 2 MHz line at 0.5 MHz gives a correlation peak hundreds of
+    lags wide, whose top four samples lie within 1e-6 of each other at this
+    seed; one smooth peak is measured, not refused as degenerate."""
+    base = preset_fig4_advance().to_dict()
+    cfg = {**base, "line": {**base["line"], "peak_gain_db": 30.0, "fwhm_hz": 2e6},
+           "offset_hz": 0.5e6, "seed": 101,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["predicted_delta_t_s"] == pytest.approx(380.3e-9, abs=0.05e-9)
+    assert summary["delta_t_s"] == pytest.approx(summary["predicted_delta_t_s"], abs=50e-9)
 
 
 def test_cli_xcorr_prediction_does_not_alias_on_a_wide_band(tmp_path):
