@@ -466,39 +466,6 @@ def _find_root(f, a: float, b: float, xtol: float, rtol: float) -> float:
     raise RuntimeError("root not bracketed to tolerance after 100 iterations")
 
 
-@lru_cache(maxsize=1)
-def _solve_advance_line() -> tuple[float, float]:
-    """Solve the advance preset's line strength and its anchor offset.
-
-    A 10 MHz line cannot advance the 0.1-3 MHz correlation band by 12 ns
-    while keeping the gain at the operating point near one (the advance-gain
-    trade-off of a single Lorentzian caps |advance| below ~0.11/gamma
-    seconds), so the preset narrows the line and solves the gain coefficient
-    such that the predicted band-filtered correlation shift at the operating
-    offset equals the target.  The returned anchor offset is where the plain
-    group-delay expression gives exactly the target advance.
-    """
-    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
-    band_lo, band_hi = 1e5, 3e6
-
-    def shift_error(peak_db: float) -> float:
-        line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
-        shift = predicted_correlation_shift(line, _ADVANCE_OFFSET_HZ, source,
-                                            band_lo, band_hi)
-        return shift - ADVANCE_TARGET_S
-
-    peak_db = _find_root(shift_error, 4.0, 40.0, xtol=1e-9, rtol=1e-12)
-    line = calibrate(peak_db, _ADVANCE_FWHM_HZ, DEFAULT_CELL_LENGTH)
-
-    def advance_error(offset_hz: float) -> float:
-        return peak_advance(line, 2.0 * math.pi * offset_hz) - ADVANCE_TARGET_S
-
-    gamma_hz = line.gamma / (2.0 * math.pi)
-    anchor_hz = _find_root(advance_error, math.sqrt(3.0) * gamma_hz, _ADVANCE_OFFSET_HZ,
-                           xtol=1e-3, rtol=1e-12)
-    return float(peak_db), float(anchor_hz)
-
-
 def _run_selftest(cfg: ScenarioConfig, created) -> dict:
     """Fast internal consistency battery; prints one line per check.  Every
     check but the calibration runs the scenarios' own head chain, with no

@@ -58,12 +58,14 @@ def test_fig4_preset_solve_equals_dense_reference():
 
 
 def test_advance_root_finder_matches_brentq():
+    """The constants are _find_root's solve (pinned above); brentq lands
+    within the solve's xtol of them."""
     from scipy.optimize import brentq
-    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, _find_root)
+    cfg = preset_fig4_advance()
     ref_peak_db, ref_anchor_hz = solve_advance_line(predicted_correlation_shift, brentq)
     # The solve's xtol: 1e-9 dB for the line strength, 1e-3 Hz for the anchor.
-    assert abs(peak_db - ref_peak_db) <= 1e-9
-    assert abs(anchor_hz - ref_anchor_hz) <= 1e-3
+    assert abs(cfg.line.peak_gain_db - ref_peak_db) <= 1e-9
+    assert abs(cfg.advance_anchor_offset_hz - ref_anchor_hz) <= 1e-3
 
 
 def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
