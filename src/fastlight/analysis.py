@@ -1,9 +1,11 @@
-"""Measurement pipeline: noise spectra, shot normalization, band filtering,
-cross-correlation and sub-sample peak-delay extraction.
+"""Measurement pipeline on rfft spectra: the band response, band-filtered
+cross-correlation (a generalized cross-correlation evaluated by chirp-z
+transform at the lag window only), the rfft bins of a noise band, and
+sub-sample peak-delay extraction.
 
 Sign convention for correlations: C12(t) = sum_tau i1(tau) i2(tau + t), so a
-positive peak lag means the second trace lags the first, and a negative
-measured delay means the second trace is advanced.
+positive peak lag means the second record lags the first, and a negative
+measured delay means the second record is advanced.
 """
 
 from __future__ import annotations
@@ -14,130 +16,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DegeneratePeakError, IncompatibleSpectraError,
-                     IncompatibleTracesError, InvalidParameterError)
-from .simulate import Trace, _is_power_of_two, _rfft_freqs
-
-NORM_ABSOLUTE = "absolute"
-NORM_DB = "db_re_shot_noise"
+from .errors import DegeneratePeakError, InvalidParameterError
+from .simulate import _rfft_freqs
 
 # Fractions of an edge width at which a raised-cosine ramp passes half power.
 _RISE_3DB = 2.0 / np.pi * np.arcsin(2.0 ** -0.25)
 _FALL_3DB = 2.0 / np.pi * np.arccos(2.0 ** -0.25)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """One-sided power spectral density with estimator metadata."""
-
-    frequencies: np.ndarray
-    values: np.ndarray
-    normalization: str = NORM_ABSOLUTE
-    segment_len: int = 0
-    overlap: float = 0.5
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if f.ndim != 1 or v.shape != f.shape:
-            raise InvalidParameterError("frequencies and values must be matching 1-d arrays")
-        if np.any(np.diff(f) <= 0):
-            raise InvalidParameterError("frequency grid must be strictly increasing")
-        if self.normalization == NORM_ABSOLUTE and np.any(v < 0):
-            raise InvalidParameterError("power spectral density must be non-negative")
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
-
-
-def _settings_match(a: Spectrum, b: Spectrum) -> bool:
-    return (a.segment_len == b.segment_len and a.overlap == b.overlap
-            and a.frequencies.shape == b.frequencies.shape
-            and np.allclose(a.frequencies, b.frequencies, rtol=1e-12, atol=1e-6))
-
-
-def psd(trace: Trace, segment_len: int = 65536, overlap_fraction: float = 0.5) -> Spectrum:
-    """Welch power spectral density of a trace, one-sided, density-normalized.
-
-    The integral of the returned density over frequency equals the trace
-    variance (Parseval) up to estimator error.  Computed in numpy with the
-    conventions of ``scipy.signal.welch(..., detrend=False,
-    scaling="density")``: periodic Hann window, full segments only, mean over
-    segments, interior bins doubled.
-    """
-    if not _is_power_of_two(segment_len):
-        raise InvalidParameterError(f"segment_len must be a power of two, got {segment_len}")
-    if segment_len > len(trace):
-        raise InvalidParameterError(
-            f"segment_len {segment_len} exceeds trace length {len(trace)}")
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise InvalidParameterError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
-    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    step = segment_len - int(overlap_fraction * segment_len)
-    segments = np.lib.stride_tricks.sliding_window_view(trace.samples, segment_len)[::step]
-    spec = np.fft.rfft(segments * w, axis=-1)
-    values = np.mean(spec.real ** 2 + spec.imag ** 2, axis=0)
-    values /= trace.sample_rate * np.sum(w * w)
-    values[1:-1] *= 2.0
-    freqs = np.fft.rfftfreq(segment_len, 1.0 / trace.sample_rate)
-    return Spectrum(freqs, values, NORM_ABSOLUTE, segment_len, overlap_fraction)
-
-
-def snu_normalize(spec: Spectrum, reference: Spectrum) -> Spectrum:
-    """Pointwise 10*log10(spec/reference); the reference defines 0 dB."""
-    if not _settings_match(spec, reference):
-        raise IncompatibleSpectraError("spectrum and reference differ in grid or settings")
-    if spec.normalization != reference.normalization:
-        raise IncompatibleSpectraError("spectrum and reference differ in normalization")
-    with np.errstate(divide="ignore"):
-        values = 10.0 * np.log10(spec.values / reference.values)
-    return Spectrum(spec.frequencies, values, NORM_DB, spec.segment_len, spec.overlap)
-
-
-def shot_noise_density(mean_flux: float, sample_rate: float) -> float:
-    """One-sided PSD of shot noise for a beam of the given mean flux."""
-    return 2.0 * mean_flux / sample_rate
-
-
-def shot_floor(mean_flux: float, sample_rate: float, segment_len: int,
-               overlap: float = 0.5) -> Spectrum:
-    """Expected ``psd`` of shot noise of the given mean flux: the exact Welch
-    density of white noise with per-sample variance mean_flux.
-
-    ``psd`` divides by ``sample_rate * sum(w**2)`` and doubles only the
-    interior bins, so the expectation is ``shot_noise_density`` inside and
-    half of it at DC and Nyquist, for every overlap.  The settings are
-    recorded so that ``snu_normalize`` can check them.
-    """
-    if not _is_power_of_two(segment_len):
-        raise InvalidParameterError(f"segment_len must be a power of two, got {segment_len}")
-    values = np.full(segment_len // 2 + 1, shot_noise_density(mean_flux, sample_rate))
-    values[[0, -1]] *= 0.5
-    return Spectrum(np.fft.rfftfreq(segment_len, 1.0 / sample_rate), values,
-                    NORM_ABSOLUTE, segment_len, overlap)
-
-
-def _band_mask(frequencies, f_lo: float, f_hi: float) -> np.ndarray:
-    """The bins of a frequency grid that ``band_squeezing_db`` averages."""
-    return (frequencies >= f_lo) & (frequencies <= f_hi)
-
-
 def _band_bins(n_samples: int, sample_rate: float, f_lo: float, f_hi: float) -> range:
-    """The rfft bins of an n_samples record that ``_band_mask`` keeps in
-    [f_lo, f_hi]; an empty range when the band holds none."""
+    """The rfft bins of an n_samples record at frequencies in [f_lo, f_hi],
+    the bins a noise figure averages; an empty range when the band holds none."""
     stop = min(n_samples // 2 + 1, int(f_hi * n_samples / sample_rate) + 2)
-    kept = np.flatnonzero(_band_mask(_rfft_freqs(n_samples, sample_rate, stop), f_lo, f_hi))
+    f = _rfft_freqs(n_samples, sample_rate, stop)
+    kept = np.flatnonzero((f >= f_lo) & (f <= f_hi))
     return range(int(kept[0]), int(kept[-1]) + 1) if kept.size else range(0)
-
-
-def band_squeezing_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:
-    """10*log10 of the linear-SNU average of a dB spectrum over [f_lo, f_hi]."""
-    if spec.normalization != NORM_DB:
-        raise InvalidParameterError("band_squeezing_db needs a dB-re-shot-noise spectrum")
-    mask = _band_mask(spec.frequencies, f_lo, f_hi)
-    if not np.any(mask):
-        raise InvalidParameterError(f"no spectrum bins inside [{f_lo}, {f_hi}] Hz")
-    linear = 10.0 ** (spec.values[mask] / 10.0)
-    return float(10.0 * np.log10(np.mean(linear)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,21 +67,6 @@ def band_response(frequencies, f_lo: float, f_hi: float):
     falling = (f > c) & (f < _band_end(f_hi))
     h[falling] = np.cos(0.5 * np.pi * (f[falling] - c) / edge_hi) ** 2
     return h
-
-
-def band_filter(trace: Trace, f_lo: float, f_hi: float) -> Trace:
-    """Zero-phase band filter with half-power corners at f_lo and f_hi.
-
-    Applied in the frequency domain; apply the identical call to every trace
-    that will later be compared or correlated.
-    """
-    if not (0.0 < f_lo < f_hi < trace.nyquist):
-        raise InvalidParameterError(
-            f"need 0 < f_lo < f_hi < Nyquist ({trace.nyquist:g}), got ({f_lo}, {f_hi})")
-    freqs = np.fft.rfftfreq(len(trace), 1.0 / trace.sample_rate)
-    h = band_response(freqs, f_lo, f_hi)
-    x = np.fft.rfft(trace.samples) * h
-    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, len(trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +247,7 @@ def correlation_plan(n_samples: int, sample_rate: float, band: tuple | None,
 def _band_energy(x, weights) -> float:
     """Weighted energy of the rfft bins x: by Parseval, n/2 times the energy
     of the band-filtered record."""
-    # einsum, not np.dot/np.vdot: BLAS threads would contend with the pool workers.
+    # einsum, not np.dot/np.vdot: BLAS threads would contend with the forked scan workers.
     return float(np.einsum("i,i,i->", weights, x.real, x.real)
                  + np.einsum("i,i,i->", weights, x.imag, x.imag))
 
@@ -389,7 +267,7 @@ def cross_spectrum(x1, x2, plan: CorrelationPlan) -> np.ndarray:
     x1 = np.asarray(x1)
     x2 = np.asarray(x2)
     if x1.ndim != 1 or x2.ndim != 1 or min(x1.size, x2.size) < k:
-        raise IncompatibleTracesError(
+        raise InvalidParameterError(
             f"a correlation needs 1-d spectra of at least {k} bins")
     if max(x1.size, x2.size) > plan.n // 2 + 1:
         raise InvalidParameterError("spectra are longer than the plan's rfft grid")
@@ -430,29 +308,17 @@ def lag_curves(a, b, plan: CorrelationPlan) -> tuple[np.ndarray, np.ndarray]:
 def spectral_correlation(x1, x2, plan: CorrelationPlan) -> XcorrResult:
     """Band-filtered normalized cross-correlation from two rfft spectra.
 
-    Returns what ``cross_correlation(band_filter(a), band_filter(b),
-    max_lag)`` returns: the inverse transform of H^2 conj(x1) x2 (the
-    generalized cross-correlation of Knapp & Carter, IEEE TASSP 24:320,
-    1976) at the plan's lags only, normalized by the band-limited energies;
+    The normalized circular correlation of the two records after each is
+    band-filtered by ``band_response`` (its rfft times H, transformed back):
+    the inverse transform of H^2 conj(x1) x2 (the generalized
+    cross-correlation of Knapp & Carter, IEEE TASSP 24:320, 1976) at the
+    plan's lags only, normalized by the band-limited energies;
     ``lag_curves`` of ``cross_spectrum`` with nothing in the second slot.
+    An all-pass plan gives the plain normalized correlation.
     """
     a = cross_spectrum(x1, x2, plan)
     values, _ = lag_curves(a, np.zeros_like(a), plan)
     return XcorrResult.from_values(plan.lags, values)
-
-
-def cross_correlation(i1: Trace, i2: Trace, max_lag: float) -> XcorrResult:
-    """Normalized intensity cross-correlation of two equal-rate traces.
-
-    Computed in the frequency domain (circular; valid for max_lag much
-    shorter than the trace), normalized by sqrt(C11(0) C22(0)) so the values
-    are bounded by 1.  The lag grid is at the sample period.  This is
-    ``spectral_correlation`` with an all-pass plan.
-    """
-    if len(i1) != len(i2) or i1.sample_rate != i2.sample_rate:
-        raise IncompatibleTracesError("cross_correlation needs equal lengths and rates")
-    plan = correlation_plan(len(i1), i1.sample_rate, None, max_lag)
-    return spectral_correlation(np.fft.rfft(i1.samples), np.fft.rfft(i2.samples), plan)
 
 
 def _check_unique_peak(result: XcorrResult, tie_tol: float = 1e-6):

@@ -113,6 +113,13 @@ class ScenarioConfig:
             raise ConfigError("field 'seed' must be a non-negative integer")
         if not _is_finite(self.offset_hz):
             raise ConfigError("field 'offset_hz' must be a finite number")
+        # Every scenario hashes these; the correlation scenarios bound max_lag_s below.
+        if not _is_finite(self.max_lag_s):
+            raise ConfigError("field 'max_lag_s' must be a finite number")
+        for name in ("advance_anchor_offset_hz", "advance_target_s"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite(value):
+                raise ConfigError(f"field '{name}' must be null or a finite number")
         if not all(_is_finite(d) for d in self.detunings_hz):
             raise ConfigError("field 'detunings_hz' must hold finite numbers")
         if not (_is_finite(self.channel.eta) and 0.0 < self.channel.eta <= 1.0):
@@ -137,8 +144,7 @@ class ScenarioConfig:
                 raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
         if self.scenario in ("delay-scan", "xcorr"):
             # The correlation kernel's lag window: one sample to an eighth of a trace.
-            if not (_is_finite(self.max_lag_s) and 1.0 <= self.max_lag_s
-                    * self.sampling.rate_hz <= self.sampling.samples / 8):
+            if not 1.0 <= self.max_lag_s * self.sampling.rate_hz <= self.sampling.samples / 8:
                 raise ConfigError("field 'max_lag_s' must lie between one sample period "
                                   "and samples / (8 * rate_hz)")
         # Fail early on invalid physics parameters, with the field named.

@@ -9,14 +9,6 @@ class InvalidParameterError(FastlightError, ValueError):
     """A numeric argument is outside its documented domain."""
 
 
-class IncompatibleSpectraError(FastlightError, ValueError):
-    """Two spectra differ in frequency grid or estimator settings."""
-
-
-class IncompatibleTracesError(FastlightError, ValueError):
-    """Two traces differ in length or sample rate."""
-
-
 class DegeneratePeakError(FastlightError, RuntimeError):
     """A correlation has no unique maximum to interpolate."""
 

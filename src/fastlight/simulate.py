@@ -1,7 +1,7 @@
 """Seeded synthesis, propagation and detection of correlated photocurrent
-spectra, and the trace type with its I/O for imported records.
+spectra: the measurement chain as kernels on rfft spectra.
 
-The photocurrent model is semiclassical: each trace stores zero-mean
+The photocurrent model is semiclassical: each record holds zero-mean
 fluctuations (photons per sample) riding on a bright mean flux that is
 tracked separately.  A coherent beam of mean flux ``m`` has white fluctuations
 with per-sample variance ``m`` (1 shot-noise unit).  The chain runs on rfft
@@ -19,75 +19,18 @@ rounding limits agreement to ~1e-12 relative.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dispersion import GainLine, line_response
-from .errors import IncompatibleTracesError, InvalidParameterError
+from .errors import InvalidParameterError
 from .twinbeam import TwinBeamSource
-
-_BINARY_MAGIC = b"FLTRACE\x00"
-_BINARY_VERSION = 1
-_HEADER = struct.Struct("<8sIddQ")
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A sampled real-valued photocurrent fluctuation record.
-
-    sample_rate: Hz.
-    mean_flux: mean photon number per sample (> 0); the shot-noise scale.
-    samples: finite, zero-mean fluctuation sequence in photons per sample;
-        length is a power of two.  The array is locked read-only, so an
-        operation that changes nothing may return its input trace itself.
-    """
-
-    sample_rate: float
-    mean_flux: float
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if not (self.sample_rate > 0.0 and np.isfinite(self.sample_rate)):
-            raise InvalidParameterError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if not (self.mean_flux > 0.0 and np.isfinite(self.mean_flux)):
-            raise InvalidParameterError(f"mean_flux must be > 0, got {self.mean_flux}")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or not _is_power_of_two(samples.size):
-            raise InvalidParameterError(
-                f"samples must be a 1-d array with power-of-two length, got shape {samples.shape}")
-        # min and max carry any NaN or inf, without a full-size boolean temporary.
-        if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
-            raise InvalidParameterError("samples must be finite")
-        samples = samples.copy()
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate / 2.0
-
-
-def difference(t1: Trace, t2: Trace) -> Trace:
-    """Intensity-difference record t1 - t2.
-
-    The mean fluxes add: the shot-noise reference of a difference measurement
-    is the total detected power.
-    """
-    if len(t1) != len(t2) or t1.sample_rate != t2.sample_rate:
-        raise IncompatibleTracesError(
-            f"traces differ in length or rate: ({len(t1)}, {t1.sample_rate}) vs "
-            f"({len(t2)}, {t2.sample_rate})")
-    return Trace(t1.sample_rate, t1.mean_flux + t2.mean_flux, t1.samples - t2.samples)
 
 
 @dataclass(frozen=True)
@@ -347,90 +290,3 @@ def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed, n_samples
     if eta < 1.0:
         white_spectrum(n_samples, (1.0 - eta) * eta * mean_flux, seed, add_to=out)
     return out
-
-
-def fractional_shift(trace: Trace, delay: float) -> Trace:
-    """Circularly shift a trace by ``delay`` seconds (positive delays it).
-
-    Implemented as an exact frequency-domain phase ramp; integer-sample
-    delays reproduce np.roll to rounding.
-    """
-    n = len(trace)
-    freqs = np.fft.rfftfreq(n, 1.0 / trace.sample_rate)
-    phase = np.exp(-2j * np.pi * freqs * delay)
-    x = np.fft.rfft(trace.samples) * phase
-    return Trace(trace.sample_rate, trace.mean_flux, np.fft.irfft(x, n))
-
-
-# ---------------------------------------------------------------------------
-# Trace import/export
-
-
-def save_trace_csv(trace: Trace, path):
-    """Write a trace as CSV: metadata comments, then 'index,value' rows."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# sample_rate_hz={float(trace.sample_rate)!r}\n")
-        fh.write(f"# mean_flux={float(trace.mean_flux)!r}\n")
-        fh.write("index,value\n")
-        for i, v in enumerate(trace.samples):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
-def load_trace_csv(path, sample_rate: float | None = None,
-                   mean_flux: float | None = None) -> Trace:
-    """Read a trace written by ``save_trace_csv``.
-
-    Explicit sample_rate/mean_flux override the metadata comments; files
-    without metadata must supply both.
-    """
-    values = []
-    with open(path, "r", newline="") as fh:
-        for row in fh:
-            row = row.strip()
-            if not row:
-                continue
-            if row.startswith("#"):
-                key, _, val = row.lstrip("# ").partition("=")
-                if key.strip() == "sample_rate_hz" and sample_rate is None:
-                    sample_rate = float(val)
-                elif key.strip() == "mean_flux" and mean_flux is None:
-                    mean_flux = float(val)
-                continue
-            if row.lower().startswith("index"):
-                continue
-            _, _, val = row.partition(",")
-            values.append(float(val))
-    if sample_rate is None or mean_flux is None:
-        raise InvalidParameterError("CSV lacks metadata; pass sample_rate and mean_flux")
-    return Trace(sample_rate, mean_flux, np.asarray(values))
-
-
-def save_trace_binary(trace: Trace, path):
-    """Write the documented little-endian binary layout.
-
-    Header: magic 'FLTRACE\\x00' (8 bytes), version u32, sample_rate f64,
-    mean_flux f64, count u64; then count float64 samples.
-    """
-    header = _HEADER.pack(_BINARY_MAGIC, _BINARY_VERSION,
-                          trace.sample_rate, trace.mean_flux, len(trace))
-    data = np.ascontiguousarray(trace.samples, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data)
-
-
-def load_trace_binary(path) -> Trace:
-    """Read a trace written by ``save_trace_binary`` (exact round trip)."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) != _HEADER.size:
-            raise InvalidParameterError("truncated trace file")
-        magic, version, rate, mean, count = _HEADER.unpack(raw)
-        if magic != _BINARY_MAGIC:
-            raise InvalidParameterError(f"bad magic {magic!r} in trace file")
-        if version != _BINARY_VERSION:
-            raise InvalidParameterError(f"unsupported trace file version {version}")
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise InvalidParameterError("truncated trace file")
-    return Trace(rate, mean, data.astype(float))

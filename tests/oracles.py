@@ -10,7 +10,8 @@ correlation kernels.  ``hermitian_pair`` and ``channel_round_trip`` are the
 straightforward out-of-place forms of the synthesis and channel draws, which
 the in-place spectral kernels must reproduce from the same seed.
 ``solve_advance_line`` is the solve behind the ``fig4-advance`` preset's
-compiled-in line strength and anchor offset.
+compiled-in line strength and anchor offset.  ``band_periodogram`` reads a
+spectrum's band noise in shot-noise units as the scenarios do.
 """
 
 import math
@@ -63,6 +64,18 @@ def mc_difference_noise(gain1, gain2, eta, seed_flux, n_samples, seed):
     n_c = photon_number(a_c)
     d = n_p - n_c
     return np.var(d) / (np.mean(n_p) + np.mean(n_c))
+
+
+def band_periodogram(x, n_samples, sample_rate, f_lo, f_hi, mean):
+    """Band noise, in shot-noise units, of the rfft spectrum x of an
+    n_samples record (or of its first bins): the mean of |X_k|^2 over the
+    band's bins (``analysis._band_bins``), over the shot level n * mean of
+    white noise with per-sample variance ``mean``."""
+    from fastlight.analysis import _band_bins
+
+    bins = _band_bins(n_samples, sample_rate, f_lo, f_hi)
+    band = np.asarray(x)[bins.start:bins.stop]
+    return float(np.mean(band.real ** 2 + band.imag ** 2)) / (n_samples * mean)
 
 
 def var_standard_error(sample_var, n_samples):

@@ -8,22 +8,21 @@ import time
 import numpy as np
 import pytest
 
-from fastlight.analysis import (NORM_ABSOLUTE, Spectrum, band_filter,
-                                band_squeezing_db, cross_correlation,
-                                peak_delay, psd, shot_noise_density,
-                                snu_normalize)
+from fastlight.analysis import (XcorrResult, _band_bins, correlation_plan,
+                                cross_spectrum, lag_curves, peak_delay,
+                                spectral_correlation)
 from fastlight.amplifier import amp_mean, amp_variance
 from fastlight.cli import main
 from fastlight.config import config_from_dict, preset_fig2_line
 from fastlight.dispersion import (calibrate, gain_db, modulation_transfer,
                                   peak_advance)
 from fastlight.scenario import _measure_correlation_point, _point_seed
-from fastlight.simulate import (Trace, apply_channel, build_targets, channel_response,
-                                fractional_shift, synth_twin_spectra,
-                                synthesis_factors)
+from fastlight.simulate import (_rfft_freqs, apply_channel, build_targets,
+                                channel_response, synth_twin_spectra,
+                                synthesis_factors, white_spectrum)
 from fastlight.twinbeam import gain_for_squeezing, seeded_stats
 
-from oracles import mc_amplifier, var_standard_error
+from oracles import band_periodogram, mc_amplifier, var_standard_error
 
 RATE = 2.5e9
 
@@ -53,25 +52,19 @@ def test_criterion_2_squeezing_anchor():
     t0 = time.time()
     g1 = gain_for_squeezing(-2.5)
     stats = seeded_stats(g1, 1e6)
-    n, seg, n_traces = 1 << 20, 1 << 16, 100
-    mean = stats.mean_p + stats.mean_c
+    n, n_traces = 1 << 20, 100
+    # The pair is drawn on the head of the rfft grid up to the band's last
+    # bin, as the scenarios draw it, and read against the analytic shot
+    # level of the total flux.
+    head = _band_bins(n, RATE, 1e5, 3e6).stop
     factors = synthesis_factors(build_targets(
-        preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE)),
+        preset_fig2_line().source.make(), _rfft_freqs(n, RATE, head)),
         n, RATE, stats.mean_p, stats.mean_c)
-    acc = acc_ref = None
+    snu = 0.0
     for j in range(n_traces):
         xp, xc = synth_twin_spectra(factors, np.random.SeedSequence(101, spawn_key=(j,)), n)
-        spec = psd(Trace(RATE, mean, np.fft.irfft(xp, n) - np.fft.irfft(xc, n)), seg)
-        # The shot-noise reference: two independent coherent beams.
-        rng = np.random.default_rng(np.random.SeedSequence(102, spawn_key=(j,)))
-        sp = rng.standard_normal(n) * np.sqrt(stats.mean_p)
-        ref = psd(Trace(RATE, mean, sp - rng.standard_normal(n) * np.sqrt(stats.mean_c)), seg)
-        acc = spec.values if acc is None else acc + spec.values
-        acc_ref = ref.values if acc_ref is None else acc_ref + ref.values
-    norm = snu_normalize(
-        Spectrum(spec.frequencies, acc / n_traces, NORM_ABSOLUTE, seg),
-        Spectrum(spec.frequencies, acc_ref / n_traces, NORM_ABSOLUTE, seg))
-    band_db = band_squeezing_db(norm, 1e5, 3e6)
+        snu += band_periodogram(xp - xc, n, RATE, 1e5, 3e6, stats.mean_p + stats.mean_c)
+    band_db = 10 * np.log10(snu / n_traces)
     ok = abs(band_db - (-2.5)) < 0.1
     _report("criterion-2 squeezing-anchor", ok,
             f"band difference noise {band_db:+.3f} dB (target -2.5 +/- 0.1)", t0, 60.0)
@@ -95,19 +88,16 @@ def test_criterion_3_amplifier_equivalence():
 def test_criterion_4_snu_corollary():
     t0 = time.time()
     line = calibrate(10 * np.log10(1.25), 1e15, 0.025)
-    n, seg, n_traces = 1 << 18, 1 << 15, 120
+    n, n_traces = 1 << 18, 120
     channel = channel_response(line, 0.0, n, RATE, 1e6, bins=n // 2 + 1)
-    acc = None
+    snu = 0.0
     for j in range(n_traces):
         coherent = np.random.default_rng(
             np.random.SeedSequence(201, spawn_key=(j,))).standard_normal(n) * np.sqrt(1e6)
         x = apply_channel(np.fft.rfft(coherent), channel,
                           np.random.SeedSequence(202, spawn_key=(j,)), n)
-        spec = psd(Trace(RATE, channel.mean_out, np.fft.irfft(x, n)), seg)
-        acc = spec.values if acc is None else acc + spec.values
-    mask = (spec.frequencies >= 1e5) & (spec.frequencies <= 3e6)
-    snu = np.mean(acc[mask]) / n_traces / shot_noise_density(channel.mean_out, RATE)
-    got_db = 10 * np.log10(snu)
+        snu += band_periodogram(x, n, RATE, 1e5, 3e6, channel.mean_out)
+    got_db = 10 * np.log10(snu / n_traces)
     ok = abs(got_db - 1.7609) < 0.05
     _report("criterion-4 snu-corollary", ok,
             f"flat G=1.25 coherent output {got_db:+.3f} dB (target +1.76 +/- 0.05)",
@@ -116,13 +106,16 @@ def test_criterion_4_snu_corollary():
 
 def test_criterion_5_delay_estimator():
     t0 = time.time()
-    base = Trace(RATE, 1e6, np.random.default_rng(301).standard_normal(1 << 18) * np.sqrt(1e6))
-    banded = band_filter(base, 1e5, 3e6)
-    ref = cross_correlation(banded, banded, 2e-6)
+    # As the selftest's delay check: a white spectrum on the band's support
+    # and copies of it under phase ramps, correlated in the band.
+    n = 1 << 18
+    plan = correlation_plan(n, RATE, (1e5, 3e6), 2e-6)
+    x = white_spectrum(n, 1e6, 301, add_to=np.zeros(plan.support, dtype=complex))
+    ref = spectral_correlation(x, x, plan)
     errors = []
     for delay in (12e-9, -12e-9, 0.5 / RATE):
-        fast = cross_correlation(banded, fractional_shift(banded, delay), 2e-6)
-        errors.append(abs(peak_delay(fast, ref) - delay))
+        shifted = x * np.exp(-2j * np.pi * _rfft_freqs(n, RATE, plan.support) * delay)
+        errors.append(abs(peak_delay(spectral_correlation(x, shifted, plan), ref) - delay))
     ok = errors[0] < 0.2e-9 and errors[1] < 0.2e-9 and errors[2] < 0.1 / RATE
     _report("criterion-5 delay-estimator", ok,
             f"errors {[f'{e*1e12:.1f} ps' for e in errors]} for +12ns/-12ns/0.5-sample",
@@ -179,15 +172,15 @@ def test_criterion_8_correlation_width():
     factors = synthesis_factors(build_targets(
         preset_fig2_line().source.make(), np.fft.rfftfreq(n, 1.0 / RATE)),
         n, RATE, stats.mean_p, stats.mean_c)
-    acc = None
+    plan = correlation_plan(n, RATE, (1e5, 3e6), 2e-6)
+    # The mean of the traces' band-filtered correlations is the curve of the
+    # mean of their cross spectra: the transform is linear.
+    acc = np.zeros(plan.support, dtype=complex)
     for j in range(n_traces):
         sp, sc = synth_twin_spectra(factors, np.random.SeedSequence(401, spawn_key=(j,)), n)
-        p = Trace(RATE, stats.mean_p, np.fft.irfft(sp, n))
-        c = Trace(RATE, stats.mean_c, np.fft.irfft(sc, n))
-        xc = cross_correlation(band_filter(p, 1e5, 3e6), band_filter(c, 1e5, 3e6), 2e-6)
-        acc = xc.values if acc is None else acc + xc.values
-    from fastlight.analysis import XcorrResult
-    avg = XcorrResult.from_values(xc.lags, acc / n_traces)
+        acc += cross_spectrum(sp, sc, plan)
+    values, _ = lag_curves(acc / n_traces, np.zeros_like(acc), plan)
+    avg = XcorrResult.from_values(plan.lags, values)
     fwhm_ns = avg.fwhm * 1e9
     ok = abs(fwhm_ns - 165.0) < 35.0
     _report("criterion-8 correlation-width", ok,

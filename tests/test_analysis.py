@@ -1,106 +1,33 @@
 import numpy as np
 import pytest
-from scipy import signal as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastlight.analysis import (NORM_DB, Spectrum, XcorrResult, _band_end,
-                                _parabola_peak, band_filter, band_response,
-                                band_squeezing_db,
-                                correlation_plan, cross_correlation, cross_spectrum,
-                                lag_curves, peak_delay, psd, shot_floor,
-                                shot_noise_density, snu_normalize,
-                                spectral_correlation)
-from fastlight.errors import (DegeneratePeakError, IncompatibleSpectraError,
-                              IncompatibleTracesError, InvalidParameterError)
-from fastlight.simulate import Trace, fractional_shift
+from fastlight.analysis import (XcorrResult, _band_end, _parabola_peak, band_response,
+                                correlation_plan, cross_spectrum, lag_curves,
+                                peak_delay, spectral_correlation)
+from fastlight.errors import DegeneratePeakError, InvalidParameterError
 from oracles import circular_correlation
 
 RATE = 2.5e9
 
 
-def _white(n, seed, mean=1e6):
-    return Trace(RATE, mean, np.random.default_rng(seed).standard_normal(n) * np.sqrt(mean))
+def _white_spectrum(n, seed):
+    """The rfft of an n-sample white record."""
+    return np.fft.rfft(np.random.default_rng(seed).standard_normal(n))
 
 
-def _banded(n, seed, lo=1e5, hi=3e6):
-    return band_filter(_white(n, seed), lo, hi)
+def _delayed(x, n, delay):
+    """An rfft spectrum under the phase ramp that delays its record by
+    ``delay`` seconds, circularly."""
+    return x * np.exp(-2j * np.pi * np.fft.rfftfreq(n, 1.0 / RATE) * delay)
 
 
-def test_psd_white_noise_integrates_to_variance():
-    t = _white(1 << 18, seed=1)
-    spec = psd(t, 1 << 14)
-    assert np.trapezoid(spec.values, spec.frequencies) == pytest.approx(
-        np.var(t.samples), rel=0.01)
-    snu = np.mean(spec.values[1:]) / shot_noise_density(t.mean_flux, RATE)
-    assert snu == pytest.approx(1.0, abs=0.02)
-
-
-def test_psd_sine_concentrates_in_one_bin():
-    n, seg = 1 << 16, 1 << 12
-    f0 = 64 * RATE / seg  # bin center of the segment grid
-    tt = np.arange(n) / RATE
-    amp = 100.0
-    t = Trace(RATE, 1e6, amp * np.sin(2 * np.pi * f0 * tt))
-    spec = psd(t, seg)
-    k = np.argmax(spec.values)
-    assert spec.frequencies[k] == pytest.approx(f0, rel=1e-9)
-    df = spec.frequencies[1] - spec.frequencies[0]
-    power = np.sum(spec.values[k - 2:k + 3]) * df
-    assert power == pytest.approx(amp ** 2 / 2, rel=0.01)
-
-
-def test_psd_rejects_bad_segments():
-    t = _white(1 << 12, seed=2)
-    with pytest.raises(InvalidParameterError):
-        psd(t, 1 << 13)
-    with pytest.raises(InvalidParameterError):
-        psd(t, 1000)
-
-
-def test_snu_normalize_self_is_zero_db():
-    t = _white(1 << 16, seed=3)
-    spec = psd(t, 1 << 12)
-    norm = snu_normalize(spec, spec)
-    assert norm.normalization == NORM_DB
-    np.testing.assert_allclose(norm.values, 0.0, atol=1e-12)
-
-
-def test_snu_normalize_rejects_mismatched_grids():
-    a = psd(_white(1 << 14, seed=4), 1 << 10)
-    b = psd(_white(1 << 14, seed=5), 1 << 11)
-    with pytest.raises(IncompatibleSpectraError):
-        snu_normalize(a, b)
-
-
-@pytest.mark.parametrize("overlap", [0.0, 0.5], ids=lambda overlap: f"{overlap}-hann")
-def test_shot_floor_is_expected_welch_density_of_white_noise(overlap):
-    """The mean psd of many white-noise draws of per-sample variance M equals
-    the floor in every bin, DC and Nyquist included, within 3 standard errors."""
-    variance, seg, draws = 1e6, 16, 400
-    floor = shot_floor(variance, RATE, seg, overlap)
-    assert np.all(floor.values[1:-1] == shot_noise_density(variance, RATE))
-    assert floor.values[0] == floor.values[-1] == 0.5 * shot_noise_density(variance, RATE)
-    rng = np.random.default_rng(7)
-    values = np.array([
-        psd(Trace(RATE, variance, rng.standard_normal(1 << 12) * np.sqrt(variance)),
-            seg, overlap).values
-        for _ in range(draws)])
-    mean = values.mean(axis=0)
-    se = values.std(axis=0, ddof=1) / np.sqrt(draws)
-    assert np.all(np.abs(mean - floor.values) <= 3.0 * se), (mean - floor.values) / se
-
-
-def test_shot_floor_carries_psd_settings():
-    t = _white(1 << 14, seed=6)
-    spec = psd(t, 1 << 10, 0.0)
-    floor = shot_floor(t.mean_flux, RATE, 1 << 10, 0.0)
-    np.testing.assert_array_equal(floor.frequencies, spec.frequencies)
-    assert snu_normalize(spec, floor).values.shape == spec.values.shape
-    with pytest.raises(IncompatibleSpectraError):
-        snu_normalize(spec, shot_floor(t.mean_flux, RATE, 1 << 10))
-    with pytest.raises(InvalidParameterError):
-        shot_floor(t.mean_flux, RATE, 1000)
+def _bandpass(samples, f_lo, f_hi):
+    """A record band-filtered by band_response: its rfft times H, transformed back."""
+    n = samples.size
+    h = band_response(np.fft.rfftfreq(n, 1.0 / RATE), f_lo, f_hi)
+    return np.fft.irfft(np.fft.rfft(samples) * h, n)
 
 
 def test_band_response_half_power_at_corners():
@@ -123,55 +50,28 @@ def test_band_response_is_zero_from_band_end_up(band):
     assert np.all(h[:2] > 0.0) and np.all(h[2:] == 0.0), h
 
 
-def test_band_filter_all_pass_on_in_band_content():
-    # A trace whose content lies inside the flat region passes unchanged.
-    t = _white(1 << 16, seed=8)
-    inner = band_filter(t, 2e5, 2e6)
-    wide = band_filter(inner, 4e4, 0.4 * RATE)
-    rms = np.sqrt(np.mean(inner.samples ** 2))
-    assert np.max(np.abs(wide.samples - inner.samples)) < 1e-9 * rms
+def test_band_response_rejects_bad_bands():
+    with pytest.raises(InvalidParameterError, match="f_lo < f_hi"):
+        band_response(np.array([1e6]), 3e6, 1e5)
+    with pytest.raises(InvalidParameterError, match="edges overlap"):
+        band_response(np.array([1e6]), 1e6, 1.2e6)
 
 
-def test_band_filter_attenuates_far_sine():
+def test_spectral_correlation_self_peaks_at_zero():
     n = 1 << 16
-    tt = np.arange(n) / RATE
-    t = Trace(RATE, 1e6, 100.0 * np.sin(2 * np.pi * 30e6 * tt))
-    out = band_filter(t, 1e5, 3e6)
-    attenuation_db = 10 * np.log10(np.mean(out.samples ** 2) / np.mean(t.samples ** 2))
-    assert attenuation_db < -40.0
-
-
-def test_band_filter_rejects_bad_bands():
-    t = _white(1 << 12, seed=9)
-    with pytest.raises(InvalidParameterError):
-        band_filter(t, 3e6, 1e5)
-    with pytest.raises(InvalidParameterError):
-        band_filter(t, 1e5, RATE)
-
-
-def test_cross_correlation_self_peaks_at_zero():
-    t = _banded(1 << 16, seed=10)
-    xc = cross_correlation(t, t, 1e-6)
+    x = _white_spectrum(n, seed=10)
+    xc = spectral_correlation(x, x, correlation_plan(n, RATE, (1e5, 3e6), 1e-6))
     assert xc.peak_lag == pytest.approx(0.0, abs=1e-12)
     assert xc.values.max() == pytest.approx(1.0, rel=1e-9)
     assert np.max(np.abs(xc.values)) <= 1.0 + 1e-9
 
 
-def test_cross_correlation_shift_theorem_sign():
-    t = _banded(1 << 16, seed=11)
-    k = 25
-    delayed = Trace(RATE, t.mean_flux, np.roll(t.samples, k))
-    xc = cross_correlation(t, delayed, 1e-6)
+def test_spectral_correlation_shift_theorem_sign():
+    n, k = 1 << 16, 25
+    a = np.random.default_rng(11).standard_normal(n)
+    xc = spectral_correlation(np.fft.rfft(a), np.fft.rfft(np.roll(a, k)),
+                              correlation_plan(n, RATE, (1e5, 3e6), 1e-6))
     assert xc.peak_lag == pytest.approx(k / RATE, abs=0.05 / RATE)
-
-
-def test_cross_correlation_rejects_mismatch():
-    a = _banded(1 << 14, seed=12)
-    b = _banded(1 << 15, seed=13)
-    with pytest.raises(IncompatibleTracesError):
-        cross_correlation(a, b, 1e-6)
-    with pytest.raises(InvalidParameterError):
-        cross_correlation(a, a, 1e-3)  # max_lag too long for the trace
 
 
 @settings(max_examples=30, deadline=None)
@@ -192,10 +92,9 @@ def test_spectral_correlation_matches_time_domain_oracle(data):
         b = 0.8 * a + 0.6 * b
     elif kind == "delayed":
         b = np.roll(a, int(rng.integers(-n_lag, n_lag + 1))) + 0.3 * b
-    ta, tb = Trace(RATE, 1.0, a), Trace(RATE, 1.0, b)
-    fa, fb = band_filter(ta, f_lo, f_hi), band_filter(tb, f_lo, f_hi)
     lags = np.arange(-n_lag, n_lag + 1) / RATE
-    banded = XcorrResult.from_values(lags, circular_correlation(fa.samples, fb.samples, n_lag))
+    banded = XcorrResult.from_values(lags, circular_correlation(
+        _bandpass(a, f_lo, f_hi), _bandpass(b, f_lo, f_hi), n_lag))
     raw = XcorrResult.from_values(lags, circular_correlation(a, b, n_lag))
 
     max_lag = n_lag / RATE
@@ -207,9 +106,7 @@ def test_spectral_correlation_matches_time_domain_oracle(data):
     for got, oracle in (
             (spectral_correlation(xa, xb, plan), banded),
             (spectral_correlation(xa[:k], xb[:k], plan), banded),
-            (spectral_correlation(xa, xb, all_pass), raw),
-            (cross_correlation(fa, fb, max_lag), banded),
-            (cross_correlation(ta, tb, max_lag), raw)):
+            (spectral_correlation(xa, xb, all_pass), raw)):
         np.testing.assert_array_equal(got.lags, oracle.lags)
         np.testing.assert_allclose(got.values, oracle.values, rtol=0, atol=1e-12)
         assert got.peak_lag == pytest.approx(oracle.peak_lag, rel=0, abs=1e-6 / RATE)
@@ -306,9 +203,9 @@ def test_paired_lag_curves_equal_the_separate_and_per_trace_curves(seed, log_n, 
 
 def test_spectral_correlation_rejects_bad_inputs():
     n = 1 << 12
-    x = np.fft.rfft(_white(n, seed=18).samples)
+    x = _white_spectrum(n, seed=18)
     plan = correlation_plan(n, RATE, (1e6, 2e8), 1e-7)
-    with pytest.raises(IncompatibleTracesError):
+    with pytest.raises(InvalidParameterError, match="at least"):
         spectral_correlation(x, x[:plan.support - 1], plan)
     with pytest.raises(InvalidParameterError, match="rfft grid"):
         spectral_correlation(np.append(x, 0.0), x, plan)
@@ -435,42 +332,48 @@ def test_noise_point_frees_each_trace():
 
 
 def test_peak_delay_pure_shifts():
-    t = _banded(1 << 18, seed=14)
-    ref = cross_correlation(t, t, 2e-6)
+    n = 1 << 18
+    x = _white_spectrum(n, seed=14)
+    plan = correlation_plan(n, RATE, (1e5, 3e6), 2e-6)
+    ref = spectral_correlation(x, x, plan)
     for delay in (12e-9, -12e-9, 0.5 / RATE):
-        shifted = fractional_shift(t, delay)
-        fast = cross_correlation(t, shifted, 2e-6)
+        fast = spectral_correlation(x, _delayed(x, n, delay), plan)
         got = peak_delay(fast, ref)
         assert got == pytest.approx(delay, abs=0.1 / RATE)
 
 
 def test_peak_delay_subsample_accuracy():
-    t = _banded(1 << 18, seed=15)
-    ref = cross_correlation(t, t, 2e-6)
+    n = 1 << 18
+    x = _white_spectrum(n, seed=15)
+    plan = correlation_plan(n, RATE, (1e5, 3e6), 2e-6)
+    ref = spectral_correlation(x, x, plan)
     for frac in (0.3, 0.5, 0.7):
-        shifted = fractional_shift(t, frac / RATE)
-        got = peak_delay(cross_correlation(t, shifted, 2e-6), ref)
+        got = peak_delay(spectral_correlation(x, _delayed(x, n, frac / RATE), plan), ref)
         assert abs(got - frac / RATE) < 0.1 / RATE
 
 
 def test_peak_delay_antisymmetry():
-    a = _banded(1 << 17, seed=16)
-    b = fractional_shift(a, 7.3e-9)
-    fwd = peak_delay(cross_correlation(a, b, 2e-6), cross_correlation(a, a, 2e-6))
-    rev = peak_delay(cross_correlation(b, a, 2e-6), cross_correlation(a, a, 2e-6))
+    n = 1 << 17
+    a = _white_spectrum(n, seed=16)
+    b = _delayed(a, n, 7.3e-9)
+    plan = correlation_plan(n, RATE, (1e5, 3e6), 2e-6)
+    ref = spectral_correlation(a, a, plan)
+    fwd = peak_delay(spectral_correlation(a, b, plan), ref)
+    rev = peak_delay(spectral_correlation(b, a, plan), ref)
     assert fwd == pytest.approx(-rev, abs=0.1 / RATE)
 
 
-def test_peak_delay_band_filter_invariance():
-    # Filtering both traces identically moves an in-band pure shift < 0.2 ns.
-    t = _white(1 << 18, seed=17)
-    shifted = fractional_shift(t, 12e-9)
-    raw = peak_delay(
-        cross_correlation(band_filter(t, 1e5, 20e6), band_filter(shifted, 1e5, 20e6), 2e-6),
-        cross_correlation(band_filter(t, 1e5, 20e6), band_filter(t, 1e5, 20e6), 2e-6))
-    banded = peak_delay(
-        cross_correlation(band_filter(t, 1e5, 3e6), band_filter(shifted, 1e5, 3e6), 2e-6),
-        cross_correlation(band_filter(t, 1e5, 3e6), band_filter(t, 1e5, 3e6), 2e-6))
+def test_peak_delay_band_invariance():
+    # Filtering both records identically moves an in-band pure shift < 0.2 ns.
+    n = 1 << 18
+    x = _white_spectrum(n, seed=17)
+    shifted = _delayed(x, n, 12e-9)
+    delays = []
+    for band in ((1e5, 20e6), (1e5, 3e6)):
+        plan = correlation_plan(n, RATE, band, 2e-6)
+        delays.append(peak_delay(spectral_correlation(x, shifted, plan),
+                                 spectral_correlation(x, x, plan)))
+    raw, banded = delays
     assert abs(banded - raw) < 0.2e-9
 
 
@@ -529,41 +432,12 @@ def test_parabola_peak_vertex_and_flat_fallback():
     assert _parabola_peak(1.0, 0.5, 1.0) == (0.0, 0.5)
 
 
-def test_band_squeezing_db_flat_inputs():
-    f = np.linspace(1e4, 1e7, 512)
-    flat0 = Spectrum(f, np.zeros_like(f), NORM_DB)
-    assert band_squeezing_db(flat0, 1e5, 3e6) == 0.0
-    flat = Spectrum(f, np.full_like(f, -2.5), NORM_DB)
-    assert band_squeezing_db(flat, 1e5, 3e6) == pytest.approx(-2.5, abs=1e-12)
-    with pytest.raises(InvalidParameterError):
-        band_squeezing_db(flat, 2e7, 3e7)
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 31),
        k=st.integers(min_value=-200, max_value=200))
 def test_correlation_bounded_property(seed, k):
-    t = _banded(1 << 14, seed=seed)
-    other = Trace(RATE, t.mean_flux, np.roll(t.samples, k))
-    xc = cross_correlation(t, other, 4e-7)
+    n = 1 << 14
+    a = np.random.default_rng(seed).standard_normal(n)
+    xc = spectral_correlation(np.fft.rfft(a), np.fft.rfft(np.roll(a, k)),
+                              correlation_plan(n, RATE, (1e5, 3e6), 4e-7))
     assert np.max(np.abs(xc.values)) <= 1.0 + 1e-9
-
-
-def _scipy_welch(t, segment_len, overlap):
-    return sps.welch(t.samples, fs=t.sample_rate, window="hann", nperseg=segment_len,
-                     noverlap=int(overlap * segment_len), detrend=False,
-                     return_onesided=True, scaling="density")
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), log_n=st.integers(min_value=10, max_value=16),
-       overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
-       seed=st.integers(min_value=0, max_value=2 ** 31))
-def test_psd_matches_scipy_welch(data, log_n, overlap, seed):
-    segment_len = 1 << data.draw(st.integers(min_value=1, max_value=log_n))
-    samples = np.random.default_rng(seed).standard_normal(1 << log_n) * 30.0
-    t = Trace(RATE, 1e6, samples)
-    spec = psd(t, segment_len, overlap)
-    freqs, values = _scipy_welch(t, segment_len, overlap)
-    np.testing.assert_allclose(spec.frequencies, freqs, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(spec.values, values, rtol=1e-12, atol=0)

@@ -79,19 +79,19 @@ def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
 def test_cli_import_and_preset_skip_signal_and_optimize(preset):
-    """Neither the CLI, a preset nor the trace toolkit's spectra import any
+    """Neither the CLI, a preset nor a band-filtered correlation imports any
     scipy module or concurrent.futures, and no preset solves anything: the
     fig4-advance line is compiled in."""
     code = ("import sys, numpy as np, fastlight.cli\n"
-            "from fastlight import Trace, psd, shot_floor, snu_normalize\n"
+            "from fastlight import correlation_plan, spectral_correlation\n"
             "from fastlight.predict import predicted_correlation_shift as shift\n"
             "calls = []\n"
             "sys.setprofile(lambda frame, event, arg: calls.append(1) if event == 'call'"
             " and frame.f_code is shift.__code__ else None)\n"
             f"fastlight.cli.load_config({preset!r})\n"
             "sys.setprofile(None)\n"
-            "t = Trace(1e9, 1.0, np.random.default_rng(0).standard_normal(4096))\n"
-            "snu_normalize(psd(t, 1024), shot_floor(t.mean_flux, t.sample_rate, 1024))\n"
+            "x = np.fft.rfft(np.random.default_rng(0).standard_normal(4096))\n"
+            "spectral_correlation(x, x, correlation_plan(4096, 1e9, (1e6, 2e8), 1e-7))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
             "             or m.startswith('concurrent.futures')), len(calls))")
     assert _run_python(code).stdout.strip() == "[] 0"
@@ -595,6 +595,33 @@ def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override, nam
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, preset, override, named", [
+    ("line-scan", preset_fig2_line, {"max_lag_s": "abc"}, "'max_lag_s'"),
+    ("xcorr", preset_fig4_advance, {"advance_anchor_offset_hz": "x"},
+     "'advance_anchor_offset_hz'"),
+    ("xcorr", preset_fig4_advance, {"advance_target_s": float("nan")}, "'advance_target_s'"),
+], ids=["line_scan_max_lag_text", "xcorr_anchor_offset_text", "xcorr_target_nan"])
+def test_cli_scalar_field_errors_exit_2_before_running(tmp_path, capsys, monkeypatch,
+                                                       command, preset, override, named):
+    """Fields that a scenario hashes but computes nothing with are checked
+    at load like every other, so a bad value stops the run before any point
+    and writes nothing."""
+    import fastlight.scenario as scenario
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario, "_measure_trace", no_draws)
+    cfg = {**preset().to_dict(), "detunings_hz": [0.0], "sampling": _SAMPLING,
+           "out_dir": str(tmp_path / "o"), **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["delay-scan", "xcorr"])
 def test_cli_coherent_source_on_correlation_scenarios_exits_2(tmp_path, capsys,
                                                                monkeypatch, command):
@@ -759,3 +786,34 @@ def test_package_version_matches_pyproject():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == fastlight.__version__
+
+
+# Closed forms that no package code calls: the acceptance criteria and tests
+# check the simulation against them.
+_REFERENCE_ONLY = {"amp_mean", "amp_variance", "snu_out", "peak_advance",
+                   "intensity_difference_variance"}
+
+
+def test_every_public_name_has_a_user_in_the_package():
+    """A public module-level function or class that no package code refers
+    to outside its own definition is dead, unless it is one of the
+    closed-form references above; the package's re-exports are no use."""
+    import ast
+    import pathlib
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in pathlib.Path(fastlight.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"}
+    defined = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted(defined - used) == sorted(_REFERENCE_ONLY)

@@ -3,18 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastlight.analysis import psd, shot_noise_density
+from fastlight.analysis import correlation_plan, spectral_correlation
 from fastlight.dispersion import GainLine, calibrate
-from fastlight.errors import IncompatibleTracesError, InvalidParameterError
-from fastlight.simulate import (ChannelResponse, SpectralTargets, Trace,
-                                apply_channel, build_targets, channel_response,
-                                detect_spectrum, difference, fractional_shift,
-                                load_trace_binary, load_trace_csv,
-                                save_trace_binary, save_trace_csv,
-                                synth_twin_spectra, synthesis_factors,
-                                white_spectrum)
+from fastlight.errors import InvalidParameterError
+from fastlight.simulate import (ChannelResponse, SpectralTargets, apply_channel,
+                                build_targets, channel_response, detect_spectrum,
+                                synth_twin_spectra, synthesis_factors, white_spectrum)
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing, seeded_stats
-from oracles import channel_round_trip, hermitian_pair
+from oracles import band_periodogram, channel_round_trip, hermitian_pair
 
 RATE = 2.5e9
 G1 = gain_for_squeezing(-2.5)
@@ -31,40 +27,24 @@ def _factors(n):
 
 
 def _pair(n, seed):
-    """One synthesized pair of traces: the spectral draw, inverse transformed."""
+    """One synthesized pair of records: the spectral draw, inverse transformed."""
     xp, xc = synth_twin_spectra(_factors(n), seed, n)
-    return (Trace(RATE, STATS.mean_p, np.fft.irfft(xp, n)),
-            Trace(RATE, STATS.mean_c, np.fft.irfft(xc, n)))
+    return np.fft.irfft(xp, n), np.fft.irfft(xc, n)
 
 
 def _white(n, seed, mean=1e6):
-    """A coherent (white, 1 SNU) trace of the given mean flux."""
-    return Trace(RATE, mean, np.random.default_rng(seed).standard_normal(n) * np.sqrt(mean))
+    """A coherent (white, 1 SNU) record of the given mean flux."""
+    return np.random.default_rng(seed).standard_normal(n) * np.sqrt(mean)
+
+
+def _snu(x, n, mean, band=None):
+    """Noise of the rfft spectrum x of an n-sample record in SNU of the
+    given mean flux: over ``band``, or over every bin but DC."""
+    return band_periodogram(x, n, RATE, *(band or (0.5 * RATE / n, RATE / 2)), mean)
 
 
 def _channel(line, offset, n, mean_flux, excess_db=0.0):
     return channel_response(line, offset, n, RATE, mean_flux, excess_db, bins=n // 2 + 1)
-
-
-def test_trace_validation():
-    with pytest.raises(InvalidParameterError):
-        Trace(RATE, 1e6, np.zeros(1000))  # not a power of two
-    with pytest.raises(InvalidParameterError):
-        Trace(RATE, 0.0, np.zeros(1024))
-    with pytest.raises(InvalidParameterError):
-        Trace(-1.0, 1e6, np.zeros(1024))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_trace_rejects_non_finite_samples(bad):
-    with pytest.raises(InvalidParameterError, match="finite"):
-        Trace(1e9, 1.0, [bad, 1.0, 2.0, 3.0])
-
-
-def test_trace_samples_are_locked():
-    t = _white(1 << 12, 0)
-    with pytest.raises(ValueError):
-        t.samples[0] = 1.0
 
 
 def test_build_targets_coherent_limit():
@@ -117,68 +97,64 @@ def test_synth_traces_are_real_and_zero_mean():
     p, c = _pair(n, seed=42)
     for t in (p, c):
         # 5-sigma bound on the empirical mean of a zero-mean record.
-        sigma_mean = np.std(t.samples) / np.sqrt(n)
-        assert abs(np.mean(t.samples)) < 5 * sigma_mean
+        sigma_mean = np.std(t) / np.sqrt(n)
+        assert abs(np.mean(t)) < 5 * sigma_mean
     # Realness oracle: rebuild through the full complex transform.
-    spec = np.fft.fft(p.samples)
+    spec = np.fft.fft(p)
     sym = spec - np.conj(spec[np.r_[0, np.arange(n - 1, 0, -1)]])
-    assert np.max(np.abs(sym)) < 1e-9 * np.sqrt(np.mean(p.samples ** 2)) * n
+    assert np.max(np.abs(sym)) < 1e-9 * np.sqrt(np.mean(p ** 2)) * n
 
 
 def test_synth_parseval():
+    # The spectrum is a real record's: zero DC, a real Nyquist bin, and its
+    # one-sided power is the record's variance.
     n = 1 << 20
-    p, _ = _pair(n, seed=7)
-    spec = psd(p, 1 << 16)
-    integral = np.trapezoid(spec.values, spec.frequencies)
-    assert integral == pytest.approx(np.var(p.samples), rel=0.01)
+    xp, _ = synth_twin_spectra(_factors(n), 7, n)
+    p = np.fft.irfft(xp, n)
+    power = np.abs(xp) ** 2
+    one_sided = (power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]) / n ** 2
+    assert xp[0] == 0.0 and xp[-1].imag == 0.0
+    assert one_sided == pytest.approx(np.var(p), rel=1e-9)
 
 
 def test_synth_welch_converges_to_targets():
+    """Periodograms averaged over the traces and the band's bins (Welch's
+    method with one rectangular segment per trace) reach the targets."""
     n = 1 << 16
-    acc_p = acc_d = None
+    got_pp = got_diff = 0.0
     n_traces = 60
     for j in range(n_traces):
-        p, c = _pair(n, np.random.SeedSequence(5, spawn_key=(j,)))
-        sp = psd(p, 1 << 13)
-        sd = psd(difference(p, c), 1 << 13)
-        acc_p = sp.values if acc_p is None else acc_p + sp.values
-        acc_d = sd.values if acc_d is None else acc_d + sd.values
-    freqs = sp.frequencies
-    in_band = (freqs > 2e5) & (freqs < 3e6)
-    got_pp = np.mean(acc_p[in_band]) / n_traces / shot_noise_density(STATS.mean_p, RATE)
+        xp, xc = synth_twin_spectra(_factors(n), np.random.SeedSequence(5, spawn_key=(j,)), n)
+        got_pp += _snu(xp, n, STATS.mean_p, (2e5, 3e6)) / n_traces
+        got_diff += _snu(xp - xc, n, STATS.mean_p + STATS.mean_c, (2e5, 3e6)) / n_traces
     assert got_pp == pytest.approx(2 * G1 - 1, rel=0.03)
-    got_diff = (np.mean(acc_d[in_band]) / n_traces
-                / shot_noise_density(STATS.mean_p + STATS.mean_c, RATE))
     assert 10 * np.log10(got_diff) == pytest.approx(-2.5, abs=0.15)
 
 
 def test_synth_pair_correlation_peaks_at_zero_lag():
-    from fastlight.analysis import band_filter, cross_correlation
     n = 1 << 18
-    p, c = _pair(n, seed=11)
-    xc = cross_correlation(band_filter(p, 1e5, 10e6), band_filter(c, 1e5, 10e6), 2e-6)
-    assert abs(xc.peak_lag) < 2.0 / RATE
-    assert xc.values.max() > 0.5
+    xp, xc = synth_twin_spectra(_factors(n), 11, n)
+    xcorr = spectral_correlation(xp, xc, correlation_plan(n, RATE, (1e5, 10e6), 2e-6))
+    assert abs(xcorr.peak_lag) < 2.0 / RATE
+    assert xcorr.values.max() > 0.5
 
 
 def test_synth_determinism():
     p1, c1 = _pair(1 << 14, seed=99)
     p2, c2 = _pair(1 << 14, seed=99)
-    assert np.array_equal(p1.samples, p2.samples)
-    assert np.array_equal(c1.samples, c2.samples)
+    assert np.array_equal(p1, p2)
+    assert np.array_equal(c1, c2)
     p3, _ = _pair(1 << 14, seed=100)
-    assert not np.array_equal(p1.samples, p3.samples)
+    assert not np.array_equal(p1, p3)
 
 
 def test_coherent_pair_difference_reads_one_snu():
+    # Independent coherent beams: the difference reads the analytic shot
+    # level of their total flux, n (mean_p + mean_c) in every bin.
     n = 1 << 18
     rng = np.random.default_rng(3)
-    t1 = _white(n, rng, STATS.mean_p)
-    t2 = _white(n, rng, STATS.mean_c)
-    d = difference(t1, t2)
-    assert d.mean_flux == STATS.mean_p + STATS.mean_c
-    spec = psd(d, 1 << 14)
-    snu = np.mean(spec.values[1:]) / shot_noise_density(d.mean_flux, RATE)
+    d = np.fft.rfft(_white(n, rng, STATS.mean_p) - _white(n, rng, STATS.mean_c))
+    snu = _snu(d, n, STATS.mean_p + STATS.mean_c)
     assert 10 * np.log10(snu) == pytest.approx(0.0, abs=0.05)
 
 
@@ -198,15 +174,13 @@ def test_propagate_flat_gain_matches_amplifier_snu():
     line = calibrate(10 * np.log10(1.25), 1e15, 0.025)
     n = 1 << 17
     channel = _channel(line, 0.0, n, 1e6)
-    acc = None
+    snu = 0.0
     n_traces = 50
     for j in range(n_traces):
-        x = np.fft.rfft(_white(n, np.random.SeedSequence(21, spawn_key=(j,))).samples)
+        x = np.fft.rfft(_white(n, np.random.SeedSequence(21, spawn_key=(j,))))
         apply_channel(x, channel, np.random.SeedSequence(22, spawn_key=(j,)), n)
-        spec = psd(Trace(RATE, channel.mean_out, np.fft.irfft(x, n)), 1 << 14)
-        acc = spec.values if acc is None else acc + spec.values
+        snu += _snu(x, n, channel.mean_out) / n_traces
     assert channel.mean_out == pytest.approx(1.25e6 + 0.25, rel=1e-12)
-    snu = np.mean(acc[1:]) / n_traces / shot_noise_density(channel.mean_out, RATE)
     assert 10 * np.log10(snu) == pytest.approx(10 * np.log10(1.5), abs=0.1)
 
 
@@ -220,10 +194,10 @@ def test_propagate_added_noise_uncorrelated_with_input():
     n_traces = 40
     for j in range(n_traces):
         t = _white(n, np.random.SeedSequence(31, spawn_key=(j,)))
-        x = apply_channel(np.fft.rfft(t.samples), channel,
+        x = apply_channel(np.fft.rfft(t), channel,
                           np.random.SeedSequence(32, spawn_key=(j,)), n)
-        added = np.fft.irfft(x, n) - gain0 * t.samples
-        cross += np.dot(added, t.samples) / n
+        added = np.fft.irfft(x, n) - gain0 * t
+        cross += np.dot(added, t) / n
     cross /= n_traces
     # Null hypothesis scale: var(added)*var(input)/n per trace.
     sigma = np.sqrt((gain0 - 1.0) * gain0 * 1e6 * 1e6 / n / n_traces)
@@ -238,7 +212,7 @@ def test_detection_identity_and_loss_map():
     n_traces = 40
     acc = 0.0
     for j in range(n_traces):
-        x = np.fft.rfft(_white(n, np.random.SeedSequence(41, spawn_key=(j,))).samples)
+        x = np.fft.rfft(_white(n, np.random.SeedSequence(41, spawn_key=(j,))))
         detect_spectrum(x, eta, 1e6, np.random.SeedSequence(42, spawn_key=(j,)), n, out=x)
         acc += np.var(np.fft.irfft(x, n)) / (eta * 1e6)
     assert acc / n_traces == pytest.approx(1.0, abs=0.01)  # coherent stays 1 SNU
@@ -257,10 +231,7 @@ def test_detection_on_squeezed_difference():
                         out=xp)
         detect_spectrum(xc, eta, STATS.mean_c, np.random.SeedSequence(53, spawn_key=(j,)), n,
                         out=xc)
-        d = Trace(RATE, eta * (STATS.mean_p + STATS.mean_c), np.fft.irfft(xp - xc, n))
-        spec = psd(d, 1 << 15)
-        in_band = (spec.frequencies > 2.5e5) & (spec.frequencies < 3e6)
-        acc += np.mean(spec.values[in_band]) / shot_noise_density(d.mean_flux, RATE)
+        acc += _snu(xp - xc, n, eta * (STATS.mean_p + STATS.mean_c), (2.5e5, 3e6))
     assert acc / n_traces == pytest.approx(0.584, abs=0.01)
 
 
@@ -354,9 +325,9 @@ def test_channel_reproduces_out_of_place_round_trip(offset, excess_db):
     n = 1 << 12
     p, _ = _pair(n, seed=17)
     seed = np.random.SeedSequence(72)
-    channel = _channel(line, 2 * np.pi * offset, n, p.mean_flux, excess_db)
-    out = np.fft.irfft(apply_channel(np.fft.rfft(p.samples), channel, seed, n), n)
-    samples, mean_out = channel_round_trip(p.samples, RATE, p.mean_flux, line,
+    channel = _channel(line, 2 * np.pi * offset, n, STATS.mean_p, excess_db)
+    out = np.fft.irfft(apply_channel(np.fft.rfft(p), channel, seed, n), n)
+    samples, mean_out = channel_round_trip(p, RATE, STATS.mean_p, line,
                                            2 * np.pi * offset, excess_db, seed)
     assert channel.mean_out == mean_out
     np.testing.assert_allclose(out, samples, rtol=0,
@@ -437,51 +408,3 @@ def test_fast_pair_head_matches_the_whole_grid_draw():
         stats.append((mean, (acc[1] / DRAWS - mean ** 2) / DRAWS))
     (m_head, v_head), (m_whole, v_whole) = stats
     _assert_z_spread(((m_head - m_whole) / np.sqrt(v_head + v_whole)).ravel())
-
-
-def test_fractional_shift_matches_roll():
-    p, _ = _pair(1 << 14, seed=8)
-    k = 30
-    shifted = fractional_shift(p, k / RATE)
-    np.testing.assert_allclose(shifted.samples, np.roll(p.samples, k), atol=1e-9)
-
-
-def test_difference_requires_compatible_traces():
-    p, _ = _pair(1 << 12, seed=9)
-    q, _ = _pair(1 << 13, seed=9)
-    with pytest.raises(IncompatibleTracesError):
-        difference(p, q)
-
-
-def test_csv_round_trip(tmp_path):
-    p, _ = _pair(1 << 10, seed=12)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(p, path)
-    back = load_trace_csv(path)
-    assert back.sample_rate == p.sample_rate
-    assert back.mean_flux == p.mean_flux
-    np.testing.assert_array_equal(back.samples, p.samples)
-
-
-def test_binary_round_trip(tmp_path):
-    p, _ = _pair(1 << 10, seed=13)
-    path = tmp_path / "trace.bin"
-    save_trace_binary(p, path)
-    back = load_trace_binary(path)
-    assert back.sample_rate == p.sample_rate
-    assert back.mean_flux == p.mean_flux
-    np.testing.assert_array_equal(back.samples, p.samples)
-
-
-def test_binary_rejects_corrupt_header(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 40)
-    with pytest.raises(InvalidParameterError):
-        load_trace_binary(path)
-
-
-def test_binary_rejects_short_header(tmp_path):
-    path = tmp_path / "short.bin"
-    path.write_bytes(b"FLTRACE\x00" + b"\x00" * 10)
-    with pytest.raises(InvalidParameterError, match="truncated trace file"):
-        load_trace_binary(path)
