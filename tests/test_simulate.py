@@ -47,6 +47,30 @@ def _channel(line, offset, n, mean_flux, excess_db=0.0):
     return channel_response(line, offset, n, RATE, mean_flux, excess_db, bins=n // 2 + 1)
 
 
+def test_trace_validation():
+    """The synthesis refuses a record that is not a power of two long, a zero
+    mean flux and a sample rate whose rfft grid is not the targets'."""
+    t = _targets(1024)
+    with pytest.raises(InvalidParameterError):
+        synthesis_factors(t, 1000, RATE, STATS.mean_p, STATS.mean_c)
+    with pytest.raises(InvalidParameterError):
+        synthesis_factors(t, 1024, RATE, 0.0, STATS.mean_c)
+    with pytest.raises(InvalidParameterError):
+        synthesis_factors(t, 1024, -RATE, STATS.mean_p, STATS.mean_c)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_samples(bad):
+    """A record carrying a non-finite sample has no normalized correlation:
+    the analysis refuses its spectrum instead of returning a NaN curve."""
+    n = 1 << 10
+    samples = _white(n, 0)
+    samples[3] = bad
+    plan = correlation_plan(n, RATE, None, 8 / RATE)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        spectral_correlation(np.fft.rfft(samples), np.fft.rfft(_white(n, 1)), plan)
+
+
 def test_build_targets_coherent_limit():
     src = TwinBeamSource(gain1=1.0, seed_flux=1e6)
     t = build_targets(src, np.fft.rfftfreq(1 << 12, 1.0 / RATE))
