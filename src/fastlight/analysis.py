@@ -193,7 +193,7 @@ def _plan(n: int, sample_rate: float, band: tuple | None, n_lag: int) -> Correla
         f_lo, f_hi = band
         # Evaluated on a few bins past _band_end and trimmed to its last nonzero.
         head = min(bins, int(np.ceil(_band_end(f_hi) * n / sample_rate)) + 2)
-        h2 = band_response(np.fft.rfftfreq(n, 1.0 / sample_rate)[:head], f_lo, f_hi) ** 2
+        h2 = band_response(_rfft_freqs(n, sample_rate, head), f_lo, f_hi) ** 2
         nonzero = np.flatnonzero(h2)
         h2 = h2[:nonzero[-1] + 1] if nonzero.size else h2[:0]
     if not h2.any():
@@ -247,7 +247,8 @@ def correlation_plan(n_samples: int, sample_rate: float, band: tuple | None,
 def _band_energy(x, weights) -> float:
     """Weighted energy of the rfft bins x: by Parseval, n/2 times the energy
     of the band-filtered record."""
-    # einsum, not np.dot/np.vdot: BLAS threads would contend with the forked scan workers.
+    # einsum, not np.dot/np.vdot: the package calls no BLAS, which is why the
+    # CLI can start with one OpenBLAS thread (see fastlight.cli).
     return float(np.einsum("i,i,i->", weights, x.real, x.real)
                  + np.einsum("i,i,i->", weights, x.imag, x.imag))
 

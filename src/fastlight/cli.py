@@ -10,6 +10,13 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 from __future__ import annotations
 
+import os
+
+# The package makes no BLAS call, so an OpenBLAS thread pool only costs
+# start-up CPU (60-80 ms per process on 2 cores) taken from the run and its
+# forked scan workers.  Set before numpy loads; an exported value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import sys
 from dataclasses import replace

@@ -107,6 +107,8 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < sampling.rate_hz / 2.0):
                 raise ConfigError(f"field '{name}' must satisfy 0 < lo < hi < Nyquist")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError("field 'out_dir' must be a non-empty string")
         if not _is_int(self.jobs) or self.jobs < 1:
             raise ConfigError("field 'jobs' must be an integer >= 1")
         if not _is_int(self.seed) or self.seed < 0:
@@ -194,9 +196,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a JSON boolean is a bool, an int subclass, and no number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_number(value) and math.isfinite(value)
 
 
 _SECTION_TYPES = {
@@ -219,7 +225,7 @@ def _build_section(name: str, cls, payload) -> object:
         if key == "coherent":
             if not isinstance(value, bool):
                 raise ConfigError(f"field '{name}.{key}' must be a boolean")
-        elif value is not None and not isinstance(value, (int, float)):
+        elif value is not None and not _is_number(value):
             raise ConfigError(f"field '{name}.{key}' must be a number")
     try:
         return cls(**payload)
@@ -240,8 +246,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         if key in _SECTION_TYPES:
             kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
         elif key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, (int, float)) for v in value):
+            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
                 raise ConfigError(f"field '{key}' must be a list of numbers")
             kwargs[key] = tuple(float(v) for v in value)
         else:

@@ -68,13 +68,71 @@ def test_advance_root_finder_matches_brentq():
     assert abs(cfg.advance_anchor_offset_hz - ref_anchor_hz) <= 1e-3
 
 
-def _run_python(code: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports this fastlight."""
+def _run_python(code: str, check: bool = True, **variables) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this fastlight.  Each
+    keyword sets that environment variable, or unsets it when None."""
     src = os.path.dirname(os.path.dirname(fastlight.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", code], env=env, check=check,
                           capture_output=True, text=True)
+
+
+def test_package_import_loads_no_numpy_and_sets_nothing():
+    code = ("import os, sys, fastlight\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _run_python(code, OPENBLAS_NUM_THREADS=None).stdout.split() == ["False", "None"]
+
+
+def test_cli_starts_one_openblas_thread_by_default():
+    """The package calls no BLAS (pinned below), so the CLI asks OpenBLAS
+    for one thread before numpy loads: no pool is started."""
+    code = ("import os, fastlight.cli\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task')"
+            " else 1\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)")
+    assert _run_python(code, OPENBLAS_NUM_THREADS=None).stdout.split() == ["1", "1"]
+
+
+def test_cli_keeps_an_exported_openblas_thread_count():
+    code = "import os, fastlight.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_python(code, OPENBLAS_NUM_THREADS="2").stdout.strip() == "2"
+
+
+_BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "tensordot"}
+
+
+def test_package_calls_no_blas():
+    """No BLAS-backed numpy call and no @ in any package module: the
+    premise on which the CLI's single OpenBLAS thread costs nothing."""
+    import ast
+    import pathlib
+
+    found = []
+    for path in sorted(pathlib.Path(fastlight.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where} @")
+            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+                found.append(f"{where} linalg")
+            elif isinstance(node, ast.alias) and "linalg" in node.name.split("."):
+                found.append(f"{where} linalg")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "").split("."):
+                found.append(f"{where} linalg")
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _BLAS_CALLS:
+                    found.append(f"{where} {name}")
+                elif name == "einsum" and any(k.arg == "optimize" for k in node.keywords):
+                    found.append(f"{where} einsum(optimize=...)")
+    assert found == []
 
 
 @pytest.mark.parametrize("preset", ["fig2-line", "fig4-advance"])
@@ -83,7 +141,7 @@ def test_cli_import_and_preset_skip_signal_and_optimize(preset):
     scipy module or concurrent.futures, and no preset solves anything: the
     fig4-advance line is compiled in."""
     code = ("import sys, numpy as np, fastlight.cli\n"
-            "from fastlight import correlation_plan, spectral_correlation\n"
+            "from fastlight.analysis import correlation_plan, spectral_correlation\n"
             "from fastlight.predict import predicted_correlation_shift as shift\n"
             "calls = []\n"
             "sys.setprofile(lambda frame, event, arg: calls.append(1) if event == 'call'"
@@ -593,6 +651,41 @@ def test_cli_config_errors_exit_2_before_running(tmp_path, capsys, override, nam
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override, named", [
+    ({"line": {"peak_gain_db": True}}, "'line.peak_gain_db'"),
+    ({"line": {"fwhm_hz": True}}, "'line.fwhm_hz'"),
+    ({"source": {"seed_flux": True}}, "'source.seed_flux'"),
+    ({"detunings_hz": [True, False]}, "'detunings_hz'"),
+    ({"band_hz": [True, 3e6]}, "'band_hz'"),
+], ids=["peak_gain_db", "fwhm_hz", "seed_flux", "detunings_hz", "band_hz"])
+def test_cli_boolean_for_a_number_exits_2(tmp_path, capsys, override, named):
+    """A JSON boolean is a Python bool, an int subclass, but never a number
+    here: true would otherwise run as 1 (a 1 dB line, a 1 Hz line)."""
+    cfg = {**preset_fig2_line().to_dict(), "scenario": "delay-scan",
+           "detunings_hz": [0.0], "sampling": _SAMPLING,
+           "out_dir": str(tmp_path / "o"), **override}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["delay-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out_dir", [5, "", None, ["o"]], ids=["int", "empty", "null", "list"])
+def test_cli_out_dir_not_a_string_exits_2(tmp_path, capsys, monkeypatch, out_dir):
+    """out_dir is checked at load, not at os.makedirs after the run."""
+    monkeypatch.chdir(tmp_path)
+    cfg = {**preset_fig2_line().to_dict(), "detunings_hz": [0.0], "sampling": _SAMPLING,
+           "out_dir": out_dir}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["line-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'out_dir'" in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, preset, override, named", [
