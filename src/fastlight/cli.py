@@ -84,12 +84,7 @@ def _resolve_config(args) -> ScenarioConfig:
         overrides["out_dir"] = args.out_dir
     if jobs is not None:
         overrides["jobs"] = jobs
-    try:
-        return replace(base, **overrides)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(base, **overrides)
 
 
 def main(argv=None) -> int:

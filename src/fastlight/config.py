@@ -10,7 +10,10 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+import sys
+from dataclasses import dataclass, field, is_dataclass
+from functools import lru_cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -79,55 +82,41 @@ class ScenarioConfig:
     source: SourceConfig = field(default_factory=SourceConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    detunings_hz: tuple = ()
+    detunings_hz: tuple[float, ...] = ()
     offset_hz: float = 0.0
-    band_hz: tuple = (1e5, 3e6)
-    fullband_hz: tuple = (1e4, 2e7)
-    noise_band_hz: tuple = (5e5, 1e6)
+    band_hz: tuple[float, float] = (1e5, 3e6)
+    fullband_hz: tuple[float, float] = (1e4, 2e7)
+    noise_band_hz: tuple[float, float] = (5e5, 1e6)
     max_lag_s: float = 2e-6
     seed: int = 12345
     out_dir: str = "out"
     jobs: int = 1
-    advance_anchor_offset_hz: float | None = None
-    advance_target_s: float | None = None
 
     def __post_init__(self):
+        _check_types(self)
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}")
         if self.scenario in ("line-scan", "delay-scan") and not self.detunings_hz:
             raise ConfigError("field 'detunings_hz' must be a non-empty list for scans")
         sampling = self.sampling
-        if not (_is_finite(sampling.rate_hz) and sampling.rate_hz > 0.0):
-            raise ConfigError("field 'sampling.rate_hz' must be a finite number > 0")
-        if not (_is_int(sampling.samples) and _is_power_of_two(sampling.samples)):
+        if sampling.rate_hz <= 0.0:
+            raise ConfigError("field 'sampling.rate_hz' must be > 0")
+        if not _is_power_of_two(sampling.samples):
             raise ConfigError("field 'sampling.samples' must be a power of two")
-        if not _is_int(sampling.traces) or sampling.traces < 1:
-            raise ConfigError("field 'sampling.traces' must be an integer >= 1")
+        if sampling.traces < 1:
+            raise ConfigError("field 'sampling.traces' must be >= 1")
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < sampling.rate_hz / 2.0):
                 raise ConfigError(f"field '{name}' must satisfy 0 < lo < hi < Nyquist")
-        if not (isinstance(self.out_dir, str) and self.out_dir):
-            raise ConfigError("field 'out_dir' must be a non-empty string")
-        if not _is_int(self.jobs) or self.jobs < 1:
-            raise ConfigError("field 'jobs' must be an integer >= 1")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError("field 'seed' must be a non-negative integer")
-        if not _is_finite(self.offset_hz):
-            raise ConfigError("field 'offset_hz' must be a finite number")
-        # Every scenario hashes these; the correlation scenarios bound max_lag_s below.
-        if not _is_finite(self.max_lag_s):
-            raise ConfigError("field 'max_lag_s' must be a finite number")
-        for name in ("advance_anchor_offset_hz", "advance_target_s"):
-            value = getattr(self, name)
-            if value is not None and not _is_finite(value):
-                raise ConfigError(f"field '{name}' must be null or a finite number")
-        if not all(_is_finite(d) for d in self.detunings_hz):
-            raise ConfigError("field 'detunings_hz' must hold finite numbers")
-        if not (_is_finite(self.channel.eta) and 0.0 < self.channel.eta <= 1.0):
-            raise ConfigError("field 'channel.eta' must be a finite number in (0, 1]")
-        if not (_is_finite(self.channel.excess_noise_db) and self.channel.excess_noise_db >= 0.0):
-            raise ConfigError("field 'channel.excess_noise_db' must be a finite number >= 0")
+        if self.jobs < 1:
+            raise ConfigError("field 'jobs' must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("field 'seed' must be >= 0")
+        if not 0.0 < self.channel.eta <= 1.0:
+            raise ConfigError("field 'channel.eta' must lie in (0, 1]")
+        if self.channel.excess_noise_db < 0.0:
+            raise ConfigError("field 'channel.excess_noise_db' must be >= 0")
         # The noise figure averages the difference's rfft bins in this band.
         name = {"line-scan": "noise_band_hz", "delay-scan": "band_hz",
                 "xcorr": "band_hz"}.get(self.scenario)
@@ -175,88 +164,80 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+@lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    """{field name: annotation} of a config dataclass, the annotations evaluated."""
+    return get_type_hints(cls)
+
+
+def _is_finite(value) -> bool:
+    """A number that converts to a finite float.  A JSON boolean is a bool, an
+    int subclass, and no number; NaN, the infinities and ints beyond the
+    float range fail the comparison."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# What each field annotation admits, and how an error says so.
+_TYPE_RULES = {
+    float: (_is_finite, "a finite number"),
+    float | None: (lambda v: v is None or _is_finite(v), "null or a finite number"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    tuple[float, ...]: (lambda v: isinstance(v, tuple) and all(map(_is_finite, v)),
+                        "a list of finite numbers"),
+    tuple[float, float]: (lambda v: isinstance(v, tuple) and len(v) == 2
+                          and all(map(_is_finite, v)), "a list of two finite numbers"),
+}
+
+
+def _check_types(section, prefix: str = "") -> None:
+    """Check every field of a config dataclass against its annotation,
+    recursing into sections; an error names the field by its dotted path."""
+    for name, kind in _field_types(type(section)).items():
+        value, where = getattr(section, name), prefix + name
+        if is_dataclass(kind):
+            if not isinstance(value, kind):
+                raise ConfigError(f"field '{where}' must be an object")
+            _check_types(value, where + ".")
+        elif not _TYPE_RULES[kind][0](value):
+            raise ConfigError(f"field '{where}' must be {_TYPE_RULES[kind][1]}")
+
+
 def _as_dict(section) -> dict:
     """A config dataclass as plain JSON data.  Numbers in float-typed fields
     and in the tuple fields are written as floats, so configs that compare
     equal (``0 == 0.0``) give equal dicts and equal hashes."""
     d = {}
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if is_dataclass(value):
+    for name, kind in _field_types(type(section)).items():
+        value = getattr(section, name)
+        if is_dataclass(kind):
             value = _as_dict(value)
-        elif f.name in _TUPLE_FIELDS:
+        elif isinstance(value, tuple):
             value = [float(v) for v in value]
-        elif f.type in ("float", "float | None") and value is not None:
+        elif kind in (float, float | None) and value is not None:
             value = float(value)
-        d[f.name] = value
+        d[name] = value
     return d
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or a float; a JSON boolean is a bool, an int subclass, and no number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-_SECTION_TYPES = {
-    "line": LineConfig,
-    "source": SourceConfig,
-    "channel": ChannelConfig,
-    "sampling": SamplingConfig,
-}
-
-_TUPLE_FIELDS = ("detunings_hz", "band_hz", "fullband_hz", "noise_band_hz")
-
-
-def _build_section(name: str, cls, payload) -> object:
-    if not isinstance(payload, dict):
-        raise ConfigError(f"field '{name}' must be an object")
-    allowed = set(cls.__dataclass_fields__)
-    for key, value in payload.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{name}.{key}'")
-        if key == "coherent":
-            if not isinstance(value, bool):
-                raise ConfigError(f"field '{name}.{key}' must be a boolean")
-        elif value is not None and not _is_number(value):
-            raise ConfigError(f"field '{name}.{key}' must be a number")
-    try:
-        return cls(**payload)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
-
-
-def config_from_dict(data: dict) -> ScenarioConfig:
+def config_from_dict(data: dict, cls=ScenarioConfig, prefix: str = ""):
+    """A config from JSON data: objects become sections and lists tuples.
+    Unknown keys are refused here; ScenarioConfig checks every type."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    allowed = set(ScenarioConfig.__dataclass_fields__)
+    types = _field_types(cls)
     kwargs = {}
     for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown field '{key}'")
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(key, _SECTION_TYPES[key], value)
-        elif key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
-                raise ConfigError(f"field '{key}' must be a list of numbers")
-            kwargs[key] = tuple(float(v) for v in value)
-        else:
-            kwargs[key] = value
-    try:
-        return ScenarioConfig(**kwargs)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        if key not in types:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+        if is_dataclass(types[key]) and isinstance(value, dict):
+            value = config_from_dict(value, types[key], f"{prefix}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +249,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 # trade-off of a single Lorentzian caps |advance| below ~0.11/gamma seconds),
 # so the advance preset narrows the line to 2.6 MHz and drives it with the
 # peak gain at which the predicted band-filtered correlation shift at the
-# 6.5 MHz operating offset equals -12 ns.  The anchor offset is where the
-# plain group-delay expression gives exactly -12 ns.  Both are solved once,
+# 6.5 MHz operating offset equals -12 ns.  The anchor offset, which no run
+# reads, is where the plain group-delay expression gives exactly -12 ns; the
+# tests check the line against it.  Both are solved once,
 # with Brent's method, by tests/oracles.solve_advance_line, which the tests
 # run to check these constants bit for bit.
 _ADVANCE_PEAK_DB = 19.50531536947279
@@ -299,8 +281,6 @@ def preset_fig4_advance() -> ScenarioConfig:
         detunings_hz=(-10e6, -8e6, -6.5e6, -5.5e6, -4.5e6,
                       4.5e6, 5.5e6, 6.5e6, 8e6, 10e6),
         offset_hz=_ADVANCE_OFFSET_HZ,
-        advance_anchor_offset_hz=_ADVANCE_ANCHOR_HZ,
-        advance_target_s=ADVANCE_TARGET_S,
     )
 
 

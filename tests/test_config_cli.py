@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pickle
@@ -12,14 +13,13 @@ from hypothesis import strategies as st
 
 import fastlight
 from fastlight.cli import main
-from fastlight.config import (PRESETS, ScenarioConfig, config_from_dict,
-                              load_config, preset_coherent_ref,
+from fastlight.config import (_ADVANCE_ANCHOR_HZ, PRESETS, ScenarioConfig,
+                              config_from_dict, load_config, preset_coherent_ref,
                               preset_fig2_line, preset_fig4_advance)
 from fastlight.analysis import band_response
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
 from fastlight.errors import ConfigError, FastlightError, InvalidParameterError
 from fastlight.predict import predicted_correlation_shift
-from fastlight.scenario import _find_root
 from oracles import dense_correlation_shift, solve_advance_line
 
 
@@ -34,38 +34,26 @@ def test_fig2_preset_hits_gain_anchor():
 def test_fig4_preset_advance_anchor_and_gain():
     cfg = preset_fig4_advance()
     line = cfg.line.make()
-    anchor = cfg.advance_anchor_offset_hz
-    assert anchor is not None
-    assert peak_advance(line, 2 * np.pi * anchor) * 1e9 == pytest.approx(-12.0, abs=0.1)
+    anchor_ns = peak_advance(line, 2 * np.pi * _ADVANCE_ANCHOR_HZ) * 1e9
+    assert anchor_ns == pytest.approx(-12.0, abs=0.1)
     gain_op = float(intensity_gain(line, 2 * np.pi * cfg.offset_hz))
     assert gain_op <= 1.25
 
 
 def test_fig4_preset_constants_are_the_solve():
-    """The compiled-in line strength and anchor offset are what the solve
+    """The compiled-in line strength and anchor offset are what brentq
     returns with the package's chirp-z shift, bit for bit."""
-    cfg = preset_fig4_advance()
-    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, _find_root)
-    assert cfg.line.peak_gain_db == peak_db
-    assert cfg.advance_anchor_offset_hz == anchor_hz
+    from scipy.optimize import brentq
+    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, brentq)
+    assert preset_fig4_advance().line.peak_gain_db == peak_db
+    assert _ADVANCE_ANCHOR_HZ == anchor_hz
 
 
 def test_fig4_preset_solve_equals_dense_reference():
-    cfg = preset_fig4_advance()
-    peak_db, anchor_hz = solve_advance_line(dense_correlation_shift, _find_root)
-    assert cfg.line.peak_gain_db == peak_db
-    assert cfg.advance_anchor_offset_hz == anchor_hz
-
-
-def test_advance_root_finder_matches_brentq():
-    """The constants are _find_root's solve (pinned above); brentq lands
-    within the solve's xtol of them."""
     from scipy.optimize import brentq
-    cfg = preset_fig4_advance()
-    ref_peak_db, ref_anchor_hz = solve_advance_line(predicted_correlation_shift, brentq)
-    # The solve's xtol: 1e-9 dB for the line strength, 1e-3 Hz for the anchor.
-    assert abs(cfg.line.peak_gain_db - ref_peak_db) <= 1e-9
-    assert abs(cfg.advance_anchor_offset_hz - ref_anchor_hz) <= 1e-3
+    peak_db, anchor_hz = solve_advance_line(dense_correlation_shift, brentq)
+    assert preset_fig4_advance().line.peak_gain_db == peak_db
+    assert _ADVANCE_ANCHOR_HZ == anchor_hz
 
 
 def _run_python(code: str, check: bool = True, **variables) -> subprocess.CompletedProcess:
@@ -393,6 +381,8 @@ def test_cli_selftest(tmp_path):
     assert main(["selftest", "--out-dir", str(tmp_path / "st"), "--seed", "4"]) == 0
     report = json.loads((tmp_path / "st" / "selftest.json").read_text())
     assert report["all_passed"] is True
+    # The point seeds of the shot-floor, twin and delay checks.
+    assert report["point_spawn_keys"] == [101, 102, 103]
 
 
 @pytest.mark.parametrize("option", ["--samples", "--traces", "--jobs"])
@@ -421,6 +411,10 @@ def _swap_pair(spectral_correlation):
     return lambda x1, x2, plan: spectral_correlation(x2, x1, plan)
 
 
+def _widen_line(calibrate):
+    return lambda peak_db, fwhm_hz, *args: calibrate(peak_db, 1.001 * fwhm_hz, *args)
+
+
 def _anticorrelate(synthesis_factors):
     def factors(*args, **kwargs):
         sigma_p, l21, l22 = synthesis_factors(*args, **kwargs)
@@ -429,6 +423,7 @@ def _anticorrelate(synthesis_factors):
 
 
 @pytest.mark.parametrize("kernel, mutate, check", [
+    ("calibrate", _widen_line, "calibration_roundtrip"),
     ("white_spectrum", _double_variance, "shot_floor_unity"),
     ("detect_spectrum", _double_vacuum, "shot_floor_unity"),
     ("spectral_correlation", _swap_pair, "delay_estimator_12ns"),
@@ -688,6 +683,92 @@ def test_cli_out_dir_not_a_string_exits_2(tmp_path, capsys, monkeypatch, out_dir
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+_BIG = 10 ** 400  # a JSON integer beyond the float range
+_NON_FINITE = [float("nan"), float("inf"), -float("inf"), _BIG]
+_NOT_NUMBERS = ["1.0", True, [1.0], {"value": 1.0}]
+_NOT_LISTS = ["1.0", None, True, 1.0, {"value": 1.0}]
+_BAD_ENTRIES = [["1.0"], [None], [True], [[1.0]], [{"value": 1.0}]]
+# Wrong values for each field annotation: the wrong type, null where the
+# annotation has no None, and numbers that convert to no finite float.
+_WRONG_VALUES = {
+    "float": [None, *_NOT_NUMBERS, *_NON_FINITE],
+    "float | None": [*_NOT_NUMBERS, *_NON_FINITE],
+    "int": [None, "1", True, [1], {"value": 1}, 1.5, 1.0, *_NON_FINITE[:3]],
+    "bool": [None, "true", 1, [True], {"value": True}],
+    "str": [None, "", 5, True, ["o"], {"value": "o"}],
+    "tuple[float, ...]": [*_NOT_LISTS, *_BAD_ENTRIES, *([v] for v in _NON_FINITE)],
+    "tuple[float, float]": [*_NOT_LISTS, *_BAD_ENTRIES,
+                            *([1e5, v] for v in _NON_FINITE),
+                            [], [1e5], [1e5, 1e6, 3e6]],
+}
+_SECTION_WRONG_VALUES = [None, "line", 5, True, [1.0]]
+
+
+def _every_field():
+    """(dotted name, wrong values) of every config field and section."""
+    out = []
+    for f in dataclasses.fields(ScenarioConfig):
+        if dataclasses.is_dataclass(f.default_factory):
+            out.append((f.name, _SECTION_WRONG_VALUES))
+            out += [(f"{f.name}.{g.name}", _WRONG_VALUES[g.type])
+                    for g in dataclasses.fields(f.default_factory)]
+        else:
+            out.append((f.name, _WRONG_VALUES[f.type]))
+    return out
+
+
+def _tiny_line_scan(tmp_path, dotted, value):
+    """A line-scan config file at 2^12 samples and 1 trace, with the field
+    named by a dotted path set to value."""
+    cfg = {**preset_fig2_line().to_dict(), "detunings_hz": [0.0],
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 12, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    *section, name = dotted.split(".")
+    (cfg[section[0]] if section else cfg)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+_FIELDS = _every_field()
+
+
+@pytest.mark.parametrize("dotted, wrong", _FIELDS, ids=[name for name, _ in _FIELDS])
+def test_every_field_refuses_wrong_values_of_its_kind(tmp_path, capsys, dotted, wrong):
+    """Each field's annotation is its type rule: a wrong value exits 2 at
+    load, names the field by its dotted path and writes nothing."""
+    for value in wrong:
+        path = _tiny_line_scan(tmp_path, dotted, value)
+        assert main(["line-scan", "--config", str(path)]) == 2, value
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{dotted}'" in err, (value, err)
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("detunings_hz", [_BIG]),
+    ("band_hz", [1e5, 1e6, 3e6]),
+    ("line.peak_gain_db", None),
+    ("sampling.rate_hz", _BIG),
+], ids=["detunings_400_digits", "band_three_entries", "peak_gain_null", "rate_400_digits"])
+def test_cli_type_errors_exit_2_naming_the_field(tmp_path, capsys, dotted, value):
+    """Values that version 0.9.0 ran into a traceback (exit 1) or refused
+    without naming the field."""
+    assert main(["line-scan", "--config", str(_tiny_line_scan(tmp_path, dotted, value))]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'{dotted}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_cli_rate_override_is_type_checked(tmp_path, capsys, rate):
+    out = tmp_path / "o"
+    assert main(["line-scan", "--preset", "fig2-line", "--rate", rate,
+                 "--out-dir", str(out)]) == 2
+    assert "'sampling.rate_hz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, preset, override, named", [
     ("line-scan", preset_fig2_line, {"max_lag_s": "abc"}, "'max_lag_s'"),
     ("xcorr", preset_fig4_advance, {"advance_anchor_offset_hz": "x"},
@@ -696,9 +777,10 @@ def test_cli_out_dir_not_a_string_exits_2(tmp_path, capsys, monkeypatch, out_dir
 ], ids=["line_scan_max_lag_text", "xcorr_anchor_offset_text", "xcorr_target_nan"])
 def test_cli_scalar_field_errors_exit_2_before_running(tmp_path, capsys, monkeypatch,
                                                        command, preset, override, named):
-    """Fields that a scenario hashes but computes nothing with are checked
-    at load like every other, so a bad value stops the run before any point
-    and writes nothing."""
+    """A field that a scenario hashes but computes nothing with is checked at
+    load like every other, and the advance fields that 0.10.0 deleted are
+    refused as unknown: either stops the run before any point and writes
+    nothing."""
     import fastlight.scenario as scenario
 
     def no_draws(*args, **kwargs):
