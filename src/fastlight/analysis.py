@@ -11,7 +11,7 @@ measured delay means the second record is advanced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,15 +77,16 @@ def band_response(frequencies, f_lo: float, f_hi: float):
 class XcorrResult:
     """Normalized cross-correlation on a lag grid.
 
-    peak_lag is the three-point parabolic refinement of the maximum; fwhm is
-    the width of the main lobe at half the refined peak value (NaN when the
-    half level is not crossed inside the lag window).
+    peak_lag and peak_value are the three-point parabolic refinement of the
+    maximum; fwhm is the width of the main lobe at half the refined peak
+    value (NaN when the half level is not crossed inside the lag window),
+    measured on first read.
     """
 
     lags: np.ndarray
     values: np.ndarray
     peak_lag: float
-    fwhm: float
+    peak_value: float
 
     @classmethod
     def from_values(cls, lags, values) -> "XcorrResult":
@@ -93,9 +94,12 @@ class XcorrResult:
         values = np.asarray(values, dtype=float)
         if lags.shape != values.shape or lags.ndim != 1:
             raise InvalidParameterError("lags and values must be matching 1-d arrays")
-        peak_lag, peak_val = _refine_peak(lags, values)
-        return cls(lags=lags, values=values, peak_lag=peak_lag,
-                   fwhm=_fwhm(lags, values, peak_val))
+        peak_lag, peak_value = _refine_peak(lags, values)
+        return cls(lags=lags, values=values, peak_lag=peak_lag, peak_value=peak_value)
+
+    @cached_property
+    def fwhm(self) -> float:
+        return _fwhm(self.lags, self.values, self.peak_value)
 
 
 def _parabola_peak(y0: float, y1: float, y2: float) -> tuple[float, float]:
@@ -153,6 +157,8 @@ class CorrelationPlan(NamedTuple):
         factor 1/2, and kernel is the FFT of the chirp filter, of the
         smallest 2^a 3^b 5^c 7^d length >= 2K - 1 + 2 n_lag.
     lags: the lag grid in seconds.
+    work: the one writable array, a complex buffer of the kernel's length
+        that ``lag_curves`` transforms in place on every call.
     """
 
     n: int
@@ -162,6 +168,7 @@ class CorrelationPlan(NamedTuple):
     chirp_out: np.ndarray
     kernel: np.ndarray
     lags: np.ndarray
+    work: np.ndarray
 
 
 def _chirp(index, n: int, sign: float) -> np.ndarray:
@@ -216,10 +223,11 @@ def _plan(n: int, sample_rate: float, band: tuple | None, n_lag: int) -> Correla
     taps = np.zeros(m, dtype=complex)
     taps[offsets % m] = _chirp(offsets - n_lag + k - 1, n, -1.0)
     lag_index = np.arange(-n_lag, n_lag + 1)
+    # Once transformed, the taps' array is the plan's work buffer.
     plan = CorrelationPlan(n, k, weights, 0.5 * _chirp(np.arange(1 - k, k), n, 1.0),
                            _chirp(lag_index, n, 1.0), np.fft.fft(taps),
-                           lag_index / sample_rate)
-    # Every caller of a cached plan shares its arrays.
+                           lag_index / sample_rate, taps)
+    # Every caller of a cached plan shares its arrays; only work is written.
     for array in (plan.weights, plan.chirp_in, plan.chirp_out, plan.kernel, plan.lags):
         array.setflags(write=False)
     return plan
@@ -291,18 +299,26 @@ def lag_curves(a, b, plan: CorrelationPlan) -> tuple[np.ndarray, np.ndarray]:
     plan's lags m, from one chirp-z transform of the two-sided spectrum of
     a + i b over bins -(K-1)..K-1 (an FFT and an inverse FFT of the plan's
     kernel length).  a and b are cross spectra from ``cross_spectrum``, or
-    sums or means of them."""
+    sums or means of them.
+
+    Both transforms run in place in ``plan.work``, so no kernel-length array
+    is allocated; the curves are the real and imaginary parts of a new array
+    of the lags only and share no memory with it.  Two calls on one plan
+    must not overlap: the function is not reentrant across threads (the
+    package starts none)."""
     k = plan.support
     a = np.asarray(a)[:k]
     ib = 1j * np.asarray(b)[:k]
-    z = np.zeros(2 * k - 1, dtype=complex)
-    z[k - 1:] = a + ib
+    work = plan.work
+    work.fill(0.0)
+    z = work[:2 * k - 1]
+    np.add(a, ib, out=z[k - 1:])
     z[:k] += np.conjugate(a - ib)[::-1]
     z *= plan.chirp_in
-    conv = np.fft.fft(z, plan.kernel.size)
-    conv *= plan.kernel
-    conv = np.fft.ifft(conv)[:plan.lags.size]
-    conv *= plan.chirp_out
+    np.fft.fft(work, out=work)
+    work *= plan.kernel
+    np.fft.ifft(work, out=work)
+    conv = work[:plan.lags.size] * plan.chirp_out
     return conv.real, conv.imag
 
 
@@ -344,8 +360,10 @@ def peak_delay(c_fast: XcorrResult, c_ref: XcorrResult) -> float:
     Each peak is the parabolic-interpolated maximum.  Negative values mean
     the fast trace's correlation peak arrives early (advancement).
     """
-    if c_fast.lags.shape != c_ref.lags.shape or not np.allclose(
-            c_fast.lags, c_ref.lags, rtol=1e-12, atol=1e-15):
+    # The scenarios pass two curves on one plan's lag array.
+    if c_fast.lags is not c_ref.lags and (
+            c_fast.lags.shape != c_ref.lags.shape
+            or not np.allclose(c_fast.lags, c_ref.lags, rtol=1e-12, atol=1e-15)):
         raise InvalidParameterError("peak_delay needs identical lag grids")
     _check_unique_peak(c_fast)
     _check_unique_peak(c_ref)

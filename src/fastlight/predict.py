@@ -94,9 +94,11 @@ def predicted_correlation_shift(line: GainLine, offset_hz: float,
     centre = _COARSE_STEP * int(np.argmax(coarse))
     lo = max(centre - 2 * _COARSE_STEP, 0)
     hi = min(centre + 2 * _COARSE_STEP, n_t - 1)
-    phase = 2.0 * np.pi * np.outer(t[lo:hi + 1], f)
-    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                        f, axis=1)
+    # One row at a time, so each temporary holds one row's frequencies.
+    corr = np.empty(hi + 1 - lo)
+    for r, t_r in enumerate(t[lo:hi + 1]):
+        phase = 2.0 * np.pi * (t_r * f)
+        corr[r] = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag, f)
     k = int(np.argmax(corr))
     i = lo + k
     if i == 0 or i == n_t - 1:

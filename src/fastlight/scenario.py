@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 from dataclasses import replace
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -53,20 +53,21 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
     return 10.0 * math.log10(1.0 + x_beam)
 
 
-class _PointChain(NamedTuple):
-    """Constants of one detuning point's measurement chain, shared by its traces.
+class _ChainHead(NamedTuple):
+    """Constants of a measurement chain that no detuning changes; a scan
+    builds them once per process that runs its points (``_run_scan``) and
+    passes them to each point.
 
     Every trace is carried on the head of the rfft grid, its first
     ``support`` bins: the largest band support, or one past the noise band's
-    last bin if that lies higher.  The synthesis factors and the channel hold
-    those bins; no curve and no noise figure reads a bin past them.
+    last bin if that lies higher.  The synthesis factors and each point's
+    channel hold those bins; no curve and no noise figure reads a bin past
+    them.
     """
 
-    cfg: ScenarioConfig
     mean_p: float
     mean_c: float
     factors: tuple | None  # synthesis factors; None for a coherent source
-    channel: ChannelResponse
     plans: dict  # band name -> CorrelationPlan
     noise_bins: range  # the noise band's bins
     support: int
@@ -85,15 +86,12 @@ def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPla
     return plan
 
 
-def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict,
-                 noise_band: tuple) -> _PointChain:
+def _chain_head(cfg: ScenarioConfig, bands: dict, noise_band: tuple) -> _ChainHead:
+    """The chain head of points that correlate in ``bands`` ({name: (f_lo,
+    f_hi)}) and read their noise in ``noise_band``."""
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    source = cfg.source.make()
     stats = seeded_stats(source.gain1, source.seed_flux)
-    mean_p, mean_c = stats.mean_p, stats.mean_c
-    gain0 = float(intensity_gain(line, delta))
-    mean_c_out = gain0 * mean_c + (gain0 - 1.0)
-    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, mean_p,
-                                        mean_c_out, cfg.channel.eta)
     # Built before any draw, so a lag window too short fails first.
     plans = {name: _band_plan(n, fs, band, cfg.max_lag_s) for name, band in bands.items()}
     noise_bins = _band_bins(n, fs, *noise_band)
@@ -101,51 +99,70 @@ def _point_chain(cfg: ScenarioConfig, line, source, delta: float, bands: dict,
     factors = None
     if not cfg.source.coherent:
         factors = synthesis_factors(build_targets(source, _rfft_freqs(n, fs, k)),
-                                    n, fs, mean_p, mean_c)
-    channel = channel_response(line, delta, n, fs, mean_c, excess_beam, bins=k)
-    return _PointChain(cfg, mean_p, mean_c, factors, channel, plans, noise_bins, k)
+                                    n, fs, stats.mean_p, stats.mean_c)
+    return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
 
 
-def _correlate(sums: dict, pair: str, x1, x2, chain: _PointChain):
-    for band, plan in chain.plans.items():
+def _correlation_head(cfg: ScenarioConfig, want_fullband: bool) -> _ChainHead:
+    """The chain head of a correlation point: ``band_hz``, and ``fullband_hz``
+    when wanted, with the noise read in ``band_hz``."""
+    bands = {"band": cfg.band_hz}
+    if want_fullband:
+        bands["full"] = cfg.fullband_hz
+    return _chain_head(cfg, bands, cfg.band_hz)
+
+
+def _point_channel(cfg: ScenarioConfig, line, head: _ChainHead,
+                   delta: float) -> ChannelResponse:
+    """The channel of one detuning point on the head's bins, shared by its traces."""
+    gain0 = float(intensity_gain(line, delta))
+    mean_c_out = gain0 * head.mean_c + (gain0 - 1.0)
+    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, head.mean_p,
+                                        mean_c_out, cfg.channel.eta)
+    return channel_response(line, delta, cfg.sampling.samples, cfg.sampling.rate_hz,
+                            head.mean_c, excess_beam, bins=head.support)
+
+
+def _correlate(sums: dict, pair: str, x1, x2, head: _ChainHead):
+    for band, plan in head.plans.items():
         sums[band][pair] += cross_spectrum(x1, x2, plan)
 
 
-def _measure_trace(chain: _PointChain, roles, sums: dict) -> float:
+def _measure_trace(cfg: ScenarioConfig, head: _ChainHead, channel: ChannelResponse,
+                   roles, sums: dict) -> float:
     """One trace of a point, carried as rfft spectra on the head of the
     grid: the pair is synthesized, the reference pair is detected, and the
     fast pair goes through the channel and is detected.  Each pair's cross
     spectrum in each band is added to ``sums[band]["ref"|"fast"]``.  Returns
     the summed power |D_k|^2 of the detected difference D = p - c over the
     noise band's bins."""
-    cfg = chain.cfg
     n = cfg.sampling.samples
     eta = cfg.channel.eta
-    k = chain.support
-    if chain.factors is None:
+    k = head.support
+    if head.factors is None:
         rng = np.random.default_rng(roles[0])
-        xp = white_spectrum(n, chain.mean_p, rng, add_to=np.zeros(k, dtype=complex))
-        xc = white_spectrum(n, chain.mean_c, rng, add_to=np.zeros(k, dtype=complex))
+        xp = white_spectrum(n, head.mean_p, rng, add_to=np.zeros(k, dtype=complex))
+        xc = white_spectrum(n, head.mean_c, rng, add_to=np.zeros(k, dtype=complex))
     else:
-        xp, xc = synth_twin_spectra(chain.factors, roles[0], n_samples=n)
-    probe_ref = detect_spectrum(xp, eta, chain.mean_p, roles[2], n_samples=n)
-    conj_ref = detect_spectrum(xc, eta, chain.mean_c, roles[3], n_samples=n)
-    _correlate(sums, "ref", probe_ref, conj_ref, chain)
-    apply_channel(xc, chain.channel, roles[1], n_samples=n)
-    detect_spectrum(xp, eta, chain.mean_p, roles[4], out=xp, n_samples=n)
-    detect_spectrum(xc, eta, chain.channel.mean_out, roles[5], out=xc, n_samples=n)
-    _correlate(sums, "fast", xp, xc, chain)
-    lo, hi = chain.noise_bins.start, chain.noise_bins.stop
+        xp, xc = synth_twin_spectra(head.factors, roles[0], n_samples=n)
+    probe_ref = detect_spectrum(xp, eta, head.mean_p, roles[2], n_samples=n)
+    conj_ref = detect_spectrum(xc, eta, head.mean_c, roles[3], n_samples=n)
+    _correlate(sums, "ref", probe_ref, conj_ref, head)
+    apply_channel(xc, channel, roles[1], n_samples=n)
+    detect_spectrum(xp, eta, head.mean_p, roles[4], out=xp, n_samples=n)
+    detect_spectrum(xc, eta, channel.mean_out, roles[5], out=xc, n_samples=n)
+    _correlate(sums, "fast", xp, xc, head)
+    lo, hi = head.noise_bins.start, head.noise_bins.stop
     diff = xp[lo:hi] - xc[lo:hi]
     return float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
-def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
-                   point_ss: np.random.SeedSequence, bands: dict,
-                   noise_band: tuple) -> tuple[dict, float]:
+def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
+                   point_ss: np.random.SeedSequence) -> tuple[dict, float]:
     """Run every trace of one detuning point.  Returns the trace-averaged
-    correlation curves ("<band>_ref", "<band>_fast" for each of ``bands``)
-    and the difference noise in ``noise_band`` in dB re shot noise: the mean
+    correlation curves ("<band>_ref", "<band>_fast" for each band of
+    ``head.plans``) and the difference noise in the head's noise band in dB
+    re shot noise: the mean
     of |D_k|^2 over the band's rfft bins and the traces, divided by the
     analytic shot level n M of every bin.  M = eta (mean_p + mean_c_out) is
     the per-sample variance of shot noise of the detected pair's total flux.
@@ -155,39 +172,39 @@ def _measure_point(cfg: ScenarioConfig, line, source, delta: float,
     generalized cross-correlation averages cross spectra, then inverts once;
     Knapp & Carter 1976), so the transforms per point do not grow with the
     trace count."""
-    chain = _point_chain(cfg, line, source, delta, bands, noise_band)
+    channel = _point_channel(cfg, line, head, delta)
     sums = {band: {pair: np.zeros(plan.support, dtype=complex) for pair in ("ref", "fast")}
-            for band, plan in chain.plans.items()}
+            for band, plan in head.plans.items()}
     power = 0.0
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
         roles = np.random.SeedSequence(point_ss.entropy,
                                        spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        power += _measure_trace(chain, roles, sums)
+        power += _measure_trace(cfg, head, channel, roles, sums)
 
     curves = {}
-    for band, plan in chain.plans.items():
+    for band, plan in head.plans.items():
         pair = sums[band]
         ref, fast = lag_curves(pair["ref"] / n_traces, pair["fast"] / n_traces, plan)
         curves[f"{band}_ref"] = XcorrResult.from_values(plan.lags, ref)
         curves[f"{band}_fast"] = XcorrResult.from_values(plan.lags, fast)
     n, eta = cfg.sampling.samples, cfg.channel.eta
     # The shot level is an expectation, not an average over traces.
-    shot = n * eta * (chain.mean_p + chain.channel.mean_out)
-    return curves, 10.0 * math.log10(power / (n_traces * len(chain.noise_bins) * shot))
+    shot = n * eta * (head.mean_p + channel.mean_out)
+    return curves, 10.0 * math.log10(power / (n_traces * len(head.noise_bins) * shot))
 
 
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
-                               point_ss: np.random.SeedSequence,
-                               want_fullband: bool) -> dict:
-    """Simulate one detuning point and measure delays and band squeezing."""
+                               point_ss: np.random.SeedSequence, want_fullband: bool,
+                               head: _ChainHead | None = None) -> dict:
+    """Simulate one detuning point and measure delays and band squeezing;
+    ``head`` is the scan's ``_correlation_head``, built here when None."""
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
-    bands = {"band": cfg.band_hz}
-    if want_fullband:
-        bands["full"] = cfg.fullband_hz
-    curves, noise_db = _measure_point(cfg, line, source, delta, point_ss, bands, cfg.band_hz)
+    if head is None:
+        head = _correlation_head(cfg, want_fullband)
+    curves, noise_db = _measure_point(cfg, line, head, delta, point_ss)
     gain0 = float(intensity_gain(line, delta))
     result = {
         "detuning_hz": detuning_hz,
@@ -204,12 +221,16 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
 
 
 def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
-                         point_ss: np.random.SeedSequence) -> dict:
-    """Simulate one detuning point of the gain-line scan."""
+                         point_ss: np.random.SeedSequence,
+                         head: _ChainHead | None = None) -> dict:
+    """Simulate one detuning point of the gain-line scan; ``head`` is the
+    scan's chain head, with no bands, built here when None."""
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
-    _, noise_db = _measure_point(cfg, line, source, delta, point_ss, {}, cfg.noise_band_hz)
+    if head is None:
+        head = _chain_head(cfg, {}, cfg.noise_band_hz)
+    _, noise_db = _measure_point(cfg, line, head, delta, point_ss)
     f_band = np.linspace(cfg.noise_band_hz[0], cfg.noise_band_hz[1], 201)
     predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
                                                cfg.channel.excess_noise_db, f_band,
@@ -224,24 +245,26 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
 
 
 def _noise_point_worker(args) -> dict:
-    cfg, index, detuning = args
-    return _measure_noise_point(cfg, detuning, _point_seed(cfg.seed, index))
+    cfg, index, detuning, head = args
+    return _measure_noise_point(cfg, detuning, _point_seed(cfg.seed, index), head())
 
 
 def _correlation_point_worker(args) -> dict:
-    cfg, index, detuning = args
+    cfg, index, detuning, head = args
     out = _measure_correlation_point(cfg, detuning, _point_seed(cfg.seed, index),
-                                     want_fullband=True)
+                                     want_fullband=True, head=head())
     out.pop("curves")
     return out
 
 
-def _map_points(worker, cfg: ScenarioConfig):
-    """``[worker(a) for a in args]`` over the scan points, in ``min(jobs,
-    points)`` forked children when that is more than one and the platform
-    forks.  Child w computes ``args[w::workers]``; the parent computes none,
-    so its memory peak stays that of the loaded program."""
-    args = [(cfg, i, d) for i, d in enumerate(cfg.detunings_hz)]
+def _map_points(worker, cfg: ScenarioConfig, head=None):
+    """``[worker(a) for a in args]`` over the scan points, each ``a`` the
+    tuple (cfg, point index, detuning, head), in ``min(jobs, points)`` forked
+    children when that is more than one and the platform forks; ``head`` is
+    what a worker calls for the scan's ``_ChainHead``.  Child w computes
+    ``args[w::workers]``; the parent computes none, so its memory peak stays
+    that of the loaded program."""
+    args = [(cfg, i, d, head) for i, d in enumerate(cfg.detunings_hz)]
     workers = min(cfg.jobs, len(args))
     if workers < 2 or not hasattr(os, "fork"):
         return [worker(a) for a in args]
@@ -321,17 +344,16 @@ def _require_finite(path, bad):
 
 def _write_csv(path, columns: dict, created):
     """Write {name: values} as a CSV with a header row, each cell the repr
-    of a float."""
+    of a float, streamed a row at a time."""
     columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
     _require_finite(path, [name for name, values in columns.items()
                            if not np.isfinite(values).all()])
     # Registered before the file exists, so a failed write is cleaned up too.
     created.append(path)
-    row = ",".join(["{!r}"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(row.format(*cells) for cells in
-                      zip(*(values.tolist() for values in columns.values())))
+        fh.writelines(",".join(cells) + "\n" for cells in
+                      zip(*(map(repr, map(float, values)) for values in columns.values())))
 
 
 def _base_summary(cfg: ScenarioConfig) -> dict:
@@ -364,11 +386,16 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
         worker, file_name = _noise_point_worker, "line_scan.csv"
         names = ["detuning_hz", "gain_db", "predicted_noise_db",
                  "simulated_noise_db", "group_index"]
+        build_head = partial(_chain_head, cfg, {}, cfg.noise_band_hz)
     else:
         worker, file_name = _correlation_point_worker, "delay_scan.csv"
         names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
                  "squeezing_db_band", "analytic_squeezing_db"]
-    rows = _map_points(worker, cfg)
+        build_head = partial(_correlation_head, cfg, want_fullband=True)
+    # The chain head is built by the first point each process runs, not
+    # before the pool forks: in the parent, delay-scan's plans and the
+    # numpy.fft they load would raise the run's memory peak by about 3 MB.
+    rows = _map_points(worker, cfg, cache(build_head))
     _write_csv(os.path.join(cfg.out_dir, file_name),
                {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
@@ -439,8 +466,8 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
     def noise_db(coherent: bool, key: int, band: tuple, eta: float = 1.0) -> float:
         point = replace(bench, source=replace(cfg.source, coherent=coherent),
                         channel=ChannelConfig(eta=eta, excess_noise_db=0.0))
-        return _measure_point(point, point.line.make(), point.source.make(), 0.0,
-                              _point_seed(cfg.seed, key), {}, band)[1]
+        return _measure_point(point, point.line.make(), _chain_head(point, {}, band), 0.0,
+                              _point_seed(cfg.seed, key))[1]
 
     # Coherent beams detected at eta = 0.5, eta times each beam plus vacuum,
     # read the analytic shot level n eta (mean_p + mean_c).

@@ -12,6 +12,10 @@ the in-place spectral kernels must reproduce from the same seed.
 ``solve_advance_line`` is the solve behind the ``fig4-advance`` preset's
 compiled-in line strength and anchor offset.  ``band_periodogram`` reads a
 spectrum's band noise in shot-noise units as the scenarios do.
+``allocating_lag_curves``, ``broadcast_correlation_shift`` and
+``format_rows_csv`` are the allocating forms of the chirp-z lag curves, the
+prediction's fine rows and the CSV writer, which the kernels that reuse
+their buffers must reproduce byte for byte.
 """
 
 import math
@@ -204,3 +208,63 @@ def channel_round_trip(samples, sample_rate, mean_flux, line, carrier_offset,
     noise[0] = 0.0
     noise[-1] = sigma[-1] * z_re[-1]
     return np.fft.irfft(np.fft.rfft(samples) * transfer + noise, n), mean_out
+
+
+def allocating_lag_curves(a, b, plan):
+    """``analysis.lag_curves`` with every intermediate a new array: the
+    two-sided spectrum padded by ``np.fft.fft`` to the kernel length, and
+    the inverse transform's output cut to the lags."""
+    k = plan.support
+    a = np.asarray(a)[:k]
+    ib = 1j * np.asarray(b)[:k]
+    z = np.zeros(2 * k - 1, dtype=complex)
+    z[k - 1:] = a + ib
+    z[:k] += np.conjugate(a - ib)[::-1]
+    z *= plan.chirp_in
+    conv = np.fft.fft(z, plan.kernel.size)
+    conv *= plan.kernel
+    conv = np.fft.ifft(conv)[:plan.lags.size]
+    conv *= plan.chirp_out
+    return conv.real, conv.imag
+
+
+def broadcast_correlation_shift(line, offset_hz, source, f_lo, f_hi, t_window=1.5e-7,
+                                n_t=3001):
+    """``predict.predicted_correlation_shift`` with its fine rows around the
+    coarse peak evaluated as one (rows, frequencies) phase matrix."""
+    from fastlight.analysis import _parabola_peak, band_response
+    from fastlight.dispersion import modulation_transfer
+    from fastlight.predict import _COARSE_STEP, _N_F, _coarse_correlation, _frequency_top
+    from fastlight.simulate import build_targets
+
+    f, df = np.linspace(0.0, _frequency_top(f_hi), _N_F, retstep=True)
+    response = band_response(f, f_lo, f_hi)
+    s_pc = build_targets(source, f).s_pc
+    transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
+    cross = response ** 2 * s_pc * transfer
+    t, dt = np.linspace(-t_window, t_window, n_t, retstep=True)
+    coarse = _coarse_correlation(cross, df, t[0], _COARSE_STEP * dt,
+                                 (n_t - 1) // _COARSE_STEP + 1)
+    centre = _COARSE_STEP * int(np.argmax(coarse))
+    lo = max(centre - 2 * _COARSE_STEP, 0)
+    hi = min(centre + 2 * _COARSE_STEP, n_t - 1)
+    phase = 2.0 * np.pi * np.outer(t[lo:hi + 1], f)
+    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
+                        f, axis=1)
+    k = int(np.argmax(corr))
+    i = lo + k
+    if 0 < k < corr.size - 1:
+        shift, _ = _parabola_peak(corr[k - 1], corr[k], corr[k + 1])
+        return float(t[i] + shift * (t[1] - t[0]))
+    return float(t[i])
+
+
+def format_rows_csv(path, columns):
+    """A CSV of {name: values} with a header row, each cell formatted by
+    ``"{!r}"`` from the columns' ``tolist()``."""
+    columns = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+    row = ",".join(["{!r}"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(row.format(*cells) for cells in
+                      zip(*(values.tolist() for values in columns.values())))

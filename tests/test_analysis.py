@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastlight.analysis import (XcorrResult, _band_end, _parabola_peak, band_response,
-                                correlation_plan, cross_spectrum, lag_curves,
-                                peak_delay, spectral_correlation)
+from fastlight.analysis import (XcorrResult, _band_end, _fwhm, _parabola_peak,
+                                band_response, correlation_plan, cross_spectrum,
+                                lag_curves, peak_delay, spectral_correlation)
 from fastlight.errors import DegeneratePeakError, InvalidParameterError
-from oracles import circular_correlation
+from oracles import allocating_lag_curves, circular_correlation
 
 RATE = 2.5e9
 
@@ -199,6 +199,34 @@ def test_paired_lag_curves_equal_the_separate_and_per_trace_curves(seed, log_n, 
     for got, pair in ((mean_ref, pairs["ref"]), (mean_fast, pairs["fast"])):
         want = np.mean([spectral_correlation(x1, x2, plan).values for x1, x2 in pair], axis=0)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_lag_curves_in_the_work_buffer_equal_the_allocating_transform():
+    """Bit for bit the allocating transform, with calls interleaved across
+    the two fig2-line plans (kernel lengths 11,250 and 18,225); the curves
+    share no memory with the plans' work buffers, and a later call leaves
+    earlier curves as they were."""
+    from fastlight.config import preset_fig2_line
+
+    cfg = preset_fig2_line()
+    n, rate = cfg.sampling.samples, cfg.sampling.rate_hz
+    plans = [correlation_plan(n, rate, band, cfg.max_lag_s)
+             for band in (cfg.band_hz, cfg.fullband_hz)]
+    assert [plan.kernel.size for plan in plans] == [11250, 18225]
+    rng = np.random.default_rng(23)
+    kept = []
+    for _ in range(3):
+        for plan in plans:
+            a, b = (cross_spectrum(_white_spectrum(n, rng), _white_spectrum(n, rng), plan)
+                    for _ in range(2))
+            got = lag_curves(a, b, plan)
+            want = allocating_lag_curves(a, b, plan)
+            for curve, expected in zip(got, want):
+                assert np.array_equal(curve, expected)
+                assert not any(np.shares_memory(curve, p.work) for p in plans)
+            kept.append((got, [curve.copy() for curve in got]))
+    for got, copies in kept:
+        assert all(np.array_equal(curve, copy) for curve, copy in zip(got, copies))
 
 
 def test_spectral_correlation_rejects_bad_inputs():
@@ -404,6 +432,29 @@ def test_peak_delay_accepts_a_broad_smooth_peak():
     assert peak_delay(broad, one) == pytest.approx(3.3 / RATE, abs=1e-6 / RATE)
 
 
+def test_peak_delay_compares_distinct_lag_arrays_only(monkeypatch):
+    """Two curves on one lag array need no comparison; distinct arrays are
+    compared, and equal values pass while a grid off by a part in a million does
+    not."""
+    lags = np.arange(-50, 51) / RATE
+    values = np.exp(-0.5 * (np.arange(-50, 51) / 4.0) ** 2)
+    one = XcorrResult.from_values(lags, values)
+    compared = []
+
+    def allclose(*args, **kwargs):
+        compared.append(args)
+        return np.isclose(*args, **kwargs).all()
+
+    monkeypatch.setattr(np, "allclose", allclose)
+    assert peak_delay(one, XcorrResult.from_values(lags, np.roll(values, 3))) == \
+        pytest.approx(-3 / RATE, abs=1e-6 / RATE)
+    assert compared == []
+    assert peak_delay(one, XcorrResult.from_values(lags.copy(), values)) == 0.0
+    assert len(compared) == 1
+    with pytest.raises(InvalidParameterError, match="identical lag grids"):
+        peak_delay(one, XcorrResult.from_values(lags * (1.0 + 1e-6), values))
+
+
 def test_peak_delay_grid_mismatch():
     lags_a = np.arange(-50, 51) / RATE
     lags_b = np.arange(-40, 41) / RATE
@@ -419,6 +470,16 @@ def test_xcorr_fwhm_of_gaussian():
     sigma = 70e-9
     xc = XcorrResult.from_values(lags, np.exp(-0.5 * (lags / sigma) ** 2))
     assert xc.fwhm == pytest.approx(2.3548 * sigma, rel=1e-3)
+
+
+def test_xcorr_fwhm_is_measured_on_first_read():
+    lags = np.arange(-50, 51) / RATE
+    values = np.exp(-0.5 * ((np.arange(-50, 51) - 0.3) / 4.0) ** 2)
+    xc = XcorrResult.from_values(lags, values)
+    assert "fwhm" not in vars(xc)
+    assert xc.peak_value == _parabola_peak(*values[49:52])[1]
+    assert xc.fwhm == _fwhm(lags, values, xc.peak_value)
+    assert vars(xc)["fwhm"] is xc.fwhm
 
 
 def test_parabola_peak_vertex_and_flat_fallback():

@@ -20,7 +20,7 @@ from fastlight.analysis import band_response
 from fastlight.dispersion import gain_db, intensity_gain, peak_advance
 from fastlight.errors import ConfigError, FastlightError, InvalidParameterError
 from fastlight.predict import predicted_correlation_shift
-from oracles import dense_correlation_shift, solve_advance_line
+from oracles import dense_correlation_shift, format_rows_csv, solve_advance_line
 
 
 def test_fig2_preset_hits_gain_anchor():
@@ -330,6 +330,27 @@ def test_scan_pool_has_no_more_workers_than_points():
     assert scenario._map_points(lambda args: args[1], replace(cfg, jobs=2)) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan"])
+def test_scan_builds_its_chain_head_once_per_scan(tmp_path, monkeypatch, scenario):
+    """At one job a scan's three points share one chain head, so the
+    synthesis factors are built once per scan; a second scan in the same
+    process builds its own, since nothing caches them across scans."""
+    import fastlight.scenario as module
+
+    path = _three_point_scan(scenario, tmp_path)
+    built = []
+    synthesis_factors = module.synthesis_factors
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return synthesis_factors(*args, **kwargs)
+
+    monkeypatch.setattr(module, "synthesis_factors", counted)
+    for runs in (1, 2):
+        assert main([scenario, "--config", str(path), "--jobs", "1"]) == 0
+        assert built == [1 << 16] * runs
+
+
 @pytest.mark.parametrize("scenario, file_name", [("line-scan", "line_scan.csv"),
                                                  ("delay-scan", "delay_scan.csv")])
 def test_scan_outputs_do_not_depend_on_jobs(tmp_path, scenario, file_name):
@@ -344,8 +365,9 @@ def test_scan_outputs_do_not_depend_on_jobs(tmp_path, scenario, file_name):
 
 
 def test_config_error_in_a_scan_worker_exits_2(tmp_path, capsys):
-    """The lag-window check runs in each point, so at two jobs it raises in
-    the forked workers; the parent re-raises it with its type."""
+    """The lag-window check runs in the chain head, which each worker builds
+    at its first point, so at two jobs it raises in the forked workers; the
+    parent re-raises it with its type."""
     path = _three_point_scan("delay-scan", tmp_path, max_lag_s=5e-8)
     assert main(["delay-scan", "--config", str(path), "--jobs", "2"]) == 2
     err = capsys.readouterr().err
@@ -547,6 +569,42 @@ def test_csv_rejects_non_finite_values(tmp_path):
     with pytest.raises(FastlightError, match="delay_s_band"):
         scenario._write_csv(path, columns, created)
     assert not os.path.exists(path)
+
+
+def test_csv_streams_the_repr_of_each_float(tmp_path):
+    """Byte for byte the row-format writer, on signed zero, the smallest
+    subnormal and floats whose repr switches to or from exponent form."""
+    import fastlight.scenario as scenario
+
+    cells = [-0.0, 5e-324, 1e-5, 1e16, 0.1, -2e-06]
+    columns = {"lag_s": np.array(cells), "c_ref": cells[::-1],
+               "c_fast": np.array(cells, dtype=np.float32).astype(float)}
+    scenario._write_csv(str(tmp_path / "got.csv"), columns, [])
+    format_rows_csv(str(tmp_path / "want.csv"), columns)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[1] == b"-0.0,-2e-06,-0.0"
+
+
+def test_warm_advance_run_traces_under_half_its_former_peak(tmp_path):
+    """tracemalloc's peak over a warm `xcorr --preset fig4-advance` run at 3
+    traces, plans built and modules loaded: 2.59 MB when the chirp-z
+    transforms, the prediction's fine rows and the CSV rows each allocated
+    full-size temporaries, about 1.0 MB since they reuse their buffers."""
+    import tracemalloc
+
+    import fastlight.scenario as scenario
+
+    base = preset_fig4_advance()
+    cfg = replace(base, sampling=replace(base.sampling, traces=3), out_dir=str(tmp_path))
+    scenario.run_scenario(cfg)
+    tracemalloc.start()
+    try:
+        scenario.run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2.59e6
 
 
 def _carries_edges(f_lo, f_hi) -> bool:

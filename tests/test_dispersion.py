@@ -10,7 +10,7 @@ from fastlight.dispersion import (GainLine, calibrate, field_transfer, gain_db,
 from fastlight.errors import InvalidParameterError
 from fastlight.predict import predicted_correlation_shift
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing
-from oracles import dense_correlation_shift
+from oracles import broadcast_correlation_shift, dense_correlation_shift
 
 LINE = calibrate(7.5, 10e6, 0.025)
 
@@ -223,10 +223,10 @@ def test_line_validation():
 @pytest.mark.parametrize("fwhm_hz", [2.6e6, 10e6])
 @pytest.mark.parametrize("peak_db", [4.0, 12.0, 25.0, 40.0])
 def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
-    """Equal to the dense oracle bit for bit, in the xcorr band and the
-    delay-scan full band, and on a lag grid whose coarse stride does not end
-    on the last lag; where the dense peak is clipped to
-    the edge of the lag window the prediction raises instead."""
+    """Equal to the dense oracle and to the fine rows' phase matrix bit for
+    bit, in the xcorr band and the delay-scan full band, and on a lag grid
+    whose coarse stride does not end on the last lag; where the dense peak is
+    clipped to the edge of the lag window the prediction raises instead."""
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     line = calibrate(peak_db, fwhm_hz, 0.025)
     # Band-major, so consecutive oracle calls share one dense grid.
@@ -241,8 +241,25 @@ def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
             with pytest.raises(InvalidParameterError, match="edge of the"):
                 predicted_correlation_shift(line, offset_hz, source, *band, **kwargs)
         else:
-            assert predicted_correlation_shift(line, offset_hz, source, *band,
-                                               **kwargs) == expected
+            got = predicted_correlation_shift(line, offset_hz, source, *band, **kwargs)
+            assert got == expected
+            assert got == broadcast_correlation_shift(line, offset_hz, source, *band,
+                                                      **kwargs)
+
+
+def test_predicted_correlation_shift_rows_equal_the_phase_matrix_at_the_advance():
+    """The xcorr run's prediction at fig4-advance, on its own lag window,
+    equals the phase-matrix form bit for bit."""
+    from fastlight.config import preset_fig4_advance
+    from fastlight.predict import alias_free_lag
+
+    cfg = preset_fig4_advance()
+    window = min(cfg.max_lag_s, alias_free_lag(cfg.band_hz[1]))
+    args = (cfg.line.make(), cfg.offset_hz, cfg.source.make(), *cfg.band_hz)
+    kwargs = {"t_window": window, "n_t": 2 * round(4.0 * cfg.sampling.rate_hz * window) + 1}
+    got = predicted_correlation_shift(*args, **kwargs)
+    assert got == broadcast_correlation_shift(*args, **kwargs)
+    assert abs(got - (-12e-9)) < 1e-12
 
 
 def test_predicted_correlation_shift_refuses_an_aliased_lag_window():
