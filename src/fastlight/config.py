@@ -30,6 +30,15 @@ ADVANCE_TARGET_S = -12e-9
 _ADVANCE_FWHM_HZ = 2.6e6
 _ADVANCE_OFFSET_HZ = 6.5e6
 
+# The chirp-z plans square int64 bin and lag indices of up to 5n/8 (K <= n/2 + 1
+# bins and n_lag <= n/8 lags, ``analysis._chirp``); from 2^33 samples on the
+# square passes 2^63.
+_MAX_SAMPLES = 1 << 32
+# Above 10 log10(2^53) = 159.5 dB one shot-noise unit lies below the float64
+# resolution of the excess, so the noise figures read the excess alone (and
+# at 3,000 dB the chain's powers overflow); the bound leaves a margin.
+_MAX_EXCESS_DB = 150.0
+
 
 @dataclass(frozen=True)
 class LineConfig:
@@ -101,8 +110,9 @@ class ScenarioConfig:
         sampling = self.sampling
         if sampling.rate_hz <= 0.0:
             raise ConfigError("field 'sampling.rate_hz' must be > 0")
-        if not _is_power_of_two(sampling.samples):
-            raise ConfigError("field 'sampling.samples' must be a power of two")
+        if not (_is_power_of_two(sampling.samples) and sampling.samples <= _MAX_SAMPLES):
+            raise ConfigError("field 'sampling.samples' must be a power of two "
+                              f"at most 2^{_MAX_SAMPLES.bit_length() - 1}")
         if sampling.traces < 1:
             raise ConfigError("field 'sampling.traces' must be >= 1")
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
@@ -115,8 +125,9 @@ class ScenarioConfig:
             raise ConfigError("field 'seed' must be >= 0")
         if not 0.0 < self.channel.eta <= 1.0:
             raise ConfigError("field 'channel.eta' must lie in (0, 1]")
-        if self.channel.excess_noise_db < 0.0:
-            raise ConfigError("field 'channel.excess_noise_db' must be >= 0")
+        if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
+            raise ConfigError("field 'channel.excess_noise_db' must lie in "
+                              f"[0, {_MAX_EXCESS_DB:g}] dB")
         # The noise figure averages the difference's rfft bins in this band.
         name = {"line-scan": "noise_band_hz", "delay-scan": "band_hz",
                 "xcorr": "band_hz"}.get(self.scenario)

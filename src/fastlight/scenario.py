@@ -28,8 +28,7 @@ from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_pla
 from .config import ChannelConfig, LineConfig, ScenarioConfig
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
-from .predict import (alias_free_lag, predicted_correlation_shift,
-                      predicted_difference_noise_snu)
+from .predict import predicted_correlation_shift, predicted_difference_noise_snu
 from .simulate import (ChannelResponse, _rfft_freqs, apply_channel, build_targets,
                        channel_response, detect_spectrum, synth_twin_spectra,
                        synthesis_factors, white_spectrum)
@@ -231,7 +230,9 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
     if head is None:
         head = _chain_head(cfg, {}, cfg.noise_band_hz)
     _, noise_db = _measure_point(cfg, line, head, delta, point_ss)
-    f_band = np.linspace(cfg.noise_band_hz[0], cfg.noise_band_hz[1], 201)
+    # Evaluated on the bins the measurement averages.
+    f_band = _rfft_freqs(cfg.sampling.samples, cfg.sampling.rate_hz,
+                         head.noise_bins.stop)[head.noise_bins.start:]
     predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
                                                cfg.channel.excess_noise_db, f_band,
                                                coherent=cfg.source.coherent)
@@ -405,20 +406,18 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    # Deterministic, so it is computed before any draw: a peak clipped by
-    # the prediction's lag window is a configuration error.  The window is
-    # the measured one, narrowed to where the prediction does not alias,
-    # searched at a quarter sample period.
-    window = min(cfg.max_lag_s, alias_free_lag(cfg.band_hz[1]))
+    head = _correlation_head(cfg, want_fullband=False)
+    # Deterministic, so it is computed before any draw: a peak on the edge
+    # of the lag window is a configuration error.
     try:
-        predicted = predicted_correlation_shift(
-            cfg.line.make(), cfg.offset_hz, cfg.source.make(), *cfg.band_hz,
-            t_window=window, n_t=2 * round(4.0 * cfg.sampling.rate_hz * window) + 1)
+        predicted = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
+                                                cfg.source.make(), head.plans["band"],
+                                                cfg.sampling.rate_hz)
     except InvalidParameterError as exc:
         raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
                           f"in band_hz {cfg.band_hz}: {exc}") from exc
     point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0),
-                                       want_fullband=False)
+                                       want_fullband=False, head=head)
     curves = point.pop("curves")
     ref, fast = curves["band_ref"], curves["band_fast"]
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),

@@ -4,17 +4,16 @@ The Monte-Carlo oracles sample the underlying Gaussian field model directly
 (complex field amplitudes with half-photon vacuum quadrature noise) rather
 than reusing any formula from the package, so they provide an independent
 route to the photon-number statistics.  ``dense_correlation_shift`` is the
-brute-force form of the predicted correlation shift, and
-``circular_correlation`` the direct time-domain sum behind the FFT
+predicted correlation shift as a trapezoid integral over frequency at every
+lag, and ``circular_correlation`` the direct time-domain sum behind the FFT
 correlation kernels.  ``hermitian_pair`` and ``channel_round_trip`` are the
 straightforward out-of-place forms of the synthesis and channel draws, which
 the in-place spectral kernels must reproduce from the same seed.
 ``solve_advance_line`` is the solve behind the ``fig4-advance`` preset's
 compiled-in line strength and anchor offset.  ``band_periodogram`` reads a
 spectrum's band noise in shot-noise units as the scenarios do.
-``allocating_lag_curves``, ``broadcast_correlation_shift`` and
-``format_rows_csv`` are the allocating forms of the chirp-z lag curves, the
-prediction's fine rows and the CSV writer, which the kernels that reuse
+``allocating_lag_curves`` and ``format_rows_csv`` are the allocating forms
+of the chirp-z lag curves and the CSV writer, which the kernels that reuse
 their buffers must reproduce byte for byte.
 """
 
@@ -87,6 +86,9 @@ def var_standard_error(sample_var, n_samples):
     return sample_var * np.sqrt(2.0 / n_samples)
 
 
+# Points of the dense oracle's frequency grid, from 0 to past the band's
+# upper ramp: the grid the fig4-advance constants were solved on.
+_DENSE_N_F = 1600
 # The last dense grid's key, lags, frequencies and cos/sin phase matrices
 # (77 MB at the default size); a new grid replaces it.
 _GRID = {}
@@ -106,17 +108,18 @@ def _dense_grid(t_window: float, n_t: int, f_top: float, n_f: int):
 
 
 def dense_correlation_shift(line, offset_hz, source, f_lo, f_hi, t_window=1.5e-7, n_t=3001):
-    """Reference for ``predicted_correlation_shift``: the same trapezoid
-    correlation evaluated on every one of the n_t lags, then the
-    parabolic-refined argmax.  The phase matrices of the last (lag,
-    frequency) grid are reused, so consecutive calls on one grid evaluate
-    cos and sin once."""
+    """Reference for ``predicted_correlation_shift``: the noise-free
+    correlation of the band-filtered pair as a trapezoid integral of
+    H^2 s_pc M(f) exp(2 pi i t f) over frequency, evaluated on every one of
+    the n_t lags of +-t_window, then the parabolic-refined argmax.  The
+    phase matrices of the last (lag, frequency) grid are reused, so
+    consecutive calls on one grid evaluate cos and sin once."""
     from fastlight.analysis import _band_end, band_response
     from fastlight.dispersion import modulation_transfer
-    from fastlight.predict import _N_F
     from fastlight.simulate import build_targets
 
-    t, f, cos_phase, sin_phase = _dense_grid(t_window, n_t, _band_end(f_hi) * 1.02, _N_F)
+    t, f, cos_phase, sin_phase = _dense_grid(t_window, n_t, _band_end(f_hi) * 1.02,
+                                             _DENSE_N_F)
     response = band_response(f, f_lo, f_hi)
     s_pc = build_targets(source, f).s_pc
     transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
@@ -137,9 +140,10 @@ def solve_advance_line(shift, find_root):
     which ``fastlight.config`` holds as ``_ADVANCE_PEAK_DB`` and
     ``_ADVANCE_ANCHOR_HZ``; the comment there says why the line is narrowed.
 
-    ``shift`` is ``predicted_correlation_shift`` or a stand-in with its
-    first five arguments; ``find_root(f, a, b, xtol=, rtol=)`` is a
-    bracketing root finder such as ``scipy.optimize.brentq``.
+    ``shift`` is ``dense_correlation_shift``, the shift the constants were
+    solved with, or a stand-in with its first five arguments;
+    ``find_root(f, a, b, xtol=, rtol=)`` is a bracketing root finder such as
+    ``scipy.optimize.brentq``.
     """
     from fastlight.config import (_ADVANCE_FWHM_HZ, _ADVANCE_OFFSET_HZ,
                                   ADVANCE_TARGET_S)
@@ -226,37 +230,6 @@ def allocating_lag_curves(a, b, plan):
     conv = np.fft.ifft(conv)[:plan.lags.size]
     conv *= plan.chirp_out
     return conv.real, conv.imag
-
-
-def broadcast_correlation_shift(line, offset_hz, source, f_lo, f_hi, t_window=1.5e-7,
-                                n_t=3001):
-    """``predict.predicted_correlation_shift`` with its fine rows around the
-    coarse peak evaluated as one (rows, frequencies) phase matrix."""
-    from fastlight.analysis import _parabola_peak, band_response
-    from fastlight.dispersion import modulation_transfer
-    from fastlight.predict import _COARSE_STEP, _N_F, _coarse_correlation, _frequency_top
-    from fastlight.simulate import build_targets
-
-    f, df = np.linspace(0.0, _frequency_top(f_hi), _N_F, retstep=True)
-    response = band_response(f, f_lo, f_hi)
-    s_pc = build_targets(source, f).s_pc
-    transfer = modulation_transfer(line, 2.0 * np.pi * offset_hz, f)
-    cross = response ** 2 * s_pc * transfer
-    t, dt = np.linspace(-t_window, t_window, n_t, retstep=True)
-    coarse = _coarse_correlation(cross, df, t[0], _COARSE_STEP * dt,
-                                 (n_t - 1) // _COARSE_STEP + 1)
-    centre = _COARSE_STEP * int(np.argmax(coarse))
-    lo = max(centre - 2 * _COARSE_STEP, 0)
-    hi = min(centre + 2 * _COARSE_STEP, n_t - 1)
-    phase = 2.0 * np.pi * np.outer(t[lo:hi + 1], f)
-    corr = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                        f, axis=1)
-    k = int(np.argmax(corr))
-    i = lo + k
-    if 0 < k < corr.size - 1:
-        shift, _ = _parabola_peak(corr[k - 1], corr[k], corr[k + 1])
-        return float(t[i] + shift * (t[1] - t[0]))
-    return float(t[i])
 
 
 def format_rows_csv(path, columns):

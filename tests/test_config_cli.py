@@ -41,12 +41,19 @@ def test_fig4_preset_advance_anchor_and_gain():
 
 
 def test_fig4_preset_constants_are_the_solve():
-    """The compiled-in line strength and anchor offset are what brentq
-    returns with the package's chirp-z shift, bit for bit."""
-    from scipy.optimize import brentq
-    peak_db, anchor_hz = solve_advance_line(predicted_correlation_shift, brentq)
-    assert preset_fig4_advance().line.peak_gain_db == peak_db
-    assert _ADVANCE_ANCHOR_HZ == anchor_hz
+    """The compiled-in line strength was solved with a 1,600-point trapezoid
+    quadrature of the shift (the dense oracle re-derives it below); the
+    package's shift on the xcorr run's own plan meets the solve's -12 ns
+    target at it within 0.1 ps."""
+    from fastlight.config import ADVANCE_TARGET_S
+    from fastlight.scenario import _band_plan
+
+    cfg = preset_fig4_advance()
+    fs = cfg.sampling.rate_hz
+    plan = _band_plan(cfg.sampling.samples, fs, cfg.band_hz, cfg.max_lag_s)
+    shift = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz, cfg.source.make(),
+                                        plan, fs)
+    assert abs(shift - ADVANCE_TARGET_S) < 1e-13
 
 
 def test_fig4_preset_solve_equals_dense_reference():
@@ -997,9 +1004,11 @@ def test_cli_xcorr_broad_peak_is_not_degenerate(tmp_path):
 
 
 def test_cli_xcorr_prediction_does_not_alias_on_a_wide_band(tmp_path):
-    """The prediction's 1600-point frequency grid repeats in lag every
-    ~10 us on a 1-100 MHz band; over a 13 us lag window it is searched only
-    where it holds one peak, and equals the +-150 ns prediction."""
+    """On a 1-100 MHz band over a 13 us lag window the prediction is the
+    measured plan's own expected curve, one copy of the peak per record
+    length: it equals the prediction on a +-150 ns plan of the same record."""
+    from fastlight.analysis import correlation_plan
+
     base = preset_fig4_advance().to_dict()
     cfg = {**base, "band_hz": [1e6, 1e8], "max_lag_s": 1.3e-5,
            "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18, "traces": 2},
@@ -1009,9 +1018,68 @@ def test_cli_xcorr_prediction_does_not_alias_on_a_wide_band(tmp_path):
     assert main(["xcorr", "--config", str(path)]) == 0
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     loaded = config_from_dict(cfg)
+    plan = correlation_plan(1 << 18, 2.5e9, (1e6, 1e8), 1.5e-7)
     expected = predicted_correlation_shift(loaded.line.make(), loaded.offset_hz,
-                                           loaded.source.make(), 1e6, 1e8)
+                                           loaded.source.make(), plan, 2.5e9)
     assert summary["predicted_delta_t_s"] == pytest.approx(expected, abs=1e-15)
+
+
+def test_cli_xcorr_peak_on_the_lag_window_edge_exits_2_before_any_draw(tmp_path, capsys,
+                                                                       monkeypatch):
+    """A 20 dB, 2 MHz line at 1 MHz puts the noise-free peak at +155.93 ns,
+    between the last two lags of a +-156 ns window: the expected curve's
+    largest sample is the window's edge, so the run stops before any draw.
+    A +-160 ns window holds the peak."""
+    import fastlight.scenario as scenario_module
+    from fastlight.analysis import correlation_plan
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario_module, "_measure_trace", no_draws)
+    base = preset_fig4_advance().to_dict()
+    cfg = {**base, "line": {**base["line"], "peak_gain_db": 20.0, "fwhm_hz": 2e6},
+           "offset_hz": 1e6, "max_lag_s": 1.56e-7,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 18, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["xcorr", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "edge of the +-1.56e-07 s lag window" in err
+    assert os.listdir(tmp_path / "o") == []
+    loaded = config_from_dict(cfg)
+    plan = correlation_plan(1 << 18, 2.5e9, loaded.band_hz, 1.6e-7)
+    shift = predicted_correlation_shift(loaded.line.make(), loaded.offset_hz,
+                                        loaded.source.make(), plan, 2.5e9)
+    assert 155.6e-9 < shift < 156e-9
+
+
+def test_cli_samples_past_the_chirp_index_range_exit_2(tmp_path, capsys):
+    """A trace holds at most 2^32 samples, the most whose chirp-z index
+    squares fit in int64; 2^62 is refused at load, not by a failed 13.1 PiB
+    allocation."""
+    out = tmp_path / "o"
+    for samples in (1 << 62, 1 << 33):
+        assert main(["line-scan", "--preset", "fig2-line", "--samples", str(samples),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'sampling.samples'" in err and "2^32" in err
+        assert not out.exists()
+    base = preset_fig2_line()
+    assert replace(base, sampling=replace(base.sampling, samples=1 << 32)).sampling.samples
+
+
+@pytest.mark.parametrize("excess_db", [3100.0, 3000.0, 150.5])
+def test_cli_excess_noise_past_150_db_exits_2(tmp_path, capsys, excess_db):
+    """Past 150 dB the excess drowns the shot noise in float64 rounding, so
+    it is refused at load, before 3,100 dB can overflow the beam-level
+    conversion or 3,000 dB the noise figure."""
+    path = _tiny_line_scan(tmp_path, "channel.excess_noise_db", excess_db)
+    assert main(["line-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "'channel.excess_noise_db'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_package_version_matches_pyproject():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastlight.analysis import correlation_plan
 from fastlight.dispersion import (GainLine, calibrate, field_transfer, gain_db,
                                   group_index, intensity_gain, line_response,
                                   modulation_transfer, peak_advance,
@@ -10,7 +11,7 @@ from fastlight.dispersion import (GainLine, calibrate, field_transfer, gain_db,
 from fastlight.errors import InvalidParameterError
 from fastlight.predict import predicted_correlation_shift
 from fastlight.twinbeam import TwinBeamSource, gain_for_squeezing
-from oracles import broadcast_correlation_shift, dense_correlation_shift
+from oracles import dense_correlation_shift
 
 LINE = calibrate(7.5, 10e6, 0.025)
 
@@ -220,124 +221,92 @@ def test_line_validation():
         GainLine(g=1e-6, gamma=1e7, length=-0.1)
 
 
+# The fig4-advance record: rfft bins 2.4 kHz apart, lags 0.4 ns apart.
+_RECORD = (1 << 20, 2.5e9)
+
+
 @pytest.mark.parametrize("fwhm_hz", [2.6e6, 10e6])
 @pytest.mark.parametrize("peak_db", [4.0, 12.0, 25.0, 40.0])
 def test_predicted_correlation_shift_equals_dense_reference(peak_db, fwhm_hz):
-    """Equal to the dense oracle and to the fine rows' phase matrix bit for
-    bit, in the xcorr band and the delay-scan full band, and on a lag grid
-    whose coarse stride does not end on the last lag; where the dense peak is
-    clipped to the edge of the lag window the prediction raises instead."""
+    """Within 0.01 ps of the dense oracle on the plan's own lags, in the
+    xcorr band and the delay-scan full band: the plan's sum over rfft bins
+    and the oracle's trapezoid integral are the same correlation (measured
+    gaps 0.0004 and 0.0043 ps).  Where the dense peak is clipped to the edge
+    of the lag window the prediction raises instead."""
     source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
     line = calibrate(peak_db, fwhm_hz, 0.025)
-    # Band-major, so consecutive oracle calls share one dense grid.
-    cases = [(offset_hz, band, {}) for band in ((1e5, 3e6), (1e4, 2e7))
-             for offset_hz in np.linspace(-10e6, 10e6, 5)]
-    cases.append((-5e6, (1e5, 3e6), {"n_t": 2996}))
-    for offset_hz, band, kwargs in cases:
-        expected = dense_correlation_shift(line, offset_hz, source, *band, **kwargs)
-        if (peak_db, fwhm_hz, offset_hz) == (40.0, 2.6e6, 0.0):
-            # The noise-free peak lies beyond the +-150 ns search.
-            assert abs(expected) == 1.5e-7
-            with pytest.raises(InvalidParameterError, match="edge of the"):
-                predicted_correlation_shift(line, offset_hz, source, *band, **kwargs)
-        else:
-            got = predicted_correlation_shift(line, offset_hz, source, *band, **kwargs)
-            assert got == expected
-            assert got == broadcast_correlation_shift(line, offset_hz, source, *band,
-                                                      **kwargs)
+    n, fs = _RECORD
+    t_window = 1.5e-7
+    for band in ((1e5, 3e6), (1e4, 2e7)):
+        plan = correlation_plan(n, fs, band, t_window)
+        for offset_hz in np.linspace(-10e6, 10e6, 5):
+            expected = dense_correlation_shift(line, offset_hz, source, *band, t_window,
+                                               n_t=plan.lags.size)
+            if (peak_db, fwhm_hz, offset_hz) == (40.0, 2.6e6, 0.0):
+                # The noise-free peak lies beyond the +-150 ns window.
+                assert abs(expected) == t_window
+                with pytest.raises(InvalidParameterError, match="edge of the"):
+                    predicted_correlation_shift(line, offset_hz, source, plan, fs)
+            else:
+                got = predicted_correlation_shift(line, offset_hz, source, plan, fs)
+                assert got == pytest.approx(expected, abs=1e-14)
+
+
+def _direct_curve(a, plan):
+    """Re sum_k a_k exp(2 pi i k m / n) at the plan's lags m, summed term by
+    term over (lag, bin) blocks with the phase k m reduced mod n in integers."""
+    k = np.arange(plan.support)
+    n_lag = plan.lags.size // 2
+    m = np.arange(-n_lag, n_lag + 1)
+    curve = np.empty(m.size)
+    for lo in range(0, m.size, 500):
+        phase = 2.0 * np.pi * (np.outer(m[lo:lo + 500], k) % plan.n) / plan.n
+        curve[lo:lo + 500] = (np.cos(phase) * a.real - np.sin(phase) * a.imag).sum(axis=1)
+    return curve
 
 
 def test_predicted_correlation_shift_rows_equal_the_phase_matrix_at_the_advance():
-    """The xcorr run's prediction at fig4-advance, on its own lag window,
-    equals the phase-matrix form bit for bit."""
+    """The xcorr run's prediction at fig4-advance, on its own plan, equals the
+    peak-lag difference of the two expected curves summed directly over the
+    plan's bins at every lag (O(K lags)), refined the same way, to 1e-15 s."""
+    from fastlight.analysis import XcorrResult
     from fastlight.config import preset_fig4_advance
-    from fastlight.predict import alias_free_lag
+    from fastlight.scenario import _band_plan
+    from fastlight.simulate import _rfft_freqs, build_targets
 
     cfg = preset_fig4_advance()
-    window = min(cfg.max_lag_s, alias_free_lag(cfg.band_hz[1]))
-    args = (cfg.line.make(), cfg.offset_hz, cfg.source.make(), *cfg.band_hz)
-    kwargs = {"t_window": window, "n_t": 2 * round(4.0 * cfg.sampling.rate_hz * window) + 1}
-    got = predicted_correlation_shift(*args, **kwargs)
-    assert got == broadcast_correlation_shift(*args, **kwargs)
-    assert abs(got - (-12e-9)) < 1e-12
+    n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    plan = _band_plan(n, fs, cfg.band_hz, cfg.max_lag_s)
+    line, source = cfg.line.make(), cfg.source.make()
+    got = predicted_correlation_shift(line, cfg.offset_hz, source, plan, fs)
+
+    f = _rfft_freqs(n, fs, plan.support)
+    ref = plan.weights * build_targets(source, f).s_pc
+    fast = ref * modulation_transfer(line, 2.0 * np.pi * cfg.offset_hz, f)
+    ref_peak, fast_peak = (XcorrResult.from_values(plan.lags, _direct_curve(a, plan)).peak_lag
+                           for a in (ref, fast))
+    assert abs(got - (fast_peak - ref_peak)) <= 1e-15
 
 
-def test_predicted_correlation_shift_refuses_an_aliased_lag_window():
-    """Past alias_free_lag the trapezoid sum's copy of the peak, one period
-    1/df away, would lie inside the window."""
-    from fastlight.analysis import _band_end
-    from fastlight.predict import _N_F, alias_free_lag
-
-    source = TwinBeamSource(gain1=gain_for_squeezing(-2.5), seed_flux=1e6)
-    line = calibrate(12.0, 10e6, 0.025)
-    limit = alias_free_lag(2e7)
-    df = _band_end(2e7) * 1.02 / (_N_F - 1)
-    assert 2.0 * limit < 1.0 / df < 2.5 * limit
-    inside = predicted_correlation_shift(line, 0.0, source, 1e6, 2e7, t_window=limit,
-                                         n_t=2 * round(limit / 1e-10) + 1)
-    assert inside == pytest.approx(predicted_correlation_shift(line, 0.0, source, 1e6, 2e7),
-                                   abs=1e-12)
-    with pytest.raises(InvalidParameterError, match="aliasing"):
-        predicted_correlation_shift(line, 0.0, source, 1e6, 2e7, t_window=1.01 * limit,
-                                    n_t=2 * round(limit / 1e-10) + 1)
-
-
-def _advance_cross_spectrum():
-    """The fig4-advance line's filtered cross spectrum on predict's grid."""
-    from fastlight.analysis import _band_end, band_response
+def test_predicted_correlation_shift_fft_count(monkeypatch):
+    """On a built plan the prediction runs the two transforms of one
+    lag_curves, an fft and an ifft of the plan's kernel length, and no
+    other FFT."""
     from fastlight.config import preset_fig4_advance
-    from fastlight.predict import _N_F
-    from fastlight.simulate import build_targets
+    from fastlight.scenario import _band_plan
 
     cfg = preset_fig4_advance()
-    f_lo, f_hi = cfg.band_hz
-    f, df = np.linspace(0.0, _band_end(f_hi) * 1.02, _N_F, retstep=True)
-    cross = (band_response(f, f_lo, f_hi) ** 2
-             * build_targets(cfg.source.make(), f).s_pc
-             * modulation_transfer(cfg.line.make(), 2 * np.pi * cfg.offset_hz, f))
-    return f, df, cross
+    fs = cfg.sampling.rate_hz
+    plan = _band_plan(cfg.sampling.samples, fs, cfg.band_hz, cfg.max_lag_s)
+    calls = []
 
-
-@pytest.mark.parametrize("n_t", [3001, 2996, 7])
-def test_coarse_correlation_matches_direct_trapezoid(n_t):
-    from fastlight.predict import _COARSE_STEP, _coarse_correlation
-
-    f, df, cross = _advance_cross_spectrum()
-    t, dt = np.linspace(-1.5e-7, 1.5e-7, n_t, retstep=True)
-    coarse = t[::_COARSE_STEP]
-    phase = 2 * np.pi * np.outer(coarse, f)
-    direct = np.trapezoid(np.cos(phase) * cross.real - np.sin(phase) * cross.imag,
-                          f, axis=1)
-    curve = _coarse_correlation(cross, df, t[0], _COARSE_STEP * dt, coarse.size)
-    assert curve.shape == direct.shape
-    assert np.max(np.abs(curve - direct)) <= 1e-12 * np.max(np.abs(direct))
-
-
-def test_predicted_correlation_shift_cos_sin_count(monkeypatch):
-    """Guards the chirp-z coarse pass: on the fig4-advance line only the
-    fine rows around the coarse peak take cos and sin in predict, at most
-    (4 _COARSE_STEP + 1) n_f elements each (65,600; the dense coarse pass
-    took 547,200).  band_response's ramps are not counted."""
-    from fastlight import predict
-    from fastlight.config import preset_fig4_advance
-
-    cfg = preset_fig4_advance()  # solved before the count starts
-    counts = {"cos": 0, "sin": 0}
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    def counted(name):
+    def counted(fn):
         def wrapper(x, *args, **kwargs):
-            counts[name] += np.size(x)
-            return getattr(np, name)(x, *args, **kwargs)
-        return staticmethod(wrapper)
+            calls.append((fn.__name__, np.shape(x)[-1]))
+            return fn(x, *args, **kwargs)
+        return wrapper
 
-    for name in counts:
-        setattr(CountingNumpy, name, counted(name))
-    monkeypatch.setattr(predict, "np", CountingNumpy())
-    predict.predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
-                                        cfg.source.make(), *cfg.band_hz)
-    for name, count in counts.items():
-        assert 0 < count <= (4 * predict._COARSE_STEP + 1) * predict._N_F, name
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    predicted_correlation_shift(cfg.line.make(), cfg.offset_hz, cfg.source.make(), plan, fs)
+    assert calls == [("fft", plan.kernel.size), ("ifft", plan.kernel.size)]
