@@ -38,6 +38,9 @@ _MAX_SAMPLES = 1 << 32
 # resolution of the excess, so the noise figures read the excess alone (and
 # at 3,000 dB the chain's powers overflow); the bound leaves a margin.
 _MAX_EXCESS_DB = 150.0
+# The trace count enters float64 arithmetic (the mean cross spectra, the
+# noise figure's divisor), which holds every integer only up to 2^53.
+_MAX_TRACES = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -113,8 +116,8 @@ class ScenarioConfig:
         if not (_is_power_of_two(sampling.samples) and sampling.samples <= _MAX_SAMPLES):
             raise ConfigError("field 'sampling.samples' must be a power of two "
                               f"at most 2^{_MAX_SAMPLES.bit_length() - 1}")
-        if sampling.traces < 1:
-            raise ConfigError("field 'sampling.traces' must be >= 1")
+        if not 1 <= sampling.traces <= _MAX_TRACES:
+            raise ConfigError("field 'sampling.traces' must lie in [1, 2^53]")
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < sampling.rate_hz / 2.0):

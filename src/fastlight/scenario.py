@@ -1,9 +1,10 @@
 """Scenario runner: turns a ScenarioConfig into CSV/JSON data files.
 
 Seed discipline: the master seed feeds a numpy SeedSequence; scan point i
-uses spawn_key (i,), trace j within a point uses (i, j), and each stochastic
-role within a trace (synthesis, channel noise, detections) uses (i, j, r).
-Each point's shot-noise level is analytic and takes no draws.  Results are
+uses spawn_key (i,), and trace j within a point draws from one Generator on
+spawn_key (i, j): the synthesis, the detections of the reference pair, the
+channel noise and the detections of the fast pair, in that order.  Each
+point's shot-noise level is analytic and takes no draws.  Results are
 therefore independent of execution order and identical runs produce
 byte-identical files.
 """
@@ -33,10 +34,6 @@ from .simulate import (ChannelResponse, _rfft_freqs, apply_channel, build_target
                        channel_response, detect_spectrum, synth_twin_spectra,
                        synthesis_factors, white_spectrum)
 from .twinbeam import seeded_stats, squeezing_db
-
-# synth, channel, det ref p, det ref c, det fast p, det fast c, each on the
-# head of the rfft grid.
-_ROLES = 6
 
 
 def _point_seed(master: int, index: int) -> np.random.SeedSequence:
@@ -102,11 +99,11 @@ def _chain_head(cfg: ScenarioConfig, bands: dict, noise_band: tuple) -> _ChainHe
     return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
 
 
-def _correlation_head(cfg: ScenarioConfig, want_fullband: bool) -> _ChainHead:
-    """The chain head of a correlation point: ``band_hz``, and ``fullband_hz``
-    when wanted, with the noise read in ``band_hz``."""
+def _correlation_head(cfg: ScenarioConfig) -> _ChainHead:
+    """The chain head of a correlation point: ``band_hz``, and on a delay
+    scan ``fullband_hz`` too, with the noise read in ``band_hz``."""
     bands = {"band": cfg.band_hz}
-    if want_fullband:
+    if cfg.scenario == "delay-scan":
         bands["full"] = cfg.fullband_hz
     return _chain_head(cfg, bands, cfg.band_hz)
 
@@ -128,28 +125,27 @@ def _correlate(sums: dict, pair: str, x1, x2, head: _ChainHead):
 
 
 def _measure_trace(cfg: ScenarioConfig, head: _ChainHead, channel: ChannelResponse,
-                   roles, sums: dict) -> float:
+                   rng: np.random.Generator, sums: dict) -> float:
     """One trace of a point, carried as rfft spectra on the head of the
-    grid: the pair is synthesized, the reference pair is detected, and the
-    fast pair goes through the channel and is detected.  Each pair's cross
-    spectrum in each band is added to ``sums[band]["ref"|"fast"]``.  Returns
-    the summed power |D_k|^2 of the detected difference D = p - c over the
-    noise band's bins."""
+    grid and drawn from ``rng``: the pair is synthesized, the reference pair
+    is detected, and the fast pair goes through the channel and is detected.
+    Each pair's cross spectrum in each band is added to
+    ``sums[band]["ref"|"fast"]``.  Returns the summed power |D_k|^2 of the
+    detected difference D = p - c over the noise band's bins."""
     n = cfg.sampling.samples
     eta = cfg.channel.eta
     k = head.support
     if head.factors is None:
-        rng = np.random.default_rng(roles[0])
         xp = white_spectrum(n, head.mean_p, rng, add_to=np.zeros(k, dtype=complex))
         xc = white_spectrum(n, head.mean_c, rng, add_to=np.zeros(k, dtype=complex))
     else:
-        xp, xc = synth_twin_spectra(head.factors, roles[0], n_samples=n)
-    probe_ref = detect_spectrum(xp, eta, head.mean_p, roles[2], n_samples=n)
-    conj_ref = detect_spectrum(xc, eta, head.mean_c, roles[3], n_samples=n)
+        xp, xc = synth_twin_spectra(head.factors, rng, n_samples=n)
+    probe_ref = detect_spectrum(xp, eta, head.mean_p, rng, n_samples=n)
+    conj_ref = detect_spectrum(xc, eta, head.mean_c, rng, n_samples=n)
     _correlate(sums, "ref", probe_ref, conj_ref, head)
-    apply_channel(xc, channel, roles[1], n_samples=n)
-    detect_spectrum(xp, eta, head.mean_p, roles[4], out=xp, n_samples=n)
-    detect_spectrum(xc, eta, channel.mean_out, roles[5], out=xc, n_samples=n)
+    apply_channel(xc, channel, rng, n_samples=n)
+    detect_spectrum(xp, eta, head.mean_p, rng, out=xp, n_samples=n)
+    detect_spectrum(xc, eta, channel.mean_out, rng, out=xc, n_samples=n)
     _correlate(sums, "fast", xp, xc, head)
     lo, hi = head.noise_bins.start, head.noise_bins.stop
     diff = xp[lo:hi] - xc[lo:hi]
@@ -177,9 +173,9 @@ def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
     power = 0.0
     n_traces = cfg.sampling.traces
     for j in range(n_traces):
-        roles = np.random.SeedSequence(point_ss.entropy,
-                                       spawn_key=point_ss.spawn_key + (j,)).spawn(_ROLES)
-        power += _measure_trace(cfg, head, channel, roles, sums)
+        rng = np.random.default_rng(np.random.SeedSequence(
+            point_ss.entropy, spawn_key=point_ss.spawn_key + (j,)))
+        power += _measure_trace(cfg, head, channel, rng, sums)
 
     curves = {}
     for band, plan in head.plans.items():
@@ -194,15 +190,16 @@ def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
 
 
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
-                               point_ss: np.random.SeedSequence, want_fullband: bool,
+                               point_ss: np.random.SeedSequence,
                                head: _ChainHead | None = None) -> dict:
-    """Simulate one detuning point and measure delays and band squeezing;
-    ``head`` is the scan's ``_correlation_head``, built here when None."""
+    """Simulate one detuning point and measure delays and band squeezing, in
+    the full band too on a delay scan; ``head`` is the scan's
+    ``_correlation_head``, built here when None."""
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
     if head is None:
-        head = _correlation_head(cfg, want_fullband)
+        head = _correlation_head(cfg)
     curves, noise_db = _measure_point(cfg, line, head, delta, point_ss)
     gain0 = float(intensity_gain(line, delta))
     result = {
@@ -214,7 +211,7 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
             source.gain1, max(gain0, 1.0), cfg.channel.eta, cfg.channel.excess_noise_db).db,
         "curves": curves,
     }
-    if want_fullband:
+    if "full" in head.plans:
         result["delay_s_fullband"] = peak_delay(curves["full_fast"], curves["full_ref"])
     return result
 
@@ -252,8 +249,7 @@ def _noise_point_worker(args) -> dict:
 
 def _correlation_point_worker(args) -> dict:
     cfg, index, detuning, head = args
-    out = _measure_correlation_point(cfg, detuning, _point_seed(cfg.seed, index),
-                                     want_fullband=True, head=head())
+    out = _measure_correlation_point(cfg, detuning, _point_seed(cfg.seed, index), head())
     out.pop("curves")
     return out
 
@@ -361,7 +357,7 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
     return {
         "scenario": cfg.scenario,
         "master_seed": cfg.seed,
-        "seed_splitting": "SeedSequence(master, spawn_key=(point, trace, role))",
+        "seed_splitting": "SeedSequence(master, spawn_key=(point, trace))",
         "point_spawn_keys": list(range(len(cfg.detunings_hz) or 1)),
         "config_sha256": cfg.config_hash(),
         # Noise is normalized to the expected shot-noise power of its bins.
@@ -392,7 +388,7 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
         worker, file_name = _correlation_point_worker, "delay_scan.csv"
         names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
                  "squeezing_db_band", "analytic_squeezing_db"]
-        build_head = partial(_correlation_head, cfg, want_fullband=True)
+        build_head = partial(_correlation_head, cfg)
     # The chain head is built by the first point each process runs, not
     # before the pool forks: in the parent, delay-scan's plans and the
     # numpy.fft they load would raise the run's memory peak by about 3 MB.
@@ -406,7 +402,7 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    head = _correlation_head(cfg, want_fullband=False)
+    head = _correlation_head(cfg)
     # Deterministic, so it is computed before any draw: a peak on the edge
     # of the lag window is a configuration error.
     try:
@@ -416,8 +412,7 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     except InvalidParameterError as exc:
         raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
                           f"in band_hz {cfg.band_hz}: {exc}") from exc
-    point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0),
-                                       want_fullband=False, head=head)
+    point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0), head)
     curves = point.pop("curves")
     ref, fast = curves["band_ref"], curves["band_fast"]
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),

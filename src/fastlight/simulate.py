@@ -10,11 +10,12 @@ an N-sample record carries E|X[k]|^2 = N * m * s(f_k) when the one-sided
 spectrum in shot-noise units is s(f).  Record lengths are powers of two, so
 the rfft grid ends on a real Nyquist bin.
 
-Reproducibility: every stochastic operation takes a seed (int or
-numpy.random.SeedSequence).  Scans derive per-task seeds by SeedSequence
-spawning, so results are independent of execution order.  Outputs are
-bit-identical for identical seeds on one platform; across platforms FFT
-rounding limits agreement to ~1e-12 relative.
+Reproducibility: every stochastic operation takes a seed (int,
+numpy.random.SeedSequence or Generator).  The scenarios draw each trace from
+one Generator keyed by its (point, trace) spawn key, so results are
+independent of execution order.  Outputs are bit-identical for identical
+seeds on one platform; across platforms FFT rounding limits agreement to
+~1e-12 relative.
 """
 
 from __future__ import annotations

@@ -153,8 +153,7 @@ def test_criterion_7_zero_offset_contrast(advance_run):
         "offset_hz": 0.0,
         "sampling": {"rate_hz": RATE, "samples": 1 << 19, "traces": 30},
     })
-    res = _measure_correlation_point(cfg, 0.0, _point_seed(cfg.seed, 0),
-                                     want_fullband=False)
+    res = _measure_correlation_point(cfg, 0.0, _point_seed(cfg.seed, 0))
     delay_ns = res["delay_s_band"] * 1e9
     squeezing = res["squeezing_db_band"]
     ok = delay_ns > 0.0 and squeezing > summary["band_squeezing_db"]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,14 +277,14 @@ def test_correlation_point_fft_count(monkeypatch):
         sizes = [correlation_plan(1 << 16, RATE, band, cfg.max_lag_s).kernel.size
                  for band in (cfg.band_hz, cfg.fullband_hz)]
         # The plans are built once per process, before this point's traces.
-        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0), True)
+        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0))
         with monkeypatch.context() as patch:
             for name in ("rfft", "irfft", "fft", "ifft"):
                 patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-            for want_fullband, bands in ((True, 2), (False, 1)):
+            # A delay-scan point correlates in both bands, an xcorr point in band_hz.
+            for point_cfg, bands in ((cfg, 2), (replace(cfg, scenario="xcorr"), 1)):
                 calls.clear()
-                scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
-                                                    want_fullband)
+                scenario._measure_correlation_point(point_cfg, 5e6, scenario._point_seed(1, 0))
                 assert sorted(calls) == sorted((name, size) for size in sizes[:bands]
                                                for name in ("fft", "ifft"))
             calls.clear()
@@ -290,11 +292,13 @@ def test_correlation_point_fft_count(monkeypatch):
             assert calls == []
 
 
-def test_trace_normal_draws_per_role(monkeypatch):
-    """Roles 0-5 draw on the head of the rfft grid only, its first k bins (4 k
-    normals for the synthesis, 2 k for each other role): 14 k per trace.  k
-    is the largest band support, or one past the noise band's last bin when
-    nothing is correlated; there is no further role."""
+def test_trace_normal_draws_per_trace_stream(monkeypatch):
+    """Each trace draws from one generator, keyed by its (point, trace) spawn
+    key, on the head of the rfft grid only, its first k bins: 4 k normals
+    for the synthesis, then 2 k for each detection of the reference pair,
+    2 k for the channel noise and 2 k for each detection of the fast pair,
+    14 k per trace in that order.  k is the largest band support, or one
+    past the noise band's last bin when nothing is correlated."""
     from fastlight import scenario
     from fastlight.analysis import _band_bins
     from fastlight.config import config_from_dict, preset_fig2_line
@@ -302,37 +306,49 @@ def test_trace_normal_draws_per_role(monkeypatch):
     traces, n = 2, 1 << 16
     cfg = config_from_dict({**preset_fig2_line().to_dict(), "scenario": "delay-scan",
                             "sampling": {"rate_hz": RATE, "samples": n, "traces": traces}})
-    drawn = {}
+    drawn = {}  # spawn key -> [[kernel, normals drawn], ...] in call order
     default_rng = np.random.default_rng
 
     class Counted:
         def __init__(self, seed):
-            self.role = seed.spawn_key[-1]
+            assert seed.spawn_key not in drawn, "a second generator on one key"
+            self.key = seed.spawn_key
             self.rng = default_rng(seed)
+            drawn[self.key] = []
 
         def standard_normal(self, size=None, out=None):
             z = self.rng.standard_normal(size, out=out)
-            drawn[self.role] = drawn.get(self.role, 0) + z.size
+            drawn[self.key][-1][1] += z.size
             return z
+
+    def logged(name, kernel):
+        def wrapper(*args, **kwargs):
+            rng, = [a for a in (*args, *kwargs.values()) if isinstance(a, Counted)]
+            drawn[rng.key].append([name, 0])
+            return kernel(*args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: seed if isinstance(seed, Counted) else Counted(seed))
+    for name in ("synth_twin_spectra", "detect_spectrum", "apply_channel"):
+        monkeypatch.setattr(scenario, name, logged(name, getattr(scenario, name)))
 
     def per_trace(k):
-        return {0: traces * 4 * k, **{r: traces * 2 * k for r in range(1, 6)}}
+        detect = ["detect_spectrum", 2 * k]
+        trace = [["synth_twin_spectra", 4 * k], detect, detect,
+                 ["apply_channel", 2 * k], detect, detect]
+        return {(3, j): trace for j in range(traces)}
 
-    for want_fullband in (True, False):
-        bands = (cfg.band_hz, cfg.fullband_hz) if want_fullband else (cfg.band_hz,)
+    for point_cfg, bands in ((cfg, (cfg.band_hz, cfg.fullband_hz)),
+                             (replace(cfg, scenario="xcorr"), (cfg.band_hz,))):
         k = max(correlation_plan(n, RATE, band, cfg.max_lag_s).support for band in bands)
         drawn.clear()
-        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0),
-                                            want_fullband)
+        scenario._measure_correlation_point(point_cfg, 5e6, scenario._point_seed(1, 3))
         assert drawn == per_trace(k)
-        assert sum(drawn.values()) == traces * 14 * k
     k = _band_bins(n, RATE, *cfg.noise_band_hz).stop
     assert 0 < k < 100
     drawn.clear()
-    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
+    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 3))
     assert drawn == per_trace(k)
 
 

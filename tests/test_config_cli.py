@@ -1082,6 +1082,20 @@ def test_cli_excess_noise_past_150_db_exits_2(tmp_path, capsys, excess_db):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_traces_past_2_to_the_53_exit_2(tmp_path, capsys):
+    """The trace count enters float64 arithmetic, exact for integers only up
+    to 2^53; 10^400 traces are refused at load instead of never finishing."""
+    out = tmp_path / "o"
+    for traces in ("1" + "0" * 400, str((1 << 53) + 1)):
+        assert main(["line-scan", "--preset", "fig2-line", "--traces", traces,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'sampling.traces'" in err and "2^53" in err
+        assert not out.exists()
+    base = preset_fig2_line()
+    assert replace(base, sampling=replace(base.sampling, traces=1 << 53)).sampling.traces
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

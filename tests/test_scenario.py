@@ -5,6 +5,7 @@ errors of the mean (the seed-to-seed spread over sqrt(seeds)) of zero."""
 
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,13 @@ import pytest
 from fastlight.analysis import _band_bins
 from fastlight.cli import main
 from fastlight.config import preset_coherent_ref, preset_fig2_line, preset_fig4_advance
+from fastlight.dispersion import intensity_gain
 from fastlight.predict import predicted_difference_noise_snu
 from fastlight.scenario import (_measure_correlation_point, _measure_noise_point,
                                 _point_seed)
+from fastlight.simulate import (apply_channel, build_targets, channel_response,
+                                detect_spectrum, synth_twin_spectra, synthesis_factors)
+from fastlight.twinbeam import seeded_stats
 
 SEEDS = range(501, 509)
 
@@ -32,18 +37,31 @@ def _per_seed_mean(cfg, column, reference=None):
     return np.array(means)
 
 
-def _assert_unbiased(means):
+def _assert_unbiased(means, expected=0.0):
     se = np.std(means, ddof=1) / np.sqrt(len(means))
-    assert abs(np.mean(means)) < 3.0 * se, (np.mean(means), se)
+    assert abs(np.mean(means) - expected) < 3.0 * se, (np.mean(means), expected, se)
+
+
+def _jensen_db(powers: int) -> float:
+    """The expectation of 10 log10 of the mean of ``powers`` independent
+    exponential powers of mean 1: (10 / ln 10)(psi(m) - ln m) for m powers,
+    with psi(m) = -gamma + sum_{i<m} 1/i.  A noise figure that averages
+    bins and traces before its log reads this far below the expected power."""
+    digamma = -np.euler_gamma + sum(1.0 / i for i in range(1, powers))
+    return 10.0 / math.log(10.0) * (digamma - math.log(powers))
 
 
 def test_line_scan_one_trace_noise_is_unbiased():
     """`line-scan --preset fig2-line --traces 1`: simulated minus predicted
-    noise.  Dividing by a per-trace Monte-Carlo shot estimate instead of the
-    analytic floor reads about +0.5 dB here (a ratio of estimates)."""
+    noise, against the figure's own expectation, which sits _jensen_db of
+    the noise band's bins times the traces (-0.042 dB at 52 bins) below the
+    prediction.  Dividing by a per-trace Monte-Carlo shot estimate instead
+    of the analytic floor reads about +0.5 dB here (a ratio of estimates)."""
     base = preset_fig2_line()
     cfg = replace(base, sampling=replace(base.sampling, traces=1))
-    _assert_unbiased(_per_seed_mean(cfg, "simulated_noise_db", "predicted_noise_db"))
+    bins = _band_bins(cfg.sampling.samples, cfg.sampling.rate_hz, *cfg.noise_band_hz)
+    _assert_unbiased(_per_seed_mean(cfg, "simulated_noise_db", "predicted_noise_db"),
+                     _jensen_db(len(bins) * cfg.sampling.traces))
 
 
 def test_coherent_ref_reads_zero_db():
@@ -64,17 +82,75 @@ def test_xcorr_band_squeezing_matches_the_sideband_resolved_prediction():
         cfg.channel.excess_noise_db, np.fft.rfftfreq(n, 1.0 / fs)[bins.start:bins.stop])
     predicted_db = 10.0 * np.log10(np.mean(predicted))
     means = [_measure_correlation_point(replace(cfg, seed=seed), cfg.offset_hz,
-                                        _point_seed(seed, 0), want_fullband=False)
-             ["squeezing_db_band"] - predicted_db for seed in SEEDS]
+                                        _point_seed(seed, 0))["squeezing_db_band"]
+             - predicted_db for seed in SEEDS]
     _assert_unbiased(np.array(means))
 
 
+def _hand_trace(cfg, point: int, bins: int):
+    """The first trace of scan point ``point``, composed from the kernels by
+    hand on the first ``bins`` bins of the rfft grid and drawn from the one
+    stream `summary.json`'s seed_splitting names: a Generator on
+    SeedSequence(master, spawn_key=(point, 0)), read by the synthesis, the
+    reference pair's detections, the channel and the fast pair's detections
+    in that order.  Returns the detected reference pair, the detected fast
+    pair and the conjugate's mean flux out of the channel."""
+    n, fs, eta = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.eta
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(point, 0)))
+    source = cfg.source.make()
+    stats = seeded_stats(source.gain1, source.seed_flux)
+    targets = build_targets(source, np.fft.rfftfreq(n, 1.0 / fs)[:bins])
+    xp, xc = synth_twin_spectra(synthesis_factors(targets, n, fs, stats.mean_p, stats.mean_c),
+                                rng, n)
+    ref = (detect_spectrum(xp, eta, stats.mean_p, rng, n),
+           detect_spectrum(xc, eta, stats.mean_c, rng, n))
+    line, delta = cfg.line.make(), 2.0 * math.pi * cfg.detunings_hz[point]
+    gain0 = float(intensity_gain(line, delta))
+    mean_c_out = gain0 * stats.mean_c + (gain0 - 1.0)
+    # The difference-level excess as a flat excess in the fast beam's own shot units.
+    x_diff = 10.0 ** (cfg.channel.excess_noise_db / 10.0) - 1.0
+    x_beam = x_diff * (stats.mean_p + mean_c_out) / (eta * mean_c_out)
+    channel = channel_response(line, delta, n, fs, stats.mean_c,
+                               10.0 * math.log10(1.0 + x_beam), bins=bins)
+    apply_channel(xc, channel, rng, n)
+    fast = (detect_spectrum(xp, eta, stats.mean_p, rng, n, out=xp),
+            detect_spectrum(xc, eta, channel.mean_out, rng, n, out=xc))
+    return ref, fast, channel.mean_out
+
+
+def test_line_scan_row_is_the_hand_built_trace(tmp_path):
+    """A one-trace line-scan row's simulated_noise_db, bit for bit, from the
+    stream that its summary's seed_splitting names: the noise band's power of
+    the hand-built trace's detected difference over its analytic shot level."""
+    out = tmp_path / "o"
+    assert main(["line-scan", "--preset", "fig2-line", "--traces", "1", "--seed", "77",
+                 "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed_splitting"] == "SeedSequence(master, spawn_key=(point, trace))"
+    with open(out / "line_scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    base = preset_fig2_line()
+    cfg = replace(base, seed=77, sampling=replace(base.sampling, traces=1))
+    n, fs, eta = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.eta
+    noise = _band_bins(n, fs, *cfg.noise_band_hz)
+    stats = seeded_stats(cfg.source.make().gain1, cfg.source.seed_flux)
+    for point in (0, 12, 17):
+        _, (xp, xc), mean_out = _hand_trace(cfg, point, noise.stop)
+        diff = xp[noise.start:] - xc[noise.start:]
+        power = float(np.sum(diff.real ** 2 + diff.imag ** 2))
+        shot = n * eta * (stats.mean_p + mean_out)
+        want = 10.0 * math.log10(power / (len(noise) * shot))
+        assert float(rows[point]["simulated_noise_db"]) == want
+
+
 # delay_s_fullband and delay_s_band of the first three points of a fig2-line
-# delay-scan whose full band reaches Nyquist, as version 0.4.0 drew them.
+# delay-scan whose full band reaches Nyquist: each point's _hand_trace on the
+# whole rfft grid (2,049 bins), its two pairs' cross_spectrum on each band's
+# correlation_plan, one lag_curves per band and peak_delay.
 _NYQUIST_DELAYS = [
-    -1.400942487849405e-07, -2.1507056295362003e-09,
-    -3.4909574471205464e-13, -5.6922838676810646e-08,
-    -5.923280329678845e-08, -4.334823030094788e-09,
+    -4.134057242702189e-08, -1.324994955630878e-09,
+    -1.9387151189741135e-07, 2.3685605174118244e-10,
+    -1.5917841283271797e-07, 1.2289950126368654e-09,
 ]
 
 
