@@ -26,6 +26,17 @@ from .twinbeam import TwinBeamSource, gain_for_squeezing
 
 SCENARIOS = ("line-scan", "delay-scan", "xcorr", "selftest")
 
+# The bands each scenario's points read: the band fields they correlate in,
+# where the advance is measured, and the band field whose rfft bins their
+# noise figure averages, where the loss of correlation is measured.  The
+# selftest runs no point of its own scenario.
+SCENARIO_BANDS = {
+    "line-scan": ((), "noise_band_hz"),
+    "delay-scan": (("band_hz", "fullband_hz"), "band_hz"),
+    "xcorr": (("band_hz",), "band_hz"),
+    "selftest": ((), None),
+}
+
 ADVANCE_TARGET_S = -12e-9
 _ADVANCE_FWHM_HZ = 2.6e6
 _ADVANCE_OFFSET_HZ = 6.5e6
@@ -41,6 +52,14 @@ _MAX_EXCESS_DB = 150.0
 # The trace count enters float64 arithmetic (the mean cross spectra, the
 # noise figure's divisor), which holds every integer only up to 2^53.
 _MAX_TRACES = 1 << 53
+# The cross spectrum divides by sqrt(E1 E2), and each band energy is up to
+# about K n G^2 seed_flux, with n <= 2^32 samples, K <= 2^31 bins and G the
+# peak intensity gain.  At 1e30 photons per sample and 300 dB (G = 1e30) an
+# energy stays below 9.3e108 and the product below 8.6e217, inside float64's
+# 1.8e308 with a margin for the source gain; the prediction's
+# mean_p mean_c ~ G1 (G1 - 1) seed_flux^2 passes 1.8e308 from 1.3e154 on.
+_MAX_SEED_FLUX = 1e30
+_MAX_PEAK_GAIN_DB = 300.0
 
 
 @dataclass(frozen=True)
@@ -131,27 +150,29 @@ class ScenarioConfig:
         if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
             raise ConfigError("field 'channel.excess_noise_db' must lie in "
                               f"[0, {_MAX_EXCESS_DB:g}] dB")
-        # The noise figure averages the difference's rfft bins in this band.
-        name = {"line-scan": "noise_band_hz", "delay-scan": "band_hz",
-                "xcorr": "band_hz"}.get(self.scenario)
-        if name is not None and not _band_bins(sampling.samples, sampling.rate_hz,
-                                               *getattr(self, name)):
-            raise ConfigError(f"field '{name}' holds no bin of the rfft grid of "
+        correlated, noise = SCENARIO_BANDS[self.scenario]
+        if noise is not None and not _band_bins(sampling.samples, sampling.rate_hz,
+                                                *getattr(self, noise)):
+            raise ConfigError(f"field '{noise}' holds no bin of the rfft grid of "
                               f"{sampling.samples} samples at rate_hz {sampling.rate_hz}")
         # The bands a scenario band-filters must carry band_response's
-        # raised-cosine edges (an empty grid runs only its checks).
-        filtered = {"delay-scan": ("band_hz", "fullband_hz"),
-                    "xcorr": ("band_hz",), "selftest": ("band_hz",)}.get(self.scenario, ())
-        for name in filtered:
+        # raised-cosine edges (an empty grid runs only its checks); the
+        # selftest's delay check filters band_hz.
+        for name in correlated if noise is not None else ("band_hz",):
             try:
                 band_response((), *getattr(self, name))
             except InvalidParameterError as exc:
                 raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
-        if self.scenario in ("delay-scan", "xcorr"):
-            # The correlation kernel's lag window: one sample to an eighth of a trace.
-            if not 1.0 <= self.max_lag_s * self.sampling.rate_hz <= self.sampling.samples / 8:
-                raise ConfigError("field 'max_lag_s' must lie between one sample period "
-                                  "and samples / (8 * rate_hz)")
+        # The correlation kernel's lag window: one sample to an eighth of a trace.
+        if correlated and not 1.0 <= self.max_lag_s * sampling.rate_hz <= sampling.samples / 8:
+            raise ConfigError("field 'max_lag_s' must lie between one sample period "
+                              "and samples / (8 * rate_hz)")
+        if not self.source.seed_flux <= _MAX_SEED_FLUX:
+            raise ConfigError("field 'source.seed_flux' must be at most "
+                              f"{_MAX_SEED_FLUX:g} photons per sample")
+        if not self.line.peak_gain_db <= _MAX_PEAK_GAIN_DB:
+            raise ConfigError("field 'line.peak_gain_db' must be at most "
+                              f"{_MAX_PEAK_GAIN_DB:g} dB")
         # Fail early on invalid physics parameters, with the field named.
         try:
             self.line.make()
@@ -165,7 +186,7 @@ class ScenarioConfig:
             raise ConfigError("field 'source': twin-beam runs need gain1 > 1 "
                               "(the conjugate is dark at gain1 = 1); "
                               "use coherent: true for a coherent pair")
-        if self.source.coherent and self.scenario in ("delay-scan", "xcorr"):
+        if self.source.coherent and correlated:
             raise ConfigError(f"field 'source.coherent' must be false on {self.scenario}: "
                               "its delays are read from the correlation of a twin pair")
 

@@ -17,7 +17,7 @@ import os
 import pickle
 import signal
 from dataclasses import replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_plan,
                        cross_spectrum, lag_curves, peak_delay, spectral_correlation)
-from .config import ChannelConfig, LineConfig, ScenarioConfig
+from .config import SCENARIO_BANDS, ChannelConfig, LineConfig, ScenarioConfig
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
@@ -50,9 +50,8 @@ def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: floa
 
 
 class _ChainHead(NamedTuple):
-    """Constants of a measurement chain that no detuning changes; a scan
-    builds them once per process that runs its points (``_run_scan``) and
-    passes them to each point.
+    """Constants of a measurement chain that no detuning changes, built from
+    the config alone by the first point a process runs (``_chain_head``).
 
     Every trace is carried on the head of the rfft grid, its first
     ``support`` bins: the largest band support, or one past the noise band's
@@ -64,7 +63,7 @@ class _ChainHead(NamedTuple):
     mean_p: float
     mean_c: float
     factors: tuple | None  # synthesis factors; None for a coherent source
-    plans: dict  # band name -> CorrelationPlan
+    plans: dict  # band field name -> CorrelationPlan
     noise_bins: range  # the noise band's bins
     support: int
 
@@ -82,30 +81,25 @@ def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPla
     return plan
 
 
-def _chain_head(cfg: ScenarioConfig, bands: dict, noise_band: tuple) -> _ChainHead:
-    """The chain head of points that correlate in ``bands`` ({name: (f_lo,
-    f_hi)}) and read their noise in ``noise_band``."""
+@lru_cache(maxsize=1)
+def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
+    """The chain head of the config's points, which correlate in and read
+    their noise in the bands ``SCENARIO_BANDS`` names for its scenario.
+    Each point fetches it; a process builds it once per config."""
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
+    correlated, noise = SCENARIO_BANDS[cfg.scenario]
     source = cfg.source.make()
     stats = seeded_stats(source.gain1, source.seed_flux)
     # Built before any draw, so a lag window too short fails first.
-    plans = {name: _band_plan(n, fs, band, cfg.max_lag_s) for name, band in bands.items()}
-    noise_bins = _band_bins(n, fs, *noise_band)
+    plans = {name: _band_plan(n, fs, getattr(cfg, name), cfg.max_lag_s)
+             for name in correlated}
+    noise_bins = _band_bins(n, fs, *getattr(cfg, noise))
     k = max([plan.support for plan in plans.values()] + [noise_bins.stop])
     factors = None
     if not cfg.source.coherent:
         factors = synthesis_factors(build_targets(source, _rfft_freqs(n, fs, k)),
                                     n, fs, stats.mean_p, stats.mean_c)
     return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
-
-
-def _correlation_head(cfg: ScenarioConfig) -> _ChainHead:
-    """The chain head of a correlation point: ``band_hz``, and on a delay
-    scan ``fullband_hz`` too, with the noise read in ``band_hz``."""
-    bands = {"band": cfg.band_hz}
-    if cfg.scenario == "delay-scan":
-        bands["full"] = cfg.fullband_hz
-    return _chain_head(cfg, bands, cfg.band_hz)
 
 
 def _point_channel(cfg: ScenarioConfig, line, head: _ChainHead,
@@ -152,12 +146,12 @@ def _measure_trace(cfg: ScenarioConfig, head: _ChainHead, channel: ChannelRespon
     return float(np.sum(diff.real ** 2 + diff.imag ** 2))
 
 
-def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
+def _measure_point(cfg: ScenarioConfig, detuning_hz: float,
                    point_ss: np.random.SeedSequence) -> tuple[dict, float]:
-    """Run every trace of one detuning point.  Returns the trace-averaged
-    correlation curves ("<band>_ref", "<band>_fast" for each band of
-    ``head.plans``) and the difference noise in the head's noise band in dB
-    re shot noise: the mean
+    """Run every trace of one detuning point on the config's chain head.
+    Returns the trace-averaged correlation curves ("<band>_ref" and
+    "<band>_fast" for each band field the head correlates in) and the
+    difference noise in the head's noise band in dB re shot noise: the mean
     of |D_k|^2 over the band's rfft bins and the traces, divided by the
     analytic shot level n M of every bin.  M = eta (mean_p + mean_c_out) is
     the per-sample variance of shot noise of the detected pair's total flux.
@@ -167,7 +161,8 @@ def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
     generalized cross-correlation averages cross spectra, then inverts once;
     Knapp & Carter 1976), so the transforms per point do not grow with the
     trace count."""
-    channel = _point_channel(cfg, line, head, delta)
+    head = _chain_head(cfg)
+    channel = _point_channel(cfg, cfg.line.make(), head, 2.0 * math.pi * detuning_hz)
     sums = {band: {pair: np.zeros(plan.support, dtype=complex) for pair in ("ref", "fast")}
             for band, plan in head.plans.items()}
     power = 0.0
@@ -190,46 +185,39 @@ def _measure_point(cfg: ScenarioConfig, line, head: _ChainHead, delta: float,
 
 
 def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
-                               point_ss: np.random.SeedSequence,
-                               head: _ChainHead | None = None) -> dict:
+                               point_ss: np.random.SeedSequence) -> dict:
     """Simulate one detuning point and measure delays and band squeezing, in
-    the full band too on a delay scan; ``head`` is the scan's
-    ``_correlation_head``, built here when None."""
+    the full band too on a delay scan."""
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
-    if head is None:
-        head = _correlation_head(cfg)
-    curves, noise_db = _measure_point(cfg, line, head, delta, point_ss)
+    curves, noise_db = _measure_point(cfg, detuning_hz, point_ss)
     gain0 = float(intensity_gain(line, delta))
     result = {
         "detuning_hz": detuning_hz,
         "gain_db": float(gain_db(line, delta)),
-        "delay_s_band": peak_delay(curves["band_fast"], curves["band_ref"]),
+        "delay_s_band": peak_delay(curves["band_hz_fast"], curves["band_hz_ref"]),
         "squeezing_db_band": noise_db,
         "analytic_squeezing_db": difference_noise_after_channel(
             source.gain1, max(gain0, 1.0), cfg.channel.eta, cfg.channel.excess_noise_db).db,
         "curves": curves,
     }
-    if "full" in head.plans:
-        result["delay_s_fullband"] = peak_delay(curves["full_fast"], curves["full_ref"])
+    if "fullband_hz_ref" in curves:
+        result["delay_s_fullband"] = peak_delay(curves["fullband_hz_fast"],
+                                                curves["fullband_hz_ref"])
     return result
 
 
 def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
-                         point_ss: np.random.SeedSequence,
-                         head: _ChainHead | None = None) -> dict:
-    """Simulate one detuning point of the gain-line scan; ``head`` is the
-    scan's chain head, with no bands, built here when None."""
+                         point_ss: np.random.SeedSequence) -> dict:
+    """Simulate one detuning point of the gain-line scan."""
     line = cfg.line.make()
     source = cfg.source.make()
     delta = 2.0 * math.pi * detuning_hz
-    if head is None:
-        head = _chain_head(cfg, {}, cfg.noise_band_hz)
-    _, noise_db = _measure_point(cfg, line, head, delta, point_ss)
+    _, noise_db = _measure_point(cfg, detuning_hz, point_ss)
     # Evaluated on the bins the measurement averages.
-    f_band = _rfft_freqs(cfg.sampling.samples, cfg.sampling.rate_hz,
-                         head.noise_bins.stop)[head.noise_bins.start:]
+    bins = _chain_head(cfg).noise_bins
+    f_band = _rfft_freqs(cfg.sampling.samples, cfg.sampling.rate_hz, bins.stop)[bins.start:]
     predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
                                                cfg.channel.excess_noise_db, f_band,
                                                coherent=cfg.source.coherent)
@@ -242,29 +230,26 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
     }
 
 
-def _noise_point_worker(args) -> dict:
-    cfg, index, detuning, head = args
-    return _measure_noise_point(cfg, detuning, _point_seed(cfg.seed, index), head())
+def _noise_point_worker(cfg: ScenarioConfig, index: int) -> dict:
+    return _measure_noise_point(cfg, cfg.detunings_hz[index], _point_seed(cfg.seed, index))
 
 
-def _correlation_point_worker(args) -> dict:
-    cfg, index, detuning, head = args
-    out = _measure_correlation_point(cfg, detuning, _point_seed(cfg.seed, index), head())
+def _correlation_point_worker(cfg: ScenarioConfig, index: int) -> dict:
+    out = _measure_correlation_point(cfg, cfg.detunings_hz[index],
+                                     _point_seed(cfg.seed, index))
     out.pop("curves")
     return out
 
 
-def _map_points(worker, cfg: ScenarioConfig, head=None):
-    """``[worker(a) for a in args]`` over the scan points, each ``a`` the
-    tuple (cfg, point index, detuning, head), in ``min(jobs, points)`` forked
-    children when that is more than one and the platform forks; ``head`` is
-    what a worker calls for the scan's ``_ChainHead``.  Child w computes
-    ``args[w::workers]``; the parent computes none, so its memory peak stays
-    that of the loaded program."""
-    args = [(cfg, i, d, head) for i, d in enumerate(cfg.detunings_hz)]
-    workers = min(cfg.jobs, len(args))
+def _map_points(worker, cfg: ScenarioConfig):
+    """``[worker(cfg, i) for i in points]`` over the scan's point indices, in
+    ``min(jobs, points)`` forked children when that is more than one and the
+    platform forks.  Child w computes ``points[w::workers]``; the parent
+    computes none, so its memory peak stays that of the loaded program."""
+    points = range(len(cfg.detunings_hz))
+    workers = min(cfg.jobs, len(points))
     if workers < 2 or not hasattr(os, "fork"):
-        return [worker(a) for a in args]
+        return [worker(cfg, i) for i in points]
     children = []  # (pid, read end of its pipe)
     reports = []
     try:
@@ -277,7 +262,7 @@ def _map_points(worker, cfg: ScenarioConfig, head=None):
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_share(worker, args[w::workers], read_fd, write_fd)
+                _run_share(worker, cfg, points[w::workers], read_fd, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
         for _, read_fd in children:
@@ -293,7 +278,7 @@ def _map_points(worker, cfg: ScenarioConfig, head=None):
             os.close(read_fd)
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
-    rows = [None] * len(args)
+    rows = [None] * len(points)
     failures = []  # (index of the failed point, its exception)
     for w, (code, report) in enumerate(zip(codes, reports)):
         if code != 0:
@@ -309,19 +294,19 @@ def _map_points(worker, cfg: ScenarioConfig, head=None):
     return rows
 
 
-def _run_share(worker, share, read_fd, write_fd):
-    """A forked child's whole life: run ``worker`` over ``share``, then
-    write ``(rows, exception or None)`` pickled to its pipe and end in
-    ``os._exit``, so the child never runs the parent's remaining code, exit
-    handlers or stdio flushes.  It exits 1 without a report when pickling
-    or writing fails."""
+def _run_share(worker, cfg, share, read_fd, write_fd):
+    """A forked child's whole life: run ``worker(cfg, i)`` for each point
+    index i of ``share``, then write ``(rows, exception or None)`` pickled to
+    its pipe and end in ``os._exit``, so the child never runs the parent's
+    remaining code, exit handlers or stdio flushes.  It exits 1 without a
+    report when pickling or writing fails."""
     status = 1
     try:
         os.close(read_fd)
         rows, error = [], None
         try:
-            for a in share:
-                rows.append(worker(a))
+            for i in share:
+                rows.append(worker(cfg, i))
         except Exception as exc:
             error = exc
         report = pickle.dumps((rows, error))
@@ -383,16 +368,14 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
         worker, file_name = _noise_point_worker, "line_scan.csv"
         names = ["detuning_hz", "gain_db", "predicted_noise_db",
                  "simulated_noise_db", "group_index"]
-        build_head = partial(_chain_head, cfg, {}, cfg.noise_band_hz)
     else:
         worker, file_name = _correlation_point_worker, "delay_scan.csv"
         names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
                  "squeezing_db_band", "analytic_squeezing_db"]
-        build_head = partial(_correlation_head, cfg)
     # The chain head is built by the first point each process runs, not
     # before the pool forks: in the parent, delay-scan's plans and the
     # numpy.fft they load would raise the run's memory peak by about 3 MB.
-    rows = _map_points(worker, cfg, cache(build_head))
+    rows = _map_points(worker, cfg)
     _write_csv(os.path.join(cfg.out_dir, file_name),
                {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
@@ -402,19 +385,19 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    head = _correlation_head(cfg)
     # Deterministic, so it is computed before any draw: a peak on the edge
     # of the lag window is a configuration error.
     try:
         predicted = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
-                                                cfg.source.make(), head.plans["band"],
+                                                cfg.source.make(),
+                                                _chain_head(cfg).plans["band_hz"],
                                                 cfg.sampling.rate_hz)
     except InvalidParameterError as exc:
         raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
                           f"in band_hz {cfg.band_hz}: {exc}") from exc
-    point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0), head)
+    point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0))
     curves = point.pop("curves")
-    ref, fast = curves["band_ref"], curves["band_fast"]
+    ref, fast = curves["band_hz_ref"], curves["band_hz_fast"]
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),
                {"lag_s": ref.lags, "c_ref": ref.values, "c_fast": fast.values}, created)
 
@@ -437,9 +420,10 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_selftest(cfg: ScenarioConfig, created) -> dict:
-    """Fast internal consistency battery; prints one line per check.  Every
-    check but the calibration runs the scenarios' own head chain, with no
-    gain and no excess, each on its own point seed.  Its sizes are fixed."""
+    """Fast internal consistency battery; prints one line per check.  The
+    noise checks measure one line-scan point each through the scenarios' own
+    chain, with no gain and no excess, each on its own point seed; the delay
+    check correlates in band_hz.  Its sizes are fixed."""
     checks = {}
     # The point seeds the checks draw from, reported in point_spawn_keys.
     keys = shot_key, twin_key, delay_key = (101, 102, 103)
@@ -458,10 +442,10 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
                     sampling=replace(cfg.sampling, samples=1 << 18, traces=16))
 
     def noise_db(coherent: bool, key: int, band: tuple, eta: float = 1.0) -> float:
-        point = replace(bench, source=replace(cfg.source, coherent=coherent),
+        point = replace(bench, scenario="line-scan", detunings_hz=(0.0,), noise_band_hz=band,
+                        source=replace(cfg.source, coherent=coherent),
                         channel=ChannelConfig(eta=eta, excess_noise_db=0.0))
-        return _measure_point(point, point.line.make(), _chain_head(point, {}, band), 0.0,
-                              _point_seed(cfg.seed, key))[1]
+        return _measure_point(point, 0.0, _point_seed(cfg.seed, key))[1]
 
     # Coherent beams detected at eta = 0.5, eta times each beam plus vacuum,
     # read the analytic shot level n eta (mean_p + mean_c).

@@ -77,7 +77,10 @@ def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     """
     f = np.asarray(frequencies, dtype=float)
     corner = source.pair_bandwidth / 2.0
-    w = 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
+    # Far past a tiny corner the power overflows to inf, and 1 / (1 + inf) = 0
+    # is the weight's limit there.
+    with np.errstate(over="ignore"):
+        w = 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
     g1 = source.gain1
     excess = 2.0 * (g1 - 1.0) * w
     s_pp = 1.0 + excess

@@ -288,7 +288,8 @@ def test_correlation_point_fft_count(monkeypatch):
                 assert sorted(calls) == sorted((name, size) for size in sizes[:bands]
                                                for name in ("fft", "ifft"))
             calls.clear()
-            scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 0))
+            scenario._measure_noise_point(replace(cfg, scenario="line-scan"), 5e6,
+                                          scenario._point_seed(1, 0))
             assert calls == []
 
 
@@ -348,7 +349,8 @@ def test_trace_normal_draws_per_trace_stream(monkeypatch):
     k = _band_bins(n, RATE, *cfg.noise_band_hz).stop
     assert 0 < k < 100
     drawn.clear()
-    scenario._measure_noise_point(cfg, 5e6, scenario._point_seed(1, 3))
+    scenario._measure_noise_point(replace(cfg, scenario="line-scan"), 5e6,
+                                  scenario._point_seed(1, 3))
     assert drawn == per_trace(k)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -331,31 +332,71 @@ def test_scan_pool_has_no_more_workers_than_points():
 
     cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6))
     for jobs, want in ((1000, 3), (2, 2), (1, 1)):
-        pids = scenario._map_points(lambda args: os.getpid(), replace(cfg, jobs=jobs))
+        pids = scenario._map_points(lambda cfg, i: os.getpid(), replace(cfg, jobs=jobs))
         assert len(pids) == 3 and len(set(pids)) == want
         assert (os.getpid() in pids) == (jobs == 1)
-    assert scenario._map_points(lambda args: args[1], replace(cfg, jobs=2)) == [0, 1, 2]
+    assert scenario._map_points(lambda cfg, i: i, replace(cfg, jobs=2)) == [0, 1, 2]
 
 
-@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan"])
-def test_scan_builds_its_chain_head_once_per_scan(tmp_path, monkeypatch, scenario):
-    """At one job a scan's three points share one chain head, so the
-    synthesis factors are built once per scan; a second scan in the same
-    process builds its own, since nothing caches them across scans."""
+@pytest.fixture
+def fresh_chain_heads():
+    """A chain head built under a patched kernel would outlive the patch in
+    the per-process cache, so the cache is emptied before and after."""
+    import fastlight.scenario as scenario
+
+    scenario._chain_head.cache_clear()
+    yield
+    scenario._chain_head.cache_clear()
+
+
+def _count_synthesis_factors(monkeypatch, log):
+    """Wrap scenario.synthesis_factors so that each call appends its
+    process id to the file ``log``; returns the parent's own list of calls."""
     import fastlight.scenario as module
 
-    path = _three_point_scan(scenario, tmp_path)
     built = []
     synthesis_factors = module.synthesis_factors
 
     def counted(*args, **kwargs):
         built.append(args[1])
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return synthesis_factors(*args, **kwargs)
 
     monkeypatch.setattr(module, "synthesis_factors", counted)
-    for runs in (1, 2):
-        assert main([scenario, "--config", str(path), "--jobs", "1"]) == 0
-        assert built == [1 << 16] * runs
+    return built
+
+
+@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan"])
+def test_scan_builds_its_chain_head_once_per_scan(tmp_path, monkeypatch, fresh_chain_heads,
+                                                  scenario):
+    """At one job a scan's three points share one chain head, so the
+    synthesis factors are built once per scan.  The process keeps the head
+    of the last config, so a second scan of the same config builds none,
+    and a scan of another config builds its own."""
+    path = _three_point_scan(scenario, tmp_path)
+    built = _count_synthesis_factors(monkeypatch, tmp_path / "built")
+    for seed, builds in (("1", 1), ("1", 1), ("2", 2)):
+        assert main([scenario, "--config", str(path), "--jobs", "1", "--seed", seed]) == 0
+        assert built == [1 << 16] * builds
+
+
+@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan"])
+def test_forked_scan_parent_builds_no_chain_head(tmp_path, monkeypatch, fresh_chain_heads,
+                                                 scenario):
+    """At two jobs each child builds its own chain head at its first point
+    and the parent builds none, so the parent's memory peak stays that of
+    the loaded program; at one job the parent builds it once."""
+    path = _three_point_scan(scenario, tmp_path)
+    log = tmp_path / "built"
+    built = _count_synthesis_factors(monkeypatch, log)
+    for jobs, parent_builds, child_builds in (("2", 0, 2), ("1", 1, 0)):
+        log.write_text("")
+        built.clear()
+        assert main([scenario, "--config", str(path), "--jobs", jobs]) == 0
+        assert len(built) == parent_builds
+        children = [pid for pid in log.read_text().split() if pid != str(os.getpid())]
+        assert len(children) == len(set(children)) == child_builds
 
 
 @pytest.mark.parametrize("scenario, file_name", [("line-scan", "line_scan.csv"),
@@ -385,10 +426,10 @@ def test_config_error_in_a_scan_worker_exits_2(tmp_path, capsys):
 def test_scan_worker_that_dies_raises_and_is_reaped():
     import fastlight.scenario as scenario
 
-    def worker(args):
-        if args[1] == 1:
+    def worker(cfg, i):
+        if i == 1:
             os._exit(1)
-        return args[1]
+        return i
 
     cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6), jobs=3)
     with pytest.raises(FastlightError, match="scan worker 1"):
@@ -459,7 +500,7 @@ def _anticorrelate(synthesis_factors):
     ("synthesis_factors", _anticorrelate, "twin_band_squeezing"),
 ])
 def test_selftest_fails_on_a_broken_chain_kernel(tmp_path, capsys, monkeypatch,
-                                                  kernel, mutate, check):
+                                                  fresh_chain_heads, kernel, mutate, check):
     """A kernel of the scenarios' chain, broken as the scenario module sees
     it, fails its check, and only that one."""
     import fastlight.scenario as scenario
@@ -543,7 +584,8 @@ def test_short_lag_window_exits_2_before_any_draw(tmp_path, capsys, monkeypatch)
     assert os.listdir(tmp_path / "o") == []
 
 
-def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                      fresh_chain_heads):
     # With the early lag-window check taken out, both widths are NaN and the
     # summary writer is the backstop.
     import fastlight.scenario as scenario
@@ -1096,6 +1138,39 @@ def test_cli_traces_past_2_to_the_53_exit_2(tmp_path, capsys):
     assert replace(base, sampling=replace(base.sampling, traces=1 << 53)).sampling.traces
 
 
+@pytest.mark.parametrize("dotted, value", [
+    ("source.seed_flux", 1e300), ("source.seed_flux", math.nextafter(1e30, math.inf)),
+    ("line.peak_gain_db", 3000.0), ("line.peak_gain_db", math.nextafter(300.0, math.inf)),
+], ids=["seed-flux-1e300", "seed-flux-past-1e30", "peak-gain-3000-db", "peak-gain-past-300-db"])
+def test_cli_flux_and_gain_past_their_bounds_exit_2(tmp_path, capsys, dotted, value):
+    """A band energy reaches about K n G^2 seed_flux, and the cross spectrum
+    divides by the product of two; past 1e30 photons per sample or 300 dB
+    the run is refused at load, before 1e300 or 3,000 dB can overflow the
+    predicted or simulated noise."""
+    path = _tiny_line_scan(tmp_path, dotted, value)
+    assert main(["line-scan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and f"'{dotted}'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_flux_and_gain_at_their_bounds_load():
+    base = preset_fig2_line()
+    cfg = replace(base, source=replace(base.source, seed_flux=1e30),
+                  line=replace(base.line, peak_gain_db=300.0))
+    assert (cfg.source.seed_flux, cfg.line.peak_gain_db) == (1e30, 300.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_tiny_pair_bandwidth_warns_nothing(tmp_path, capsys):
+    """The roll-off weight's power overflows far past a 1e-300 Hz corner;
+    its limit there, 1 / (1 + inf) = 0, is the right weight, so the run
+    ends without a numpy warning on stderr."""
+    path = _tiny_line_scan(tmp_path, "source.pair_bandwidth_hz", 1e-300)
+    assert main(["line-scan", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -1132,3 +1207,24 @@ def test_every_public_name_has_a_user_in_the_package():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     assert sorted(defined - used) == sorted(_REFERENCE_ONLY)
+
+
+def test_names_the_traced_benchmark_looks_up_are_scenario_functions():
+    """perfbench/tracer.py wraps the scenario's per-point routines by the
+    names in its _POINT_FUNCTIONS; a rename would fail only a traced
+    benchmark run, so the file is read here, not imported, and each name
+    must be a function of fastlight.scenario."""
+    import ast
+    import inspect
+    import pathlib
+
+    import fastlight.scenario as scenario
+
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    names, = [ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets]
+              == ["_POINT_FUNCTIONS"]]
+    assert names
+    for name in names:
+        assert inspect.isfunction(getattr(scenario, name, None)), name
