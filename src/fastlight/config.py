@@ -60,6 +60,18 @@ _MAX_TRACES = 1 << 53
 # mean_p mean_c ~ G1 (G1 - 1) seed_flux^2 passes 1.8e308 from 1.3e154 on.
 _MAX_SEED_FLUX = 1e30
 _MAX_PEAK_GAIN_DB = 300.0
+# The same division needs E1 E2 above float64's smallest normal number,
+# 2.2e-308.  An energy is about n eta S times the beam's mean flux, with S
+# the band's weight sum and the flux at least (G1 - 1) seed_flux; with
+# n S >= 1 and G1 (G1 - 1) >= 2.2e-16 (the float after 1), E1 E2 passes
+# 2.2e-308 while eta seed_flux > 1e-146.  Floors of 1e-50 keep
+# eta seed_flux >= 1e-100.  The channel noise n mean_out s_add
+# (simulate.channel_response) carries the excess scaled by 1/eta
+# (scenario._beam_level_excess_db): at 2^32 samples, 150 dB, 1e30 photons
+# per sample and 300 dB that part is at most about 6e84 / eta, 6e134 at the
+# eta floor, inside float64's 1.8e308 with a margin for the source gain.
+_MIN_ETA = 1e-50
+_MIN_SEED_FLUX = 1e-50
 
 
 @dataclass(frozen=True)
@@ -145,8 +157,8 @@ class ScenarioConfig:
             raise ConfigError("field 'jobs' must be >= 1")
         if self.seed < 0:
             raise ConfigError("field 'seed' must be >= 0")
-        if not 0.0 < self.channel.eta <= 1.0:
-            raise ConfigError("field 'channel.eta' must lie in (0, 1]")
+        if not _MIN_ETA <= self.channel.eta <= 1.0:
+            raise ConfigError(f"field 'channel.eta' must lie in [{_MIN_ETA:g}, 1]")
         if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
             raise ConfigError("field 'channel.excess_noise_db' must lie in "
                               f"[0, {_MAX_EXCESS_DB:g}] dB")
@@ -167,9 +179,9 @@ class ScenarioConfig:
         if correlated and not 1.0 <= self.max_lag_s * sampling.rate_hz <= sampling.samples / 8:
             raise ConfigError("field 'max_lag_s' must lie between one sample period "
                               "and samples / (8 * rate_hz)")
-        if not self.source.seed_flux <= _MAX_SEED_FLUX:
-            raise ConfigError("field 'source.seed_flux' must be at most "
-                              f"{_MAX_SEED_FLUX:g} photons per sample")
+        if not _MIN_SEED_FLUX <= self.source.seed_flux <= _MAX_SEED_FLUX:
+            raise ConfigError(f"field 'source.seed_flux' must lie in [{_MIN_SEED_FLUX:g}, "
+                              f"{_MAX_SEED_FLUX:g}] photons per sample")
         if not self.line.peak_gain_db <= _MAX_PEAK_GAIN_DB:
             raise ConfigError("field 'line.peak_gain_db' must be at most "
                               f"{_MAX_PEAK_GAIN_DB:g} dB")

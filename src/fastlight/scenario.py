@@ -188,20 +188,9 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
                                point_ss: np.random.SeedSequence) -> dict:
     """Simulate one detuning point and measure delays and band squeezing, in
     the full band too on a delay scan."""
-    line = cfg.line.make()
-    source = cfg.source.make()
-    delta = 2.0 * math.pi * detuning_hz
     curves, noise_db = _measure_point(cfg, detuning_hz, point_ss)
-    gain0 = float(intensity_gain(line, delta))
-    result = {
-        "detuning_hz": detuning_hz,
-        "gain_db": float(gain_db(line, delta)),
-        "delay_s_band": peak_delay(curves["band_hz_fast"], curves["band_hz_ref"]),
-        "squeezing_db_band": noise_db,
-        "analytic_squeezing_db": difference_noise_after_channel(
-            source.gain1, max(gain0, 1.0), cfg.channel.eta, cfg.channel.excess_noise_db).db,
-        "curves": curves,
-    }
+    result = {"delay_s_band": peak_delay(curves["band_hz_fast"], curves["band_hz_ref"]),
+              "squeezing_db_band": noise_db, "curves": curves}
     if "fullband_hz_ref" in curves:
         result["delay_s_fullband"] = peak_delay(curves["fullband_hz_fast"],
                                                 curves["fullband_hz_ref"])
@@ -211,23 +200,56 @@ def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
 def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
                          point_ss: np.random.SeedSequence) -> dict:
     """Simulate one detuning point of the gain-line scan."""
-    line = cfg.line.make()
-    source = cfg.source.make()
-    delta = 2.0 * math.pi * detuning_hz
-    _, noise_db = _measure_point(cfg, detuning_hz, point_ss)
-    # Evaluated on the bins the measurement averages.
-    bins = _chain_head(cfg).noise_bins
-    f_band = _rfft_freqs(cfg.sampling.samples, cfg.sampling.rate_hz, bins.stop)[bins.start:]
-    predicted = predicted_difference_noise_snu(line, detuning_hz, source, cfg.channel.eta,
-                                               cfg.channel.excess_noise_db, f_band,
-                                               coherent=cfg.source.coherent)
-    return {
-        "detuning_hz": detuning_hz,
-        "gain_db": float(gain_db(line, delta)),
-        "predicted_noise_db": float(10.0 * np.log10(np.mean(predicted))),
-        "simulated_noise_db": noise_db,
-        "group_index": float(group_index(line, delta)),
-    }
+    return {"simulated_noise_db": _measure_point(cfg, detuning_hz, point_ss)[1]}
+
+
+def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
+    """Every deterministic column of the run's rows, from the config alone and
+    before any draw.  A column that is not finite or that its function refuses
+    is a configuration error, so numpy's warnings on the way to it are silenced."""
+    line, source, eta = cfg.line.make(), cfg.source.make(), cfg.channel.eta
+    n, fs, excess = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.excess_noise_db
+    bins = _band_bins(n, fs, *cfg.noise_band_hz)  # a line scan's noise bins, with no head
+
+    def noise_db(d):
+        return float(10.0 * np.log10(np.mean(predicted_difference_noise_snu(
+            line, d, source, eta, excess, _rfft_freqs(n, fs, bins.stop)[bins.start:],
+            coherent=cfg.source.coherent))))
+
+    def analytic_db(d):
+        gain0 = float(intensity_gain(line, 2.0 * math.pi * d))
+        return difference_noise_after_channel(source.gain1, max(gain0, 1.0), eta, excess).db
+
+    def shift_s(d):
+        plan = _chain_head(cfg).plans["band_hz"]
+        return predicted_correlation_shift(line, d, source, plan, fs)
+
+    # name: (the config sections it reads, its value at a detuning d in Hz)
+    columns = {"gain_db": ("line", lambda d: float(gain_db(line, 2.0 * math.pi * d))),
+               "group_index": ("line", lambda d: float(group_index(line, 2.0 * math.pi * d))),
+               "predicted_noise_db": ("line, source, channel and noise_band_hz", noise_db),
+               "analytic_squeezing_db": ("line, source and channel", analytic_db),
+               "predicted_delta_t_s": ("line, source, band_hz and max_lag_s", shift_s)}
+    # The scenario's deterministic columns, in the order they are checked.
+    names = {"line-scan": ("gain_db", "predicted_noise_db", "group_index"),
+             "delay-scan": ("analytic_squeezing_db",),
+             "xcorr": ("gain_db", "analytic_squeezing_db", "predicted_delta_t_s")}[cfg.scenario]
+    field, detunings = (("offset_hz", (cfg.offset_hz,)) if cfg.scenario == "xcorr"
+                        else ("detunings_hz", cfg.detunings_hz))
+    rows = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for d in detunings:
+            rows.append({"detuning_hz": d})
+            for name in names:
+                reads, value_at = columns[name]
+                try:
+                    value = rows[-1][name] = value_at(d)
+                    if not math.isfinite(value):
+                        raise InvalidParameterError(f"{value} is not finite")
+                except InvalidParameterError as exc:
+                    raise ConfigError(f"no {name} at {field} {d}: {exc}; check the "
+                                      f"config's {reads}") from exc
+    return rows
 
 
 def _noise_point_worker(cfg: ScenarioConfig, index: int) -> dict:
@@ -235,8 +257,7 @@ def _noise_point_worker(cfg: ScenarioConfig, index: int) -> dict:
 
 
 def _correlation_point_worker(cfg: ScenarioConfig, index: int) -> dict:
-    out = _measure_correlation_point(cfg, cfg.detunings_hz[index],
-                                     _point_seed(cfg.seed, index))
+    out = _measure_correlation_point(cfg, cfg.detunings_hz[index], _point_seed(cfg.seed, index))
     out.pop("curves")
     return out
 
@@ -372,10 +393,10 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
         worker, file_name = _correlation_point_worker, "delay_scan.csv"
         names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
                  "squeezing_db_band", "analytic_squeezing_db"]
-    # The chain head is built by the first point each process runs, not
-    # before the pool forks: in the parent, delay-scan's plans and the
-    # numpy.fft they load would raise the run's memory peak by about 3 MB.
-    rows = _map_points(worker, cfg)
+    # The table comes before the pool forks, so a bad column draws nothing; the
+    # chain head does not, since delay-scan's would add about 3 MB to the parent.
+    predicted = _predicted_rows(cfg)
+    rows = [{**row, **measured} for row, measured in zip(predicted, _map_points(worker, cfg))]
     _write_csv(os.path.join(cfg.out_dir, file_name),
                {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
@@ -385,16 +406,7 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
 
 
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    # Deterministic, so it is computed before any draw: a peak on the edge
-    # of the lag window is a configuration error.
-    try:
-        predicted = predicted_correlation_shift(cfg.line.make(), cfg.offset_hz,
-                                                cfg.source.make(),
-                                                _chain_head(cfg).plans["band_hz"],
-                                                cfg.sampling.rate_hz)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"no predicted correlation shift at offset_hz {cfg.offset_hz} "
-                          f"in band_hz {cfg.band_hz}: {exc}") from exc
+    predicted = _predicted_rows(cfg)[0]
     point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0))
     curves = point.pop("curves")
     ref, fast = curves["band_hz_ref"], curves["band_hz_fast"]
@@ -405,15 +417,15 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     summary.update({
         "point_spawn_keys": [0],
         "offset_hz": cfg.offset_hz,
-        "gain_at_offset_db": point["gain_db"],
+        "gain_at_offset_db": predicted["gain_db"],
         "peak_lag_ref_s": ref.peak_lag,
         "peak_lag_fast_s": fast.peak_lag,
         "delta_t_s": point["delay_s_band"],
         "fwhm_ref_s": ref.fwhm,
         "fwhm_fast_s": fast.fwhm,
         "band_squeezing_db": point["squeezing_db_band"],
-        "analytic_squeezing_db": point["analytic_squeezing_db"],
-        "predicted_delta_t_s": predicted,
+        "analytic_squeezing_db": predicted["analytic_squeezing_db"],
+        "predicted_delta_t_s": predicted["predicted_delta_t_s"],
     })
     _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary, created)
     return summary

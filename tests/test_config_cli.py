@@ -1171,6 +1171,127 @@ def test_cli_tiny_pair_bandwidth_warns_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _small_run(tmp_path, scenario, fields):
+    """A config file of the scenario's default preset at 2^14 samples, 1
+    trace, a +-400 ns lag window and detunings 0 and 5 MHz, with each field
+    named by a dotted path in ``fields`` set to its value."""
+    base = (preset_fig4_advance() if scenario == "xcorr" else preset_fig2_line()).to_dict()
+    cfg = {**base, "scenario": scenario, "detunings_hz": [0.0, 5e6], "max_lag_s": 4e-7,
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 14, "traces": 1},
+           "out_dir": str(tmp_path / "o")}
+    for dotted, value in fields.items():
+        *section, name = dotted.split(".")
+        (cfg[section[0]] if section else cfg)[name] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _log_pids(monkeypatch, name, log):
+    """Wrap scenario.<name> so that each call appends its process id to the
+    file ``log``, in the parent and in forked children alike."""
+    import fastlight.scenario as module
+
+    function = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+@pytest.mark.parametrize("scenario, kernel", [("line-scan", "predicted_difference_noise_snu"),
+                                              ("delay-scan", "difference_noise_after_channel")])
+def test_forked_scan_predicts_every_row_in_the_parent(tmp_path, monkeypatch, scenario, kernel):
+    """The deterministic columns are computed in the parent before the pool
+    forks: at two jobs each of the three rows' predictions runs there once,
+    and no child runs one."""
+    path = _three_point_scan(scenario, tmp_path)
+    log = tmp_path / "calls"
+    log.write_text("")
+    _log_pids(monkeypatch, kernel, log)
+    assert main([scenario, "--config", str(path), "--jobs", "2"]) == 0
+    assert log.read_text().split() == [str(os.getpid())] * 3
+
+
+# Field values that make a deterministic column not finite, with the
+# column and row the error names; each exited 3 at 0.14.0, after its traces
+# and numpy warnings (xcorr exited 2, reporting a peak on the edge of the
+# lag window).
+_NON_FINITE_COLUMNS = [
+    ("line-scan", "line.fwhm_hz", 1e-200, "group_index", "detunings_hz 0.0"),
+    ("line-scan", "line.fwhm_hz", 1e300, "group_index", "detunings_hz 5000000.0"),
+    ("line-scan", "line.length_m", 1e300, "gain_db", "detunings_hz 0.0"),
+    ("line-scan", "line.wavelength_nm", 1e-300, "gain_db", "detunings_hz 0.0"),
+    ("line-scan", "source.gain1", 1e300, "predicted_noise_db", "detunings_hz 0.0"),
+    ("delay-scan", "line.length_m", 1e300, "analytic_squeezing_db", "detunings_hz 0.0"),
+    ("delay-scan", "line.wavelength_nm", 1e-300, "analytic_squeezing_db", "detunings_hz 0.0"),
+    ("delay-scan", "source.gain1", 1e300, "analytic_squeezing_db", "detunings_hz 0.0"),
+    ("xcorr", "line.length_m", 1e300, "gain_db", "offset_hz 6500000.0"),
+    ("xcorr", "line.wavelength_nm", 1e-300, "gain_db", "offset_hz 6500000.0"),
+    ("xcorr", "source.gain1", 1e300, "analytic_squeezing_db", "offset_hz 6500000.0"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, dotted, value, column, row", _NON_FINITE_COLUMNS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]:g}" for c in _NON_FINITE_COLUMNS])
+def test_cli_non_finite_column_exits_2_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                       scenario, dotted, value, column, row):
+    """A deterministic column that is not finite is a configuration error
+    raised before any trace, at one job and at two: the error names the
+    column, the row and the config section the field lies in, no file is
+    written and no numpy warning is printed."""
+    log = tmp_path / "traces"
+    _log_pids(monkeypatch, "_measure_trace", log)
+    path = _small_run(tmp_path, scenario, {dotted: value})
+    for jobs in ("1", "2"):
+        log.write_text("")
+        assert main([scenario, "--config", str(path), "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: no {column} at {row}:" in err
+        assert dotted.split(".")[0] in err.split("check the config's")[1]
+        assert "Warning" not in err
+        assert log.read_text() == ""
+        assert os.listdir(tmp_path / "o") == []
+
+
+@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan", "xcorr"])
+@pytest.mark.parametrize("dotted", ["channel.eta", "source.seed_flux"])
+def test_cli_eta_and_seed_flux_below_their_floors_exit_2(tmp_path, capsys, scenario, dotted):
+    """Below 1e-50 the band energies' product can underflow float64's
+    smallest normal number and the 1/eta beam-level excess can overflow the
+    channel noise, so the float below each floor and 1e-300 (which exited 3
+    at 0.14.0) are refused at load."""
+    for value in (math.nextafter(1e-50, 0.0), 1e-300):
+        path = _small_run(tmp_path, scenario, {dotted: value})
+        assert main([scenario, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{dotted}'" in err and "1e-50" in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", ["line-scan", "delay-scan"])
+@pytest.mark.parametrize("fields", [
+    {"channel.eta": 1e-50}, {"source.seed_flux": 1e-50},
+    {"channel.eta": 1e-50, "source.seed_flux": 1e-50},
+    {"channel.eta": 1e-50, "source.seed_flux": 1e30, "line.peak_gain_db": 300.0,
+     "channel.excess_noise_db": 150.0},
+], ids=["eta", "seed-flux", "both", "eta-at-the-upper-bounds"])
+def test_cli_runs_at_the_eta_and_seed_flux_floors(tmp_path, capsys, scenario, fields):
+    """At the floors, alone, together and with the upper bounds of the
+    flux, the peak gain and the excess, a scan ends finite and prints no
+    warning.  (An xcorr there may stop with an undefined width: a pair
+    detected at eta 1e-50, or seeded with 1e-50 photons against the line's
+    own amplifier noise, keeps no measurable correlation.)"""
+    path = _small_run(tmp_path, scenario, fields)
+    assert main([scenario, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")

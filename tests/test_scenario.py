@@ -17,7 +17,7 @@ from fastlight.config import preset_coherent_ref, preset_fig2_line, preset_fig4_
 from fastlight.dispersion import intensity_gain
 from fastlight.predict import predicted_difference_noise_snu
 from fastlight.scenario import (_measure_correlation_point, _measure_noise_point,
-                                _point_seed)
+                                _point_seed, _predicted_rows)
 from fastlight.simulate import (apply_channel, build_targets, channel_response,
                                 detect_spectrum, synth_twin_spectra, synthesis_factors)
 from fastlight.twinbeam import seeded_stats
@@ -32,8 +32,9 @@ def _per_seed_mean(cfg, column, reference=None):
         seeded = replace(cfg, seed=seed)
         rows = [_measure_noise_point(seeded, d, _point_seed(seed, i))
                 for i, d in enumerate(cfg.detunings_hz)]
-        means.append(np.mean([r[column] - (r[reference] if reference else 0.0)
-                              for r in rows]))
+        predicted = _predicted_rows(seeded)
+        means.append(np.mean([r[column] - (p[reference] if reference else 0.0)
+                              for r, p in zip(rows, predicted)]))
     return np.array(means)
 
 
