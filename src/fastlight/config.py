@@ -24,17 +24,21 @@ from .errors import ConfigError, InvalidParameterError
 from .simulate import _is_power_of_two
 from .twinbeam import TwinBeamSource, gain_for_squeezing
 
-SCENARIOS = ("line-scan", "delay-scan", "xcorr", "selftest")
-
-# The bands each scenario's points read: the band fields they correlate in,
-# where the advance is measured, and the band field whose rfft bins their
-# noise figure averages, where the loss of correlation is measured.  The
-# selftest runs no point of its own scenario.
-SCENARIO_BANDS = {
-    "line-scan": ((), "noise_band_hz"),
-    "delay-scan": (("band_hz", "fullband_hz"), "band_hz"),
-    "xcorr": (("band_hz",), "band_hz"),
-    "selftest": ((), None),
+# What each scenario's points read and write: the band fields they correlate
+# in, where the advance is measured; the band field whose rfft bins their
+# noise figure averages, where the loss of correlation is measured; and the
+# columns of their rows, in order.  The selftest runs no point of its own
+# scenario.
+SCENARIOS = {
+    "line-scan": ((), "noise_band_hz", (
+        "detuning_hz", "gain_db", "predicted_noise_db", "simulated_noise_db", "group_index")),
+    "delay-scan": (("band_hz", "fullband_hz"), "band_hz", (
+        "detuning_hz", "delay_s_fullband", "delay_s_band", "squeezing_db_band",
+        "analytic_squeezing_db")),
+    "xcorr": (("band_hz",), "band_hz", (
+        "detuning_hz", "gain_db", "delay_s_band", "squeezing_db_band",
+        "analytic_squeezing_db", "predicted_delta_t_s")),
+    "selftest": ((), None, ()),
 }
 
 ADVANCE_TARGET_S = -12e-9
@@ -102,7 +106,8 @@ class SourceConfig:
 
     def make(self) -> TwinBeamSource:
         return TwinBeamSource(gain1=self.resolved_gain1(), seed_flux=self.seed_flux,
-                              pair_bandwidth=self.pair_bandwidth_hz, rolloff=self.rolloff)
+                              pair_bandwidth=self.pair_bandwidth_hz, rolloff=self.rolloff,
+                              coherent=self.coherent)
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,8 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_types(self)
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario '{self.scenario}'; choose from {SCENARIOS}")
+            raise ConfigError(f"unknown scenario '{self.scenario}'; "
+                              f"choose from {tuple(SCENARIOS)}")
         if self.scenario in ("line-scan", "delay-scan") and not self.detunings_hz:
             raise ConfigError("field 'detunings_hz' must be a non-empty list for scans")
         sampling = self.sampling
@@ -162,7 +168,7 @@ class ScenarioConfig:
         if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
             raise ConfigError("field 'channel.excess_noise_db' must lie in "
                               f"[0, {_MAX_EXCESS_DB:g}] dB")
-        correlated, noise = SCENARIO_BANDS[self.scenario]
+        correlated, noise, _ = SCENARIOS[self.scenario]
         if noise is not None and not _band_bins(sampling.samples, sampling.rate_hz,
                                                 *getattr(self, noise)):
             raise ConfigError(f"field '{noise}' holds no bin of the rfft grid of "

@@ -20,8 +20,7 @@ from .twinbeam import TwinBeamSource, seeded_stats
 
 def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
                                    source: TwinBeamSource, eta: float,
-                                   excess_db: float, frequencies,
-                                   coherent: bool = False):
+                                   excess_db: float, frequencies):
     """Sideband-resolved intensity-difference noise after the channel, in SNU.
 
     Evaluates, per analysis frequency, the difference spectrum of the probe
@@ -34,12 +33,7 @@ def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
     stats = seeded_stats(source.gain1, source.seed_flux)
     mean_p, mean_c = stats.mean_p, max(stats.mean_c, 1e-300)
     targets = build_targets(source, f)
-    if coherent:
-        s_pp = np.ones_like(f)
-        s_cc = np.ones_like(f)
-        s_pc = np.zeros_like(f)
-    else:
-        s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
+    s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
 
     gain0, transfer, added = line_response(line, 2.0 * np.pi * offset_hz, f)
     mean_c_out = gain0 * mean_c + (gain0 - 1.0)

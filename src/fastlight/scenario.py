@@ -26,7 +26,7 @@ from . import __version__
 from .amplifier import difference_noise_after_channel
 from .analysis import (CorrelationPlan, XcorrResult, _band_bins, correlation_plan,
                        cross_spectrum, lag_curves, peak_delay, spectral_correlation)
-from .config import SCENARIO_BANDS, ChannelConfig, LineConfig, ScenarioConfig
+from .config import SCENARIOS, ChannelConfig, LineConfig, ScenarioConfig
 from .dispersion import calibrate, gain_db, group_index, intensity_gain
 from .errors import ConfigError, FastlightError, InvalidParameterError
 from .predict import predicted_correlation_shift, predicted_difference_noise_snu
@@ -62,7 +62,7 @@ class _ChainHead(NamedTuple):
 
     mean_p: float
     mean_c: float
-    factors: tuple | None  # synthesis factors; None for a coherent source
+    factors: tuple  # synthesis factors
     plans: dict  # band field name -> CorrelationPlan
     noise_bins: range  # the noise band's bins
     support: int
@@ -84,10 +84,10 @@ def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPla
 @lru_cache(maxsize=1)
 def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
     """The chain head of the config's points, which correlate in and read
-    their noise in the bands ``SCENARIO_BANDS`` names for its scenario.
+    their noise in the bands ``config.SCENARIOS`` names for its scenario.
     Each point fetches it; a process builds it once per config."""
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
-    correlated, noise = SCENARIO_BANDS[cfg.scenario]
+    correlated, noise, _ = SCENARIOS[cfg.scenario]
     source = cfg.source.make()
     stats = seeded_stats(source.gain1, source.seed_flux)
     # Built before any draw, so a lag window too short fails first.
@@ -95,10 +95,8 @@ def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
              for name in correlated}
     noise_bins = _band_bins(n, fs, *getattr(cfg, noise))
     k = max([plan.support for plan in plans.values()] + [noise_bins.stop])
-    factors = None
-    if not cfg.source.coherent:
-        factors = synthesis_factors(build_targets(source, _rfft_freqs(n, fs, k)),
-                                    n, fs, stats.mean_p, stats.mean_c)
+    factors = synthesis_factors(build_targets(source, _rfft_freqs(n, fs, k)),
+                                n, fs, stats.mean_p, stats.mean_c)
     return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
 
 
@@ -126,14 +124,8 @@ def _measure_trace(cfg: ScenarioConfig, head: _ChainHead, channel: ChannelRespon
     Each pair's cross spectrum in each band is added to
     ``sums[band]["ref"|"fast"]``.  Returns the summed power |D_k|^2 of the
     detected difference D = p - c over the noise band's bins."""
-    n = cfg.sampling.samples
-    eta = cfg.channel.eta
-    k = head.support
-    if head.factors is None:
-        xp = white_spectrum(n, head.mean_p, rng, add_to=np.zeros(k, dtype=complex))
-        xc = white_spectrum(n, head.mean_c, rng, add_to=np.zeros(k, dtype=complex))
-    else:
-        xp, xc = synth_twin_spectra(head.factors, rng, n_samples=n)
+    n, eta = cfg.sampling.samples, cfg.channel.eta
+    xp, xc = synth_twin_spectra(head.factors, rng, n_samples=n)
     probe_ref = detect_spectrum(xp, eta, head.mean_p, rng, n_samples=n)
     conj_ref = detect_spectrum(xc, eta, head.mean_c, rng, n_samples=n)
     _correlate(sums, "ref", probe_ref, conj_ref, head)
@@ -205,16 +197,19 @@ def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
 
 def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
     """Every deterministic column of the run's rows, from the config alone and
-    before any draw.  A column that is not finite or that its function refuses
-    is a configuration error, so numpy's warnings on the way to it are silenced."""
+    before any draw, checked in the order ``config.SCENARIOS`` lists the
+    scenario's columns.  A column that is not finite or that its function
+    refuses is a configuration error, so numpy's warnings on the way to it
+    are silenced."""
+    _, noise, names = SCENARIOS[cfg.scenario]
     line, source, eta = cfg.line.make(), cfg.source.make(), cfg.channel.eta
     n, fs, excess = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.excess_noise_db
-    bins = _band_bins(n, fs, *cfg.noise_band_hz)  # a line scan's noise bins, with no head
+    bins = _band_bins(n, fs, *getattr(cfg, noise))  # the points' noise bins, with no head
+    noise_freqs = _rfft_freqs(n, fs, bins.stop)[bins.start:]
 
     def noise_db(d):
         return float(10.0 * np.log10(np.mean(predicted_difference_noise_snu(
-            line, d, source, eta, excess, _rfft_freqs(n, fs, bins.stop)[bins.start:],
-            coherent=cfg.source.coherent))))
+            line, d, source, eta, excess, noise_freqs))))
 
     def analytic_db(d):
         gain0 = float(intensity_gain(line, 2.0 * math.pi * d))
@@ -227,20 +222,16 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
     # name: (the config sections it reads, its value at a detuning d in Hz)
     columns = {"gain_db": ("line", lambda d: float(gain_db(line, 2.0 * math.pi * d))),
                "group_index": ("line", lambda d: float(group_index(line, 2.0 * math.pi * d))),
-               "predicted_noise_db": ("line, source, channel and noise_band_hz", noise_db),
+               "predicted_noise_db": (f"line, source, channel and {noise}", noise_db),
                "analytic_squeezing_db": ("line, source and channel", analytic_db),
                "predicted_delta_t_s": ("line, source, band_hz and max_lag_s", shift_s)}
-    # The scenario's deterministic columns, in the order they are checked.
-    names = {"line-scan": ("gain_db", "predicted_noise_db", "group_index"),
-             "delay-scan": ("analytic_squeezing_db",),
-             "xcorr": ("gain_db", "analytic_squeezing_db", "predicted_delta_t_s")}[cfg.scenario]
     field, detunings = (("offset_hz", (cfg.offset_hz,)) if cfg.scenario == "xcorr"
                         else ("detunings_hz", cfg.detunings_hz))
     rows = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for d in detunings:
             rows.append({"detuning_hz": d})
-            for name in names:
+            for name in filter(columns.__contains__, names):
                 reads, value_at = columns[name]
                 try:
                     value = rows[-1][name] = value_at(d)
@@ -364,7 +355,7 @@ def _base_summary(cfg: ScenarioConfig) -> dict:
         "scenario": cfg.scenario,
         "master_seed": cfg.seed,
         "seed_splitting": "SeedSequence(master, spawn_key=(point, trace))",
-        "point_spawn_keys": list(range(len(cfg.detunings_hz) or 1)),
+        "point_spawn_keys": list(range(len(cfg.detunings_hz))),
         "config_sha256": cfg.config_hash(),
         # Noise is normalized to the expected shot-noise power of its bins.
         "shot_reference": "analytic",
@@ -383,21 +374,16 @@ def _write_summary(path, summary, created):
 
 
 def _run_scan(cfg: ScenarioConfig, created) -> dict:
-    """A line or delay scan: one CSV row per detuning point, then the summary."""
+    """A line or delay scan: one CSV row per detuning point, in the columns
+    ``config.SCENARIOS`` lists, then the summary."""
+    correlated, _, names = SCENARIOS[cfg.scenario]
     # Looked up at call time, so a worker wrapped by perfbench's tracer is the one run.
-    if cfg.scenario == "line-scan":
-        worker, file_name = _noise_point_worker, "line_scan.csv"
-        names = ["detuning_hz", "gain_db", "predicted_noise_db",
-                 "simulated_noise_db", "group_index"]
-    else:
-        worker, file_name = _correlation_point_worker, "delay_scan.csv"
-        names = ["detuning_hz", "delay_s_fullband", "delay_s_band",
-                 "squeezing_db_band", "analytic_squeezing_db"]
+    worker = _correlation_point_worker if correlated else _noise_point_worker
     # The table comes before the pool forks, so a bad column draws nothing; the
     # chain head does not, since delay-scan's would add about 3 MB to the parent.
     predicted = _predicted_rows(cfg)
     rows = [{**row, **measured} for row, measured in zip(predicted, _map_points(worker, cfg))]
-    _write_csv(os.path.join(cfg.out_dir, file_name),
+    _write_csv(os.path.join(cfg.out_dir, cfg.scenario.replace("-", "_") + ".csv"),
                {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
     summary["rows"] = len(rows)
@@ -410,6 +396,11 @@ def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
     point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0))
     curves = point.pop("curves")
     ref, fast = curves["band_hz_ref"], curves["band_hz_fast"]
+    for key, curve in (("ref", ref), ("fast", fast)):
+        if not math.isfinite(curve.fwhm):
+            raise FastlightError(f"the {key} correlation falls to half its peak on at most one "
+                                 f"side inside the +-{cfg.max_lag_s:g} s lag window, so "
+                                 f"fwhm_{key}_s is undefined")
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),
                {"lag_s": ref.lags, "c_ref": ref.values, "c_fast": fast.values}, created)
 

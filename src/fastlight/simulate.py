@@ -73,14 +73,17 @@ def build_targets(source: TwinBeamSource, frequencies) -> SpectralTargets:
     the closed-form covariance over the correlation band and keeps the
     per-bin spectral matrix positive definite for any weight w in [0, 1].
     The weight rolls off the correlation band: 1 in band, 1/2 at half the
-    pair bandwidth, -> 0 far outside.
+    pair bandwidth, -> 0 far outside.  A coherent source has weight 0, so
+    s_pp = s_cc = 1 and s_pc = 0.
     """
     f = np.asarray(frequencies, dtype=float)
     corner = source.pair_bandwidth / 2.0
-    # Far past a tiny corner the power overflows to inf, and 1 / (1 + inf) = 0
-    # is the weight's limit there.
-    with np.errstate(over="ignore"):
-        w = 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
+    w = np.zeros_like(f)
+    if not source.coherent:
+        # Far past a tiny corner the power overflows to inf, and 1 / (1 + inf)
+        # = 0 is the weight's limit there.
+        with np.errstate(over="ignore"):
+            w = 1.0 / (1.0 + np.abs(f / corner) ** (2.0 * source.rolloff))
     g1 = source.gain1
     excess = 2.0 * (g1 - 1.0) * w
     s_pp = 1.0 + excess
@@ -110,8 +113,8 @@ def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: flo
     cover only the first bins of the rfft grid; the factors then hold those.
     """
     _require_power_of_two(n_samples)
-    if mean_p <= 0.0 or mean_c <= 0.0:
-        raise InvalidParameterError("mean fluxes must be positive")
+    if mean_p <= 0.0 or mean_c < 0.0:  # a coherent pair at gain1 = 1 has a dark conjugate
+        raise InvalidParameterError("mean fluxes must be positive, the conjugate's >= 0")
     bins = targets.frequencies.size
     if bins > n_samples // 2 + 1 or not np.allclose(
             targets.frequencies, _rfft_freqs(n_samples, sample_rate, bins),

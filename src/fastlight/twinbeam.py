@@ -24,12 +24,15 @@ class TwinBeamSource:
     rolloff: pole order of the correlation-band corner at pair_bandwidth/2;
         1 gives a single-pole Lorentzian shoulder, the default 2 keeps the
         band flat through a few MHz before rolling off.
+    coherent: an uncorrelated pair of coherent beams with the twin pair's
+        means instead, each on the shot floor.
     """
 
     gain1: float
     seed_flux: float
     pair_bandwidth: float = 20e6
     rolloff: float = 2.0
+    coherent: bool = False
 
     def __post_init__(self):
         if not (self.gain1 >= 1.0 and np.isfinite(self.gain1)):

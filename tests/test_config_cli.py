@@ -466,9 +466,12 @@ def test_cli_selftest_refuses_size_options(tmp_path, capsys, option):
     assert not out.exists()
 
 
-def _double_variance(white_spectrum):
-    return lambda n, variance, *args, **kwargs: white_spectrum(n, 2.0 * variance,
-                                                               *args, **kwargs)
+def _double_coherent_noise(build_targets):
+    # Only the coherent shot-floor point is drawn from a coherent source.
+    def targets(source, frequencies):
+        t = build_targets(source, frequencies)
+        return replace(t, s_pp=2.0 * t.s_pp, s_cc=2.0 * t.s_cc) if source.coherent else t
+    return targets
 
 
 def _double_vacuum(detect_spectrum):
@@ -494,7 +497,7 @@ def _anticorrelate(synthesis_factors):
 
 @pytest.mark.parametrize("kernel, mutate, check", [
     ("calibrate", _widen_line, "calibration_roundtrip"),
-    ("white_spectrum", _double_variance, "shot_floor_unity"),
+    ("build_targets", _double_coherent_noise, "shot_floor_unity"),
     ("detect_spectrum", _double_vacuum, "shot_floor_unity"),
     ("spectral_correlation", _swap_pair, "delay_estimator_12ns"),
     ("synthesis_factors", _anticorrelate, "twin_band_squeezing"),
@@ -586,8 +589,8 @@ def test_short_lag_window_exits_2_before_any_draw(tmp_path, capsys, monkeypatch)
 
 def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                       fresh_chain_heads):
-    # With the early lag-window check taken out, both widths are NaN and the
-    # summary writer is the backstop.
+    # With the early lag-window check taken out, both widths are NaN, and
+    # the run stops on the first before it writes anything.
     import fastlight.scenario as scenario
     from fastlight.analysis import correlation_plan
 
@@ -597,6 +600,18 @@ def test_non_finite_summary_exits_3_and_writes_nothing(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "runtime error" in err and "fwhm_ref_s" in err
     assert os.listdir(tmp_path / "o") == []
+
+
+def test_summary_writer_refuses_non_finite_values(tmp_path):
+    """The backstop behind every runner's own checks: a NaN or infinite
+    summary value is named and no file is written."""
+    import fastlight.scenario as scenario
+
+    created = []
+    with pytest.raises(FastlightError, match="non-finite a, c not written to summary.json"):
+        scenario._write_summary(str(tmp_path / "summary.json"),
+                                {"a": math.nan, "b": 1.0, "c": -math.inf}, created)
+    assert os.listdir(tmp_path) == []
 
 
 def test_every_preset_passes_the_lag_window_check():
@@ -914,7 +929,7 @@ def test_cli_coherent_source_on_correlation_scenarios_exits_2(tmp_path, capsys,
     def no_draws(*args, **kwargs):
         raise AssertionError("a trace was drawn")
 
-    monkeypatch.setattr(scenario, "white_spectrum", no_draws)
+    monkeypatch.setattr(scenario, "synth_twin_spectra", no_draws)
     out = tmp_path / "o"
     assert main([command, "--preset", "coherent-ref", "--traces", "2", "--samples",
                  "65536", "--out-dir", str(out)]) == 2
@@ -1292,6 +1307,26 @@ def test_cli_runs_at_the_eta_and_seed_flux_floors(tmp_path, capsys, scenario, fi
     assert capsys.readouterr().err == ""
 
 
+def test_cli_xcorr_without_a_fast_width_exits_3(tmp_path, capsys):
+    """At eta 1e-50 the fast pair keeps no measurable correlation: its curve
+    peaks on the window's last lag and never falls to half of it on that
+    side, so the run stops naming the curve, and writes nothing."""
+    path = _small_run(tmp_path, "xcorr", {"channel.eta": 1e-50})
+    assert main(["xcorr", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert ("runtime error: the fast correlation falls to half its peak on at most one "
+            "side inside the +-4e-07 s lag window, so fwhm_fast_s is undefined") in err
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_cli_coherent_pair_with_a_dark_conjugate_runs(tmp_path, capsys):
+    """At gain1 = 1 a coherent pair's conjugate is dark; a line with gain
+    adds its own amplifier noise to it, and the scan runs."""
+    path = _small_run(tmp_path, "line-scan", {"source.coherent": True, "source.gain1": 1.0})
+    assert main(["line-scan", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -1349,3 +1384,24 @@ def test_names_the_traced_benchmark_looks_up_are_scenario_functions():
     assert names
     for name in names:
         assert inspect.isfunction(getattr(scenario, name, None)), name
+
+
+def test_names_the_benchmark_entry_rebinds_are_cli_functions():
+    """perfbench/entry.py times a run by rebinding two functions of
+    fastlight.cli; a rename would fail only a benchmark run, so the file is
+    read here, not imported, and each name it assigns on ``cli`` must be a
+    function that ``cli.main`` looks up at call time."""
+    import ast
+    import inspect
+    import pathlib
+
+    import fastlight.cli as cli
+
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "entry.py"
+    names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and getattr(node.value, "id", None) == "cli"}
+    assert names == {"_resolve_config", "run_scenario"}
+    for name in names:
+        assert inspect.isfunction(getattr(cli, name, None)), name
+        assert name in cli.main.__code__.co_names, name

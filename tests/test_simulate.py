@@ -72,11 +72,14 @@ def test_trace_rejects_non_finite_samples(bad):
 
 
 def test_build_targets_coherent_limit():
-    src = TwinBeamSource(gain1=1.0, seed_flux=1e6)
-    t = build_targets(src, np.fft.rfftfreq(1 << 12, 1.0 / RATE))
+    f = np.fft.rfftfreq(1 << 12, 1.0 / RATE)
+    t = build_targets(TwinBeamSource(gain1=1.0, seed_flux=1e6), f)
     np.testing.assert_allclose(t.s_pp, 1.0)
     np.testing.assert_allclose(t.s_cc, 1.0)
     np.testing.assert_allclose(t.s_pc, 0.0)
+    # A coherent pair at the presets' gain has no correlation weight at all.
+    t = build_targets(TwinBeamSource(gain1=G1, seed_flux=1e6, coherent=True), f)
+    assert (t.s_pp == 1.0).all() and (t.s_cc == 1.0).all() and (t.s_pc == 0.0).all()
 
 
 def test_build_targets_in_band_difference():
