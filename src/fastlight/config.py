@@ -25,20 +25,22 @@ from .simulate import _is_power_of_two
 from .twinbeam import TwinBeamSource, gain_for_squeezing
 
 # What each scenario's points read and write: the band fields they correlate
-# in, where the advance is measured; the band field whose rfft bins their
-# noise figure averages, where the loss of correlation is measured; and the
+# in, where the advance is measured, each with the column of its measured
+# delay; the band field whose rfft bins their noise figure averages, where the
+# loss of correlation is measured, with the column of that figure; and the
 # columns of their rows, in order.  The selftest runs no point of its own
 # scenario.
 SCENARIOS = {
-    "line-scan": ((), "noise_band_hz", (
+    "line-scan": ({}, ("noise_band_hz", "simulated_noise_db"), (
         "detuning_hz", "gain_db", "predicted_noise_db", "simulated_noise_db", "group_index")),
-    "delay-scan": (("band_hz", "fullband_hz"), "band_hz", (
+    "delay-scan": ({"band_hz": "delay_s_band", "fullband_hz": "delay_s_fullband"},
+                   ("band_hz", "squeezing_db_band"), (
         "detuning_hz", "delay_s_fullband", "delay_s_band", "squeezing_db_band",
         "analytic_squeezing_db")),
-    "xcorr": (("band_hz",), "band_hz", (
+    "xcorr": ({"band_hz": "delay_s_band"}, ("band_hz", "squeezing_db_band"), (
         "detuning_hz", "gain_db", "delay_s_band", "squeezing_db_band",
         "analytic_squeezing_db", "predicted_delta_t_s")),
-    "selftest": ((), None, ()),
+    "selftest": ({}, (None, None), ()),
 }
 
 ADVANCE_TARGET_S = -12e-9
@@ -168,7 +170,7 @@ class ScenarioConfig:
         if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
             raise ConfigError("field 'channel.excess_noise_db' must lie in "
                               f"[0, {_MAX_EXCESS_DB:g}] dB")
-        correlated, noise, _ = SCENARIOS[self.scenario]
+        correlated, (noise, _), _ = SCENARIOS[self.scenario]
         if noise is not None and not _band_bins(sampling.samples, sampling.rate_hz,
                                                 *getattr(self, noise)):
             raise ConfigError(f"field '{noise}' holds no bin of the rfft grid of "

@@ -31,7 +31,7 @@ def predicted_difference_noise_snu(line: GainLine, offset_hz: float,
     """
     f = np.asarray(frequencies, dtype=float)
     stats = seeded_stats(source.gain1, source.seed_flux)
-    mean_p, mean_c = stats.mean_p, max(stats.mean_c, 1e-300)
+    mean_p, mean_c = stats.mean_p, stats.mean_c
     targets = build_targets(source, f)
     s_pp, s_cc, s_pc = targets.s_pp, targets.s_cc, targets.s_pc
 

@@ -43,7 +43,11 @@ def _point_seed(master: int, index: int) -> np.random.SeedSequence:
 def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: float,
                           eta: float) -> float:
     """Convert a difference-level technical noise figure to the equivalent
-    flat excess in the propagated beam's own shot units."""
+    flat excess in the propagated beam's own shot units.  No excess is none
+    in any units, also where the conjugate is still dark after the line and
+    the conversion would divide by its zero mean."""
+    if excess_diff_db == 0.0:
+        return 0.0
     x_diff = 10.0 ** (excess_diff_db / 10.0) - 1.0
     x_beam = x_diff * (mean_p + mean_c_out) / (eta * mean_c_out)
     return 10.0 * math.log10(1.0 + x_beam)
@@ -87,7 +91,7 @@ def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
     their noise in the bands ``config.SCENARIOS`` names for its scenario.
     Each point fetches it; a process builds it once per config."""
     n, fs = cfg.sampling.samples, cfg.sampling.rate_hz
-    correlated, noise, _ = SCENARIOS[cfg.scenario]
+    correlated, (noise, _), _ = SCENARIOS[cfg.scenario]
     source = cfg.source.make()
     stats = seeded_stats(source.gain1, source.seed_flux)
     # Built before any draw, so a lag window too short fails first.
@@ -100,13 +104,18 @@ def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
     return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
 
 
+def _conjugate_mean_out(line, mean_c: float, delta: float) -> float:
+    """The conjugate's mean photon number after the line at detuning delta, rad/s."""
+    gain0 = float(intensity_gain(line, delta))
+    return gain0 * mean_c + (gain0 - 1.0)
+
+
 def _point_channel(cfg: ScenarioConfig, line, head: _ChainHead,
                    delta: float) -> ChannelResponse:
     """The channel of one detuning point on the head's bins, shared by its traces."""
-    gain0 = float(intensity_gain(line, delta))
-    mean_c_out = gain0 * head.mean_c + (gain0 - 1.0)
     excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, head.mean_p,
-                                        mean_c_out, cfg.channel.eta)
+                                        _conjugate_mean_out(line, head.mean_c, delta),
+                                        cfg.channel.eta)
     return channel_response(line, delta, cfg.sampling.samples, cfg.sampling.rate_hz,
                             head.mean_c, excess_beam, bins=head.support)
 
@@ -139,12 +148,14 @@ def _measure_trace(cfg: ScenarioConfig, head: _ChainHead, channel: ChannelRespon
 
 
 def _measure_point(cfg: ScenarioConfig, detuning_hz: float,
-                   point_ss: np.random.SeedSequence) -> tuple[dict, float]:
-    """Run every trace of one detuning point on the config's chain head.
-    Returns the trace-averaged correlation curves ("<band>_ref" and
-    "<band>_fast" for each band field the head correlates in) and the
-    difference noise in the head's noise band in dB re shot noise: the mean
-    of |D_k|^2 over the band's rfft bins and the traces, divided by the
+                   point_ss: np.random.SeedSequence) -> dict:
+    """Run every trace of one detuning point on the config's chain head and
+    return its measured row, under the columns ``config.SCENARIOS`` pairs
+    with the scenario's bands, plus each correlated band's trace-averaged
+    ``(ref, fast)`` curves under "curves".  A band's delay is the fast
+    curve's peak lag less the reference curve's.  The noise figure is the
+    difference noise in the noise band in dB re shot noise: the mean of
+    |D_k|^2 over the band's rfft bins and the traces, divided by the
     analytic shot level n M of every bin.  M = eta (mean_p + mean_c_out) is
     the per-sample variance of shot noise of the detected pair's total flux.
 
@@ -153,6 +164,7 @@ def _measure_point(cfg: ScenarioConfig, detuning_hz: float,
     generalized cross-correlation averages cross spectra, then inverts once;
     Knapp & Carter 1976), so the transforms per point do not grow with the
     trace count."""
+    correlated, (_, noise_column), _ = SCENARIOS[cfg.scenario]
     head = _chain_head(cfg)
     channel = _point_channel(cfg, cfg.line.make(), head, 2.0 * math.pi * detuning_hz)
     sums = {band: {pair: np.zeros(plan.support, dtype=complex) for pair in ("ref", "fast")}
@@ -164,35 +176,18 @@ def _measure_point(cfg: ScenarioConfig, detuning_hz: float,
             point_ss.entropy, spawn_key=point_ss.spawn_key + (j,)))
         power += _measure_trace(cfg, head, channel, rng, sums)
 
-    curves = {}
+    row = {"curves": {}}
     for band, plan in head.plans.items():
         pair = sums[band]
-        ref, fast = lag_curves(pair["ref"] / n_traces, pair["fast"] / n_traces, plan)
-        curves[f"{band}_ref"] = XcorrResult.from_values(plan.lags, ref)
-        curves[f"{band}_fast"] = XcorrResult.from_values(plan.lags, fast)
+        ref, fast = (XcorrResult.from_values(plan.lags, values) for values in
+                     lag_curves(pair["ref"] / n_traces, pair["fast"] / n_traces, plan))
+        row["curves"][band] = ref, fast
+        row[correlated[band]] = peak_delay(fast, ref)
     n, eta = cfg.sampling.samples, cfg.channel.eta
     # The shot level is an expectation, not an average over traces.
     shot = n * eta * (head.mean_p + channel.mean_out)
-    return curves, 10.0 * math.log10(power / (n_traces * len(head.noise_bins) * shot))
-
-
-def _measure_correlation_point(cfg: ScenarioConfig, detuning_hz: float,
-                               point_ss: np.random.SeedSequence) -> dict:
-    """Simulate one detuning point and measure delays and band squeezing, in
-    the full band too on a delay scan."""
-    curves, noise_db = _measure_point(cfg, detuning_hz, point_ss)
-    result = {"delay_s_band": peak_delay(curves["band_hz_fast"], curves["band_hz_ref"]),
-              "squeezing_db_band": noise_db, "curves": curves}
-    if "fullband_hz_ref" in curves:
-        result["delay_s_fullband"] = peak_delay(curves["fullband_hz_fast"],
-                                                curves["fullband_hz_ref"])
-    return result
-
-
-def _measure_noise_point(cfg: ScenarioConfig, detuning_hz: float,
-                         point_ss: np.random.SeedSequence) -> dict:
-    """Simulate one detuning point of the gain-line scan."""
-    return {"simulated_noise_db": _measure_point(cfg, detuning_hz, point_ss)[1]}
+    row[noise_column] = 10.0 * math.log10(power / (n_traces * len(head.noise_bins) * shot))
+    return row
 
 
 def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
@@ -200,10 +195,12 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
     before any draw, checked in the order ``config.SCENARIOS`` lists the
     scenario's columns.  A column that is not finite or that its function
     refuses is a configuration error, so numpy's warnings on the way to it
-    are silenced."""
-    _, noise, names = SCENARIOS[cfg.scenario]
+    are silenced.  So is an excess at a point whose conjugate is still dark
+    after the line, where ``_point_channel`` has no shot units to put it in."""
+    _, (noise, _), names = SCENARIOS[cfg.scenario]
     line, source, eta = cfg.line.make(), cfg.source.make(), cfg.channel.eta
     n, fs, excess = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.excess_noise_db
+    mean_c = seeded_stats(source.gain1, source.seed_flux).mean_c
     bins = _band_bins(n, fs, *getattr(cfg, noise))  # the points' noise bins, with no head
     noise_freqs = _rfft_freqs(n, fs, bins.stop)[bins.start:]
 
@@ -216,7 +213,8 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
         return difference_noise_after_channel(source.gain1, max(gain0, 1.0), eta, excess).db
 
     def shift_s(d):
-        plan = _chain_head(cfg).plans["band_hz"]
+        # The points' plan, with no head.
+        plan = _band_plan(n, fs, cfg.band_hz, cfg.max_lag_s)
         return predicted_correlation_shift(line, d, source, plan, fs)
 
     # name: (the config sections it reads, its value at a detuning d in Hz)
@@ -240,17 +238,21 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
                 except InvalidParameterError as exc:
                     raise ConfigError(f"no {name} at {field} {d}: {exc}; check the "
                                       f"config's {reads}") from exc
+            if excess > 0.0 and _conjugate_mean_out(line, mean_c, 2.0 * math.pi * d) == 0.0:
+                raise ConfigError(f"field 'channel.excess_noise_db' must be 0 at {field} {d}, "
+                                  "where the conjugate is still dark after the line")
     return rows
 
 
-def _noise_point_worker(cfg: ScenarioConfig, index: int) -> dict:
-    return _measure_noise_point(cfg, cfg.detunings_hz[index], _point_seed(cfg.seed, index))
+def _point_worker(cfg: ScenarioConfig, index: int) -> dict:
+    row = _measure_point(cfg, cfg.detunings_hz[index], _point_seed(cfg.seed, index))
+    del row["curves"]
+    return row
 
 
-def _correlation_point_worker(cfg: ScenarioConfig, index: int) -> dict:
-    out = _measure_correlation_point(cfg, cfg.detunings_hz[index], _point_seed(cfg.seed, index))
-    out.pop("curves")
-    return out
+# The per-point routines under the names perfbench/tracer.py wraps.
+_measure_noise_point = _measure_correlation_point = _measure_point
+_noise_point_worker = _correlation_point_worker = _point_worker
 
 
 def _map_points(worker, cfg: ScenarioConfig):
@@ -376,13 +378,11 @@ def _write_summary(path, summary, created):
 def _run_scan(cfg: ScenarioConfig, created) -> dict:
     """A line or delay scan: one CSV row per detuning point, in the columns
     ``config.SCENARIOS`` lists, then the summary."""
-    correlated, _, names = SCENARIOS[cfg.scenario]
-    # Looked up at call time, so a worker wrapped by perfbench's tracer is the one run.
-    worker = _correlation_point_worker if correlated else _noise_point_worker
+    names = SCENARIOS[cfg.scenario][2]
     # The table comes before the pool forks, so a bad column draws nothing; the
     # chain head does not, since delay-scan's would add about 3 MB to the parent.
     predicted = _predicted_rows(cfg)
-    rows = [{**row, **measured} for row, measured in zip(predicted, _map_points(worker, cfg))]
+    rows = [{**row, **point} for row, point in zip(predicted, _map_points(_point_worker, cfg))]
     _write_csv(os.path.join(cfg.out_dir, cfg.scenario.replace("-", "_") + ".csv"),
                {name: [row[name] for row in rows] for name in names}, created)
     summary = _base_summary(cfg)
@@ -391,33 +391,29 @@ def _run_scan(cfg: ScenarioConfig, created) -> dict:
     return summary
 
 
+# xcorr's summary keys for its row's columns; any other column keeps its name.
+_XCORR_SUMMARY_KEYS = {"detuning_hz": "offset_hz", "gain_db": "gain_at_offset_db",
+                       "delay_s_band": "delta_t_s", "squeezing_db_band": "band_squeezing_db"}
+
+
 def _run_xcorr(cfg: ScenarioConfig, created) -> dict:
-    predicted = _predicted_rows(cfg)[0]
-    point = _measure_correlation_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0))
-    curves = point.pop("curves")
-    ref, fast = curves["band_hz_ref"], curves["band_hz_fast"]
+    """One point at offset_hz: its band_hz curves to the CSV; its row, in the columns
+    ``config.SCENARIOS`` lists, and each curve's peak lag and width to the summary."""
+    predicted, = _predicted_rows(cfg)
+    row = {**predicted, **_measure_point(cfg, cfg.offset_hz, _point_seed(cfg.seed, 0))}
+    ref, fast = row.pop("curves")["band_hz"]
+    summary = _base_summary(cfg)
+    summary["point_spawn_keys"] = [0]
     for key, curve in (("ref", ref), ("fast", fast)):
         if not math.isfinite(curve.fwhm):
             raise FastlightError(f"the {key} correlation falls to half its peak on at most one "
                                  f"side inside the +-{cfg.max_lag_s:g} s lag window, so "
                                  f"fwhm_{key}_s is undefined")
+        summary[f"peak_lag_{key}_s"], summary[f"fwhm_{key}_s"] = curve.peak_lag, curve.fwhm
+    summary.update({_XCORR_SUMMARY_KEYS.get(name, name): row[name]
+                    for name in SCENARIOS["xcorr"][2]})
     _write_csv(os.path.join(cfg.out_dir, "xcorr.csv"),
                {"lag_s": ref.lags, "c_ref": ref.values, "c_fast": fast.values}, created)
-
-    summary = _base_summary(cfg)
-    summary.update({
-        "point_spawn_keys": [0],
-        "offset_hz": cfg.offset_hz,
-        "gain_at_offset_db": predicted["gain_db"],
-        "peak_lag_ref_s": ref.peak_lag,
-        "peak_lag_fast_s": fast.peak_lag,
-        "delta_t_s": point["delay_s_band"],
-        "fwhm_ref_s": ref.fwhm,
-        "fwhm_fast_s": fast.fwhm,
-        "band_squeezing_db": point["squeezing_db_band"],
-        "analytic_squeezing_db": predicted["analytic_squeezing_db"],
-        "predicted_delta_t_s": predicted["predicted_delta_t_s"],
-    })
     _write_summary(os.path.join(cfg.out_dir, "summary.json"), summary, created)
     return summary
 
@@ -448,7 +444,7 @@ def _run_selftest(cfg: ScenarioConfig, created) -> dict:
         point = replace(bench, scenario="line-scan", detunings_hz=(0.0,), noise_band_hz=band,
                         source=replace(cfg.source, coherent=coherent),
                         channel=ChannelConfig(eta=eta, excess_noise_db=0.0))
-        return _measure_point(point, 0.0, _point_seed(cfg.seed, key))[1]
+        return _measure_point(point, 0.0, _point_seed(cfg.seed, key))["simulated_noise_db"]
 
     # Coherent beams detected at eta = 0.5, eta times each beam plus vacuum,
     # read the analytic shot level n eta (mean_p + mean_c).

@@ -272,6 +272,33 @@ def test_cli_xcorr_outputs_and_determinism(tmp_path):
     assert summary["master_seed"] == 777
 
 
+def test_cli_xcorr_summary_keys(tmp_path):
+    """The exact key set of xcorr's summary.json."""
+    assert main(_tiny_xcorr_args(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == {
+        "scenario", "master_seed", "seed_splitting", "point_spawn_keys", "config_sha256",
+        "shot_reference", "fastlight_version", "numpy_version",
+        "offset_hz", "gain_at_offset_db", "peak_lag_ref_s", "peak_lag_fast_s", "delta_t_s",
+        "fwhm_ref_s", "fwhm_fast_s", "band_squeezing_db", "analytic_squeezing_db",
+        "predicted_delta_t_s"}
+
+
+def test_cli_xcorr_summary_takes_a_new_column_from_the_scenario_table(tmp_path, monkeypatch):
+    """A column added to SCENARIOS["xcorr"] reaches summary.json under its
+    own name, with no other edit."""
+    import fastlight.config as config_module
+
+    *head, columns = config_module.SCENARIOS["xcorr"]
+    monkeypatch.setitem(config_module.SCENARIOS, "xcorr",
+                        (*head, columns + ("predicted_noise_db",)))
+    assert main(_tiny_xcorr_args(tmp_path)) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert math.isfinite(summary["predicted_noise_db"])
+    assert summary["predicted_noise_db"] == pytest.approx(summary["band_squeezing_db"],
+                                                          abs=1.0)
+
+
 def test_cli_seed_changes_outputs(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -397,6 +424,18 @@ def test_forked_scan_parent_builds_no_chain_head(tmp_path, monkeypatch, fresh_ch
         assert len(built) == parent_builds
         children = [pid for pid in log.read_text().split() if pid != str(os.getpid())]
         assert len(children) == len(set(children)) == child_builds
+
+
+@pytest.mark.parametrize("preset", [preset_fig4_advance, preset_fig2_line])
+def test_predictions_build_no_chain_head(tmp_path, monkeypatch, fresh_chain_heads, preset):
+    """The predicted rows read the points' band plan without their chain
+    head, so a forked scan's parent could predict delays too."""
+    import fastlight.scenario as scenario
+
+    built = _count_synthesis_factors(monkeypatch, tmp_path / "built")
+    for name in ("xcorr", "delay-scan"):
+        assert scenario._predicted_rows(replace(preset(), scenario=name))
+    assert built == []
 
 
 @pytest.mark.parametrize("scenario, file_name", [("line-scan", "line_scan.csv"),
@@ -1327,6 +1366,55 @@ def test_cli_coherent_pair_with_a_dark_conjugate_runs(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# A coherent pair at gain1 = 1 whose conjugate is still dark after the line:
+# a line with no gain, or the preset's 7.5 dB line so far from resonance
+# that its intensity gain rounds to exactly 1.
+_DARK_AFTER_THE_LINE = {"no_line_gain": {"line.peak_gain_db": 0.0},
+                        "far_detuning": {"detunings_hz": [1e15]}}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(_DARK_AFTER_THE_LINE))
+def test_cli_conjugate_dark_after_the_line_runs_without_excess(tmp_path, capsys, case, jobs):
+    """With no excess there is nothing to convert to the dark conjugate's
+    shot units, and the scan runs: both beams are coherent and unamplified,
+    so every row predicts the shot floor."""
+    assert intensity_gain(preset_fig2_line().line.make(), 2.0 * math.pi * 1e15) == 1.0
+    path = _small_run(tmp_path, "line-scan", {
+        "source.coherent": True, "source.gain1": 1.0, "channel.excess_noise_db": 0.0,
+        **_DARK_AFTER_THE_LINE[case]})
+    assert main(["line-scan", "--config", str(path), "--jobs", jobs]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (tmp_path / "o" / "line_scan.csv").read_text().splitlines()
+    columns = header.split(",")
+    for row in rows:
+        cells = dict(zip(columns, map(float, row.split(","))))
+        assert cells["gain_db"] == cells["predicted_noise_db"] == 0.0
+        assert math.isfinite(cells["simulated_noise_db"])
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(_DARK_AFTER_THE_LINE))
+def test_cli_conjugate_dark_after_the_line_with_excess_exits_2(tmp_path, capsys, monkeypatch,
+                                                               case, jobs):
+    """A difference-level excess has no equivalent in the shot units of a
+    conjugate still dark after the line: the run stops before any draw,
+    names the field and writes nothing."""
+    import fastlight.scenario as scenario_module
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a trace was drawn")
+
+    monkeypatch.setattr(scenario_module, "_measure_trace", no_draws)
+    path = _small_run(tmp_path, "line-scan", {
+        "source.coherent": True, "source.gain1": 1.0, "channel.excess_noise_db": 0.2,
+        **_DARK_AFTER_THE_LINE[case]})
+    assert main(["line-scan", "--config", str(path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: field 'channel.excess_noise_db' must be 0" in err
+    assert os.listdir(tmp_path / "o") == []
+
+
 def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
@@ -1384,6 +1472,8 @@ def test_names_the_traced_benchmark_looks_up_are_scenario_functions():
     assert names
     for name in names:
         assert inspect.isfunction(getattr(scenario, name, None)), name
+        # One point routine and one worker, under the traced names too.
+        assert getattr(scenario, name) in (scenario._measure_point, scenario._point_worker), name
 
 
 def test_names_the_benchmark_entry_rebinds_are_cli_functions():
