@@ -18,6 +18,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    # Freeze what is loaded, the config included: exit then skips tearing it
+    # down, and forked scan workers' collections leave its pages shared.
+    gc.freeze()
     try:
         summary = run_scenario(cfg)
     except ConfigError as exc:

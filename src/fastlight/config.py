@@ -145,8 +145,8 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_types(self)
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario '{self.scenario}'; "
-                              f"choose from {tuple(SCENARIOS)}")
+            raise ConfigError(f"field 'scenario' must be one of {tuple(SCENARIOS)}, "
+                              f"got '{self.scenario}'")
         if self.scenario in ("line-scan", "delay-scan") and not self.detunings_hz:
             raise ConfigError("field 'detunings_hz' must be a non-empty list for scans")
         sampling = self.sampling
@@ -160,7 +160,7 @@ class ScenarioConfig:
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < sampling.rate_hz / 2.0):
-                raise ConfigError(f"field '{name}' must satisfy 0 < lo < hi < Nyquist")
+                raise ConfigError(f"field '{name}' needs 0 < lo < hi < 'sampling.rate_hz' / 2")
         if self.jobs < 1:
             raise ConfigError("field 'jobs' must be >= 1")
         if self.seed < 0:
@@ -171,10 +171,10 @@ class ScenarioConfig:
             raise ConfigError("field 'channel.excess_noise_db' must lie in "
                               f"[0, {_MAX_EXCESS_DB:g}] dB")
         correlated, (noise, _), _ = SCENARIOS[self.scenario]
-        if noise is not None and not _band_bins(sampling.samples, sampling.rate_hz,
-                                                *getattr(self, noise)):
-            raise ConfigError(f"field '{noise}' holds no bin of the rfft grid of "
-                              f"{sampling.samples} samples at rate_hz {sampling.rate_hz}")
+        for name in filter(None, dict.fromkeys((noise, *correlated))):
+            if not _band_bins(sampling.samples, sampling.rate_hz, *getattr(self, name)):
+                raise ConfigError(f"field '{name}' holds no rfft bin at 'sampling.samples' "
+                                  f"{sampling.samples}, 'sampling.rate_hz' {sampling.rate_hz}")
         # The bands a scenario band-filters must carry band_response's
         # raised-cosine edges (an empty grid runs only its checks); the
         # selftest's delay check filters band_hz.
@@ -185,14 +185,18 @@ class ScenarioConfig:
                 raise ConfigError(f"field '{name}' is invalid: {exc}") from exc
         # The correlation kernel's lag window: one sample to an eighth of a trace.
         if correlated and not 1.0 <= self.max_lag_s * sampling.rate_hz <= sampling.samples / 8:
-            raise ConfigError("field 'max_lag_s' must lie between one sample period "
-                              "and samples / (8 * rate_hz)")
+            raise ConfigError("field 'max_lag_s' must lie between one sample period and "
+                              "'sampling.samples' / (8 * 'sampling.rate_hz')")
         if not _MIN_SEED_FLUX <= self.source.seed_flux <= _MAX_SEED_FLUX:
             raise ConfigError(f"field 'source.seed_flux' must lie in [{_MIN_SEED_FLUX:g}, "
                               f"{_MAX_SEED_FLUX:g}] photons per sample")
         if not self.line.peak_gain_db <= _MAX_PEAK_GAIN_DB:
             raise ConfigError("field 'line.peak_gain_db' must be at most "
                               f"{_MAX_PEAK_GAIN_DB:g} dB")
+        # The line's modulation transfer needs every bin below half the carrier.
+        if not self.line.wavelength_nm * 1e-9 * sampling.rate_hz < LIGHT_SPEED:
+            raise ConfigError("field 'line.wavelength_nm' must put the optical carrier "
+                              "above 'sampling.rate_hz'")
         # Fail early on invalid physics parameters, with the field named.
         try:
             self.line.make()

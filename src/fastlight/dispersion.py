@@ -40,15 +40,12 @@ class GainLine:
 
     g: dimensionless gain coefficient, >= 0.
     gamma: angular half width at half maximum of the line, rad/s.
-    omega0: line-center angular optical frequency, rad/s (bookkeeping only;
-        all operations take detunings relative to it).
     omega_carrier: angular optical frequency of the probe carrier, rad/s.
     length: propagation length through the medium, m.
     """
 
     g: float
     gamma: float
-    omega0: float = OMEGA_DEFAULT
     omega_carrier: float = OMEGA_DEFAULT
     length: float = DEFAULT_CELL_LENGTH
 
@@ -57,8 +54,8 @@ class GainLine:
             raise InvalidParameterError(f"gain coefficient g must be >= 0, got {self.g}")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.omega0 > 0.0 and self.omega_carrier > 0.0):
-            raise InvalidParameterError("optical frequencies must be positive")
+        if not self.omega_carrier > 0.0:
+            raise InvalidParameterError("the optical frequency must be positive")
         if not (self.length > 0.0 and np.isfinite(self.length)):
             raise InvalidParameterError(f"length must be > 0, got {self.length}")
 
@@ -120,8 +117,7 @@ def calibrate(peak_gain_db: float, fwhm: float, length: float = DEFAULT_CELL_LEN
     gamma = np.pi * fwhm
     # Peak gain G0 = exp(g * omega * L / (2*pi*c)); invert for g.
     g = peak_gain_db * np.log(10.0) / 10.0 * 2.0 * np.pi * LIGHT_SPEED / (omega_carrier * length)
-    return GainLine(g=g, gamma=gamma, omega0=omega_carrier,
-                    omega_carrier=omega_carrier, length=length)
+    return GainLine(g=g, gamma=gamma, omega_carrier=omega_carrier, length=length)
 
 
 def field_transfer(line: GainLine, delta):

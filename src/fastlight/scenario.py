@@ -80,8 +80,8 @@ def _band_plan(n: int, fs: float, band: tuple, max_lag: float) -> CorrelationPla
     plan = correlation_plan(n, fs, band, max_lag)
     flat = np.ones(plan.support)
     if not math.isfinite(spectral_correlation(flat, flat, plan).fwhm):
-        raise ConfigError(f"max_lag_s {max_lag} does not reach the half level of the "
-                          f"correlation in band {band} Hz")
+        raise ConfigError(f"field 'max_lag_s' {max_lag} does not reach the half level "
+                          f"of the correlation in band {band} Hz")
     return plan
 
 

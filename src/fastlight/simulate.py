@@ -205,14 +205,15 @@ class ChannelResponse(NamedTuple):
     rfft grid.
 
     transfer: absolute transfer G(offset) * M(f), with real DC and Nyquist
-        bins; None for a line that is the identity (zero gain, no excess).
+        bins; exactly 1 on a line with no gain.
     noise_std: standard deviation of the real part of each bin's added
         noise; interior imaginary parts share it, DC and Nyquist have none.
+        Exactly 0 on a line with no gain and no excess.
     mean_out: output mean flux G*m + (G - 1).
     """
 
-    transfer: np.ndarray | None
-    noise_std: np.ndarray | None
+    transfer: np.ndarray
+    noise_std: np.ndarray
     mean_out: float
 
 
@@ -229,8 +230,6 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
     _require_power_of_two(n_samples)
     if excess_db < 0.0:
         raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
-    if line.g == 0.0 and excess_db == 0.0:
-        return ChannelResponse(None, None, mean_flux)
     nb = n_samples // 2 + 1
     if not 1 <= bins <= nb:
         raise InvalidParameterError(f"bins must lie in [1, {nb}], got {bins}")
@@ -258,14 +257,12 @@ def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
     in place; returns x.
 
     Multiplies by the transfer and adds independent circular Gaussian noise
-    with the response's per-bin deviation.  An identity response leaves x
-    untouched and draws nothing.  When x and the response hold only the
-    first bins of the grid, the noise is drawn on those bins only, and the
-    last one is interior.
+    with the response's per-bin deviation; an identity response leaves the
+    values of x bit-exact and still draws.  When x and the response hold
+    only the first bins of the grid, the noise is drawn on those bins only,
+    and the last one is interior.
     """
     _require_power_of_two(n_samples)
-    if response.transfer is None:
-        return x
     x *= response.transfer
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(x.size)
@@ -288,12 +285,10 @@ def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed, n_samples
 
     Writes into ``out`` (which may be x itself) or a new array.  When x
     holds only the first bins of the grid, the vacuum is drawn on those bins
-    only, as ``white_spectrum`` draws them.  eta = 1 draws nothing and leaves
-    the values of x bit-exact.
+    only, as ``white_spectrum`` draws them.  eta = 1 adds a zero-variance
+    vacuum: it leaves the values of x bit-exact and still draws.
     """
     if not (0.0 < eta <= 1.0):
         raise InvalidParameterError(f"eta must be in (0, 1], got {eta}")
     out = np.multiply(x, eta, out=out)
-    if eta < 1.0:
-        white_spectrum(n_samples, (1.0 - eta) * eta * mean_flux, seed, add_to=out)
-    return out
+    return white_spectrum(n_samples, (1.0 - eta) * eta * mean_flux, seed, add_to=out)

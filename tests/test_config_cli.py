@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -217,6 +218,26 @@ def test_cli_version(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out == (f"fastlight {fastlight.__version__} "
                                        f"(numpy {np.__version__})\n")
+
+
+def test_cli_runs_the_scenario_with_the_loaded_program_frozen(tmp_path, monkeypatch):
+    """`cli.main` freezes what it has loaded once it has the config:
+    `run_scenario` runs with a permanent generation, and a configuration
+    error exits before anything is frozen."""
+    import fastlight.cli as cli
+
+    counts = []
+
+    def run_scenario(cfg):
+        counts.append(gc.get_freeze_count())
+        return {}
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    gc.unfreeze()
+    assert main(["line-scan", "--config", str(tmp_path / "missing.json")]) == 2
+    assert gc.get_freeze_count() == 0
+    assert main(["line-scan", "--out-dir", str(tmp_path)]) == 0
+    assert len(counts) == 1 and counts[0] > 0
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

@@ -16,8 +16,9 @@ from fastlight.cli import main
 from fastlight.config import preset_coherent_ref, preset_fig2_line, preset_fig4_advance
 from fastlight.dispersion import intensity_gain
 from fastlight.predict import predicted_difference_noise_snu
-from fastlight.scenario import (_measure_correlation_point, _measure_noise_point,
-                                _point_seed, _predicted_rows)
+from fastlight.scenario import (_chain_head, _measure_correlation_point, _measure_noise_point,
+                                _measure_point, _measure_trace, _point_channel, _point_seed,
+                                _predicted_rows)
 from fastlight.simulate import (apply_channel, build_targets, channel_response,
                                 detect_spectrum, synth_twin_spectra, synthesis_factors)
 from fastlight.twinbeam import seeded_stats
@@ -185,3 +186,38 @@ def test_point_seed_entropy_reaches_the_traces():
     assert rows[0]["simulated_noise_db"] != rows[1]["simulated_noise_db"]
     again = _measure_noise_point(cfg, 0.0, _point_seed(cfg.seed + 1, 0))
     assert again == rows[1]
+
+
+@pytest.mark.parametrize("peak_gain_db, excess_db, eta", [
+    (7.5, 0.2, 0.95), (0.0, 0.0, 0.95), (7.5, 0.2, 1.0), (0.0, 0.0, 1.0),
+], ids=["twin_on_a_gain_line", "no_gain_no_excess", "lossless", "both"])
+def test_every_trace_draws_fourteen_normals_per_head_bin(peak_gain_db, excess_db, eta):
+    """A trace on k head bins draws 4·k normals for the synthesis, then 2·k
+    for each of the two reference detections, the channel and the two fast
+    detections, whatever the config: the stream's bit generator ends where
+    14·k normals drawn in one call leave it."""
+    base = preset_fig2_line()
+    cfg = replace(base, detunings_hz=(0.0,), line=replace(base.line, peak_gain_db=peak_gain_db),
+                  channel=replace(base.channel, eta=eta, excess_noise_db=excess_db),
+                  sampling=replace(base.sampling, samples=1 << 14, traces=1))
+    head = _chain_head(cfg)
+    channel = _point_channel(cfg, cfg.line.make(), head, 0.0)
+    rng, ref = (np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, 0)))
+                for _ in range(2))
+    _measure_trace(cfg, head, channel, rng, {})
+    ref.standard_normal(14 * head.support)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [11, 12345])
+def test_noise_is_continuous_as_the_excess_reaches_0_db(seed):
+    """`coherent-ref` runs on a line with no gain: at an excess of 0 dB its
+    channel multiplies by 1 and adds zero-deviation noise, drawing what it
+    draws at 1e-9 dB, so the noise figure moves by far less than its scatter
+    (about 0.4 dB at 2^14 samples and 2 traces)."""
+    base = preset_coherent_ref()
+    cfg = replace(base, seed=seed, sampling=replace(base.sampling, samples=1 << 14, traces=2))
+    noise = [_measure_point(replace(cfg, channel=replace(cfg.channel, excess_noise_db=x)),
+                            0.0, _point_seed(seed, 0))["simulated_noise_db"]
+             for x in (0.0, 1e-9)]
+    assert abs(noise[1] - noise[0]) < 1e-3, noise
