@@ -3,7 +3,9 @@
 One subcommand per scenario (line-scan, delay-scan, xcorr, selftest); every
 subcommand accepts --config/--preset plus overrides for seed, output
 directory and sample rate, and every one but selftest, whose sizes are
-fixed, also for trace count, trace length and parallelism.
+fixed, also for trace count, trace length and parallelism.  The subcommand,
+as the config's scenario, and the overrides given are merged into the
+preset's or file's data, and the config is built and checked once from that.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -20,7 +22,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import gc
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -68,24 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> ScenarioConfig:
     if args.config and args.preset:
         raise ConfigError("give either --config or --preset, not both")
-    base = load_config(args.config or args.preset or _DEFAULT_PRESET[args.scenario])
     # selftest registers no --traces, --samples or --jobs.
-    traces, samples, jobs = (getattr(args, name, None) for name in ("traces", "samples", "jobs"))
-    sampling = base.sampling
-    if traces is not None:
-        sampling = replace(sampling, traces=traces)
-    if samples is not None:
-        sampling = replace(sampling, samples=samples)
-    if args.rate is not None:
-        sampling = replace(sampling, rate_hz=args.rate)
-    overrides = {"scenario": args.scenario, "sampling": sampling}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if jobs is not None:
-        overrides["jobs"] = jobs
-    return replace(base, **overrides)
+    flags = {"scenario": args.scenario, "seed": args.seed, "out_dir": args.out_dir,
+             "jobs": getattr(args, "jobs", None), "sampling.rate_hz": args.rate,
+             "sampling.traces": getattr(args, "traces", None),
+             "sampling.samples": getattr(args, "samples", None)}
+    return load_config(args.config or args.preset or _DEFAULT_PRESET[args.scenario],
+                       {name: value for name, value in flags.items() if value is not None})
 
 
 def main(argv=None) -> int:

@@ -12,10 +12,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, is_dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import get_type_hints
-
-import numpy as np
 
 from .analysis import _band_bins, band_response
 from .dispersion import (DEFAULT_CELL_LENGTH, DEFAULT_WAVELENGTH, LIGHT_SPEED,
@@ -47,37 +45,49 @@ ADVANCE_TARGET_S = -12e-9
 _ADVANCE_FWHM_HZ = 2.6e6
 _ADVANCE_OFFSET_HZ = 6.5e6
 
-# The chirp-z plans square int64 bin and lag indices of up to 5n/8 (K <= n/2 + 1
-# bins and n_lag <= n/8 lags, ``analysis._chirp``); from 2^33 samples on the
-# square passes 2^63.
-_MAX_SAMPLES = 1 << 32
-# Above 10 log10(2^53) = 159.5 dB one shot-noise unit lies below the float64
-# resolution of the excess, so the noise figures read the excess alone (and
-# at 3,000 dB the chain's powers overflow); the bound leaves a margin.
-_MAX_EXCESS_DB = 150.0
-# The trace count enters float64 arithmetic (the mean cross spectra, the
-# noise figure's divisor), which holds every integer only up to 2^53.
-_MAX_TRACES = 1 << 53
-# The cross spectrum divides by sqrt(E1 E2), and each band energy is up to
-# about K n G^2 seed_flux, with n <= 2^32 samples, K <= 2^31 bins and G the
-# peak intensity gain.  At 1e30 photons per sample and 300 dB (G = 1e30) an
-# energy stays below 9.3e108 and the product below 8.6e217, inside float64's
-# 1.8e308 with a margin for the source gain; the prediction's
-# mean_p mean_c ~ G1 (G1 - 1) seed_flux^2 passes 1.8e308 from 1.3e154 on.
-_MAX_SEED_FLUX = 1e30
-_MAX_PEAK_GAIN_DB = 300.0
-# The same division needs E1 E2 above float64's smallest normal number,
-# 2.2e-308.  An energy is about n eta S times the beam's mean flux, with S
-# the band's weight sum and the flux at least (G1 - 1) seed_flux; with
-# n S >= 1 and G1 (G1 - 1) >= 2.2e-16 (the float after 1), E1 E2 passes
-# 2.2e-308 while eta seed_flux > 1e-146.  Floors of 1e-50 keep
-# eta seed_flux >= 1e-100.  The channel noise n mean_out s_add
-# (simulate.channel_response) carries the excess scaled by 1/eta
-# (scenario._beam_level_excess_db): at 2^32 samples, 150 dB, 1e30 photons
-# per sample and 300 dB that part is at most about 6e84 / eta, 6e134 at the
-# eta floor, inside float64's 1.8e308 with a margin for the source gain.
-_MIN_ETA = 1e-50
-_MIN_SEED_FLUX = 1e-50
+# Every numeric range bound, {dotted field: (low, high)}, both ends closed.
+BOUNDS = {
+    # The synthesis takes a power of two (checked on its own) of at least 2.
+    # The chirp-z plans square int64 bin and lag indices of up to 5n/8
+    # (``analysis._chirp``), which passes 2^63 from 2^33 samples on.
+    "sampling.samples": (2, 1 << 32),
+    # The trace count enters float64 arithmetic (the mean cross spectra, the
+    # noise figure's divisor), which holds every integer only up to 2^53.
+    "sampling.traces": (1, 1 << 53),
+    # The cross spectrum divides by sqrt(E1 E2), which needs E1 E2 above 2.2e-308,
+    # float64's smallest normal.  An energy is about n eta S (G1 - 1) seed_flux,
+    # S the band's weight sum; with n S >= 1 and G1 (G1 - 1) >= 2.2e-16, E1 E2
+    # clears that while eta seed_flux > 1e-146; floors of 1e-50 keep it >= 1e-100.
+    # The channel noise carries the excess scaled by 1/eta, about 6e84 / eta at
+    # the other bounds' upper ends (scenario._beam_level_excess_db): 6e134 at the
+    # floor, below float64's 1.8e308.
+    "channel.eta": (1e-50, 1.0),
+    # Above 10 log10(2^53) = 159.5 dB one shot-noise unit lies below the
+    # float64 resolution of the excess, so the noise figures read the excess
+    # alone (and at 3,000 dB the chain's powers overflow); 150 leaves a margin.
+    "channel.excess_noise_db": (0.0, 150.0),
+    # The floor as for eta.  A band energy is up to about K n G^2 seed_flux (n <= 2^32,
+    # K <= 2^31, G the peak intensity gain): at 1e30 and 300 dB (G = 1e30) below
+    # 9.3e108, and E1 E2 below 8.6e217, with a margin for the source gain; the
+    # prediction's mean_p mean_c ~ G1 (G1 - 1) seed_flux^2 passes 1.8e308 from 1.3e154.
+    "source.seed_flux": (1e-50, 1e30),
+    "line.peak_gain_db": (-math.inf, 300.0),
+    # At least one process runs the points; more than there are points idle.
+    "jobs": (1, math.inf),
+    # A SeedSequence takes non-negative entropy.
+    "seed": (0, math.inf),
+}
+
+
+def _bound(value) -> str:
+    """A bound as an error prints it; powers of two past 2^20 as 2^k."""
+    power = isinstance(value, int) and value > 1 << 20 and not value & (value - 1)
+    return f"2^{value.bit_length() - 1}" if power else f"{value:g}"
+
+
+def _check_scenario(name) -> None:
+    if not (isinstance(name, str) and name in SCENARIOS):
+        raise ConfigError(f"field 'scenario' must be one of {tuple(SCENARIOS)}, got {name!r}")
 
 
 @dataclass(frozen=True)
@@ -102,9 +112,7 @@ class SourceConfig:
     coherent: bool = False
 
     def resolved_gain1(self) -> float:
-        if self.gain1 is not None:
-            return self.gain1
-        return gain_for_squeezing(self.squeezing_db)
+        return gain_for_squeezing(self.squeezing_db) if self.gain1 is None else self.gain1
 
     def make(self) -> TwinBeamSource:
         return TwinBeamSource(gain1=self.resolved_gain1(), seed_flux=self.seed_flux,
@@ -144,32 +152,19 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_types(self)
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"field 'scenario' must be one of {tuple(SCENARIOS)}, "
-                              f"got '{self.scenario}'")
+        _check_scenario(self.scenario)
         if self.scenario in ("line-scan", "delay-scan") and not self.detunings_hz:
             raise ConfigError("field 'detunings_hz' must be a non-empty list for scans")
+        for name, (low, high) in BOUNDS.items():
+            if not low <= reduce(getattr, name.split("."), self) <= high:
+                raise ConfigError(f"field '{name}' must lie in [{_bound(low)}, {_bound(high)}]")
         sampling = self.sampling
-        if sampling.rate_hz <= 0.0:
-            raise ConfigError("field 'sampling.rate_hz' must be > 0")
-        if not (_is_power_of_two(sampling.samples) and sampling.samples <= _MAX_SAMPLES):
-            raise ConfigError("field 'sampling.samples' must be a power of two "
-                              f"at most 2^{_MAX_SAMPLES.bit_length() - 1}")
-        if not 1 <= sampling.traces <= _MAX_TRACES:
-            raise ConfigError("field 'sampling.traces' must lie in [1, 2^53]")
+        if not _is_power_of_two(sampling.samples):
+            raise ConfigError("field 'sampling.samples' must be a power of two")
         for name in ("band_hz", "fullband_hz", "noise_band_hz"):
             lo, hi = getattr(self, name)
             if not (0.0 < lo < hi < sampling.rate_hz / 2.0):
                 raise ConfigError(f"field '{name}' needs 0 < lo < hi < 'sampling.rate_hz' / 2")
-        if self.jobs < 1:
-            raise ConfigError("field 'jobs' must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("field 'seed' must be >= 0")
-        if not _MIN_ETA <= self.channel.eta <= 1.0:
-            raise ConfigError(f"field 'channel.eta' must lie in [{_MIN_ETA:g}, 1]")
-        if not 0.0 <= self.channel.excess_noise_db <= _MAX_EXCESS_DB:
-            raise ConfigError("field 'channel.excess_noise_db' must lie in "
-                              f"[0, {_MAX_EXCESS_DB:g}] dB")
         correlated, (noise, _), _ = SCENARIOS[self.scenario]
         for name in filter(None, dict.fromkeys((noise, *correlated))):
             if not _band_bins(sampling.samples, sampling.rate_hz, *getattr(self, name)):
@@ -187,12 +182,6 @@ class ScenarioConfig:
         if correlated and not 1.0 <= self.max_lag_s * sampling.rate_hz <= sampling.samples / 8:
             raise ConfigError("field 'max_lag_s' must lie between one sample period and "
                               "'sampling.samples' / (8 * 'sampling.rate_hz')")
-        if not _MIN_SEED_FLUX <= self.source.seed_flux <= _MAX_SEED_FLUX:
-            raise ConfigError(f"field 'source.seed_flux' must lie in [{_MIN_SEED_FLUX:g}, "
-                              f"{_MAX_SEED_FLUX:g}] photons per sample")
-        if not self.line.peak_gain_db <= _MAX_PEAK_GAIN_DB:
-            raise ConfigError("field 'line.peak_gain_db' must be at most "
-                              f"{_MAX_PEAK_GAIN_DB:g} dB")
         # The line's modulation transfer needs every bin below half the carrier.
         if not self.line.wavelength_nm * 1e-9 * sampling.rate_hz < LIGHT_SPEED:
             raise ConfigError("field 'line.wavelength_nm' must put the optical carrier "
@@ -207,9 +196,8 @@ class ScenarioConfig:
         except Exception as exc:
             raise ConfigError(f"field 'source' is invalid: {exc}") from exc
         if not self.source.coherent and source.gain1 <= 1.0:
-            raise ConfigError("field 'source': twin-beam runs need gain1 > 1 "
-                              "(the conjugate is dark at gain1 = 1); "
-                              "use coherent: true for a coherent pair")
+            raise ConfigError("field 'source': twin-beam runs need gain1 > 1 (the conjugate is "
+                              "dark at gain1 = 1); use coherent: true for a coherent pair")
         if self.source.coherent and correlated:
             raise ConfigError(f"field 'source.coherent' must be false on {self.scenario}: "
                               "its delays are read from the correlation of a twin pair")
@@ -324,8 +312,7 @@ def preset_fig2_line() -> ScenarioConfig:
         line=LineConfig(peak_gain_db=7.5, fwhm_hz=10e6),
         source=SourceConfig(squeezing_db=-2.5),
         sampling=SamplingConfig(rate_hz=2.5e9, samples=1 << 18, traces=20),
-        detunings_hz=tuple(float(d) for d in np.linspace(-30e6, 30e6, 25)),
-        offset_hz=0.0,
+        detunings_hz=tuple(2.5e6 * i - 30e6 for i in range(25)),
     )
 
 
@@ -353,7 +340,6 @@ def preset_coherent_ref() -> ScenarioConfig:
         channel=ChannelConfig(eta=0.95, excess_noise_db=0.0),
         sampling=SamplingConfig(rate_hz=2.5e9, samples=1 << 18, traces=20),
         detunings_hz=(0.0,),
-        offset_hz=0.0,
     )
 
 
@@ -364,19 +350,33 @@ PRESETS = {
 }
 
 
-def load_config(path_or_preset: str) -> ScenarioConfig:
-    """Load a scenario config from a preset name or a JSON file path."""
+def load_data(path_or_preset: str):
+    """The JSON data of a preset name or a JSON file path, unchecked."""
     if path_or_preset in PRESETS:
-        return PRESETS[path_or_preset]()
+        return PRESETS[path_or_preset]().to_dict()
     if os.path.exists(path_or_preset):
         try:
             with open(path_or_preset, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse {path_or_preset}: line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path_or_preset}: {exc}") from exc
-        return config_from_dict(data)
     raise ConfigError(f"unknown preset or missing file '{path_or_preset}'; "
                       f"presets: {sorted(PRESETS)}")
+
+
+def load_config(path_or_preset: str, overrides: dict | None = None) -> ScenarioConfig:
+    """A preset's or a file's config, built once, each {dotted field: value} of
+    ``overrides`` merged into its data first; a section that is not an object
+    keeps its error, and a file's own ``scenario`` must still name one."""
+    data = load_data(path_or_preset)
+    if isinstance(data, dict):
+        _check_scenario(data.get("scenario", ScenarioConfig.scenario))
+        for dotted, value in (overrides or {}).items():
+            *section, name = dotted.split(".")
+            target = data.setdefault(section[0], {}) if section else data
+            if isinstance(target, dict):
+                target[name] = value
+    return config_from_dict(data)

@@ -998,6 +998,56 @@ def test_cli_coherent_source_on_correlation_scenarios_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+def _coherent_ref_file(tmp_path, **fields) -> str:
+    """The coherent-ref preset as a config file at 2^12 samples, 1 trace and a
+    lag window that fits them, each top-level field in ``fields`` set, or
+    deleted when None."""
+    cfg = {**preset_coherent_ref().to_dict(), "out_dir": str(tmp_path / "o"),
+           "sampling": {"rate_hz": 2.5e9, "samples": 1 << 12, "traces": 1},
+           "max_lag_s": 1e-7, **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    return str(path)
+
+
+@pytest.mark.parametrize("max_lag_s", [1e-7, 2e-6])
+def test_cli_checks_a_file_without_scenario_as_its_subcommand(tmp_path, capsys, max_lag_s):
+    """The subcommand is merged into the file's data before the one check, so
+    a coherent-ref file without ``scenario`` runs on line-scan: it is not first
+    checked as an xcorr, whose correlation refuses a coherent pair and whose
+    lag window at the preset's 2e-6 s does not fit 2^12 samples."""
+    path = _coherent_ref_file(tmp_path, scenario=None, max_lag_s=max_lag_s)
+    assert main(["line-scan", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path / "o")) == ["line_scan.csv", "summary.json"]
+
+
+def test_cli_samples_override_replaces_a_file_value_past_its_bound(tmp_path, capsys):
+    """--samples is merged into the file's sampling before the one check, so a
+    file's 2^33 samples, past its bound, is never checked."""
+    path = _coherent_ref_file(tmp_path, sampling={"rate_hz": 2.5e9, "samples": 1 << 33,
+                                                  "traces": 1})
+    assert main(["line-scan", "--config", path, "--samples", "4096"]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path / "o")) == ["line_scan.csv", "summary.json"]
+
+
+@pytest.mark.parametrize("command, fields, named", [
+    ("delay-scan", {}, "'source.coherent' must be false on delay-scan"),
+    ("delay-scan", {"scenario": None}, "'source.coherent' must be false on delay-scan"),
+    ("line-scan", {"scenario": "1"}, "field 'scenario' must be one of"),
+], ids=["delay-scan", "delay-scan-without-scenario", "file-scenario-1"])
+def test_cli_file_refused_under_its_subcommand_exits_2(tmp_path, capsys, command, fields,
+                                                       named):
+    """The subcommand decides the scenario a file is checked as: a coherent
+    pair is refused on delay-scan, whatever the file's ``scenario``; and a
+    file's own ``scenario`` must still name a scenario."""
+    assert main([command, "--config", _coherent_ref_file(tmp_path, **fields)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("eta", 0.0), ("eta", 1.5), ("eta", float("nan")),
     ("excess_noise_db", -1.0), ("excess_noise_db", float("inf")),
@@ -1441,6 +1491,16 @@ def test_package_version_matches_pyproject():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == fastlight.__version__
+
+
+def test_readme_states_every_bound_as_the_errors_print_it():
+    from fastlight.config import BOUNDS, _bound
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = " ".join(fh.read().split())
+    for dotted, (low, high) in BOUNDS.items():
+        assert f"`{dotted}` in [{_bound(low)}, {_bound(high)}]" in readme, dotted
 
 
 # Closed forms that no package code calls: the acceptance criteria and tests

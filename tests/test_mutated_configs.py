@@ -1,7 +1,8 @@
 """The configuration contract over mutated preset configs, run in-process
 through ``cli.main`` at 2^12 samples and one trace.  Each mutation deletes a
 field, gives it the wrong type, makes it non-finite or pushes it out of
-range.  Every run must end one of three ways:
+range; each end of each bound in ``config.BOUNDS`` is also pushed just past
+itself on every base.  Every run must end one of three ways:
 
 * exit 2, with the field named and no file written;
 * exit 0, with finite outputs and an empty stderr;
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastlight.cli import main
-from fastlight.config import PRESETS
+from fastlight.config import BOUNDS, PRESETS
 
 # (preset, command): each runs at 2^12 samples and one trace as it stands.
 _BASES = [("fig2-line", "line-scan"), ("fig2-line", "delay-scan"),
@@ -36,11 +37,22 @@ _DOCUMENTED_RUNTIME = ("correlation peak degenerate", "is undefined",
 _WRONG_TYPES = [None, "1", True, [1.0], {"value": 1.0}]
 _NON_FINITE = [float("nan"), float("inf"), -float("inf"), 10 ** 400]
 _SCALES = [-1.0, 0.0, 1e-300, 1e-30, 1e-3, 3.0, 1e3, 1e30, 1e300]
-# The size fields take only values that are refused or cheap: no mutation may
-# ask for a long trace, many traces or many workers.
-_SIZES = {"sampling.samples": [0, 3, 4095, -4096, 1 << 33, 1 << 40],
-          "sampling.traces": [0, -1, 2, (1 << 53) + 1, 1 << 60],
-          "jobs": [0, -1, 2, 3, 10 ** 6]}
+
+
+def _past(end, step: int):
+    """The value just past a bound's end, on the side ``step`` points to."""
+    return end + step if isinstance(end, int) else math.nextafter(end, step * math.inf)
+
+
+# (field, value) just past each finite end of each bound.
+_PAST_BOUNDS = [(dotted, _past(end, step)) for dotted, (low, high) in BOUNDS.items()
+                for end, step in ((low, -1), (high, 1)) if math.isfinite(end)]
+# The size fields take only values that are refused or cheap, and are pushed
+# past their bounds, never onto them: no mutation may ask for a long trace,
+# many traces or many workers.
+_SIZES = {"sampling.samples": [3, 4095, -4096, 1 << 40],
+          "sampling.traces": [-1, 2, 1 << 60],
+          "jobs": [-1, 2, 3, 10 ** 6]}
 
 
 def _base(preset: str, command: str, out_dir: str) -> dict:
@@ -73,12 +85,6 @@ def _get(cfg: dict, dotted: str):
 
 def _mutations(dotted: str, value) -> list:
     """("delete", None) and ("set", v) for every value tried on a field."""
-    if dotted == "scenario":
-        # The subcommand replaces it, but only after a config file's own
-        # value, or its default "xcorr" when the field is missing, has been
-        # checked: a coherent-ref file without the field is refused on
-        # line-scan.  Deleting it is left out until the override comes first.
-        return [("set", v) for v in _WRONG_TYPES]
     if dotted in _SIZES:
         values = _SIZES[dotted]
     elif isinstance(value, bool):
@@ -95,6 +101,7 @@ def _mutations(dotted: str, value) -> list:
         values += [value[::-1], value[:1]]
     else:  # a string or a section
         values = []
+    values = [*values, *(v for name, v in _PAST_BOUNDS if name == dotted)]
     return [("delete", None)] + [("set", v) for v in (*_WRONG_TYPES, *values)]
 
 
@@ -124,9 +131,9 @@ def _finite_outputs(out: str) -> bool:
     return True
 
 
-def _outcome(preset: str, command: str, dotted: str, mutation) -> tuple[int, str | None]:
-    """Run the mutated config: its exit code, and None if the run ends one
-    of the three allowed ways, else what went wrong."""
+def _outcome(preset: str, command: str, dotted: str, mutation) -> tuple[int, str | None, str]:
+    """Run the mutated config: its exit code; None if the run ends one of the
+    three allowed ways, else what went wrong; and its stderr."""
     with tempfile.TemporaryDirectory(prefix="mutated-") as work:
         out = os.path.join(work, "o")
         cfg = _base(preset, command, out)
@@ -149,15 +156,16 @@ def _outcome(preset: str, command: str, dotted: str, mutation) -> tuple[int, str
         files = os.listdir(out) if os.path.isdir(out) else []
         if code == 2:
             if "configuration error" not in err or not _names(err, dotted):
-                return code, f"exit 2 without naming {dotted}: {err!r}"
-            return code, f"exit 2 wrote {files}" if files else None
+                return code, f"exit 2 without naming {dotted}: {err!r}", err
+            return code, f"exit 2 wrote {files}" if files else None, err
         if code == 0:
             if err:
-                return code, f"exit 0 with stderr {err!r}"
-            return code, None if files and _finite_outputs(out) else f"exit 0 wrote {files}"
+                return code, f"exit 0 with stderr {err!r}", err
+            ok = files and _finite_outputs(out)
+            return code, None if ok else f"exit 0 wrote {files}", err
         if code == 3 and any(text in err for text in _DOCUMENTED_RUNTIME):
-            return code, None
-        return code, f"exit {code}: {err!r}"
+            return code, None, err
+        return code, f"exit {code}: {err!r}", err
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,4 +199,13 @@ _FOUND = [
 @pytest.mark.parametrize("preset, command, dotted, value", _FOUND,
                          ids=[f"{c[1]}-{c[2]}-{c[3]}" for c in _FOUND])
 def test_found_mutation_exits_2_naming_the_field(preset, command, dotted, value):
-    assert _outcome(preset, command, dotted, ("set", value)) == (2, None)
+    assert _outcome(preset, command, dotted, ("set", value))[:2] == (2, None)
+
+
+@pytest.mark.parametrize("dotted, value", _PAST_BOUNDS,
+                         ids=[f"{dotted}-{value!r}" for dotted, value in _PAST_BOUNDS])
+def test_value_just_past_a_bound_exits_2_naming_the_bound(dotted, value):
+    for preset, command in _BASES:
+        code, problem, err = _outcome(preset, command, dotted, ("set", value))
+        assert (code, problem) == (2, None), (preset, command)
+        assert f"field '{dotted}' must lie in [" in err, (preset, command, err)
