@@ -58,9 +58,9 @@ BOUNDS = {
     # float64's smallest normal.  An energy is about n eta S (G1 - 1) seed_flux,
     # S the band's weight sum; with n S >= 1 and G1 (G1 - 1) >= 2.2e-16, E1 E2
     # clears that while eta seed_flux > 1e-146; floors of 1e-50 keep it >= 1e-100.
-    # The channel noise carries the excess scaled by 1/eta, about 6e84 / eta at
-    # the other bounds' upper ends (scenario._beam_level_excess_db): 6e134 at the
-    # floor, below float64's 1.8e308.
+    # The channel noise adds the excess x = 10^(dB / 10) - 1 as the flux variance
+    # x (mean_p + mean_c_out) / eta (scenario._point_channel), about 6e84 / eta at
+    # the other bounds' upper ends: 6e134 at the floor, below float64's 1.8e308.
     "channel.eta": (1e-50, 1.0),
     # Above 10 log10(2^53) = 159.5 dB one shot-noise unit lies below the
     # float64 resolution of the excess, so the noise figures read the excess

@@ -40,19 +40,6 @@ def _point_seed(master: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(master, spawn_key=(index,))
 
 
-def _beam_level_excess_db(excess_diff_db: float, mean_p: float, mean_c_out: float,
-                          eta: float) -> float:
-    """Convert a difference-level technical noise figure to the equivalent
-    flat excess in the propagated beam's own shot units.  No excess is none
-    in any units, also where the conjugate is still dark after the line and
-    the conversion would divide by its zero mean."""
-    if excess_diff_db == 0.0:
-        return 0.0
-    x_diff = 10.0 ** (excess_diff_db / 10.0) - 1.0
-    x_beam = x_diff * (mean_p + mean_c_out) / (eta * mean_c_out)
-    return 10.0 * math.log10(1.0 + x_beam)
-
-
 class _ChainHead(NamedTuple):
     """Constants of a measurement chain that no detuning changes, built from
     the config alone by the first point a process runs (``_chain_head``).
@@ -104,20 +91,19 @@ def _chain_head(cfg: ScenarioConfig) -> _ChainHead:
     return _ChainHead(stats.mean_p, stats.mean_c, factors, plans, noise_bins, k)
 
 
-def _conjugate_mean_out(line, mean_c: float, delta: float) -> float:
-    """The conjugate's mean photon number after the line at detuning delta, rad/s."""
-    gain0 = float(intensity_gain(line, delta))
-    return gain0 * mean_c + (gain0 - 1.0)
-
-
 def _point_channel(cfg: ScenarioConfig, line, head: _ChainHead,
                    delta: float) -> ChannelResponse:
-    """The channel of one detuning point on the head's bins, shared by its traces."""
-    excess_beam = _beam_level_excess_db(cfg.channel.excess_noise_db, head.mean_p,
-                                        _conjugate_mean_out(line, head.mean_c, delta),
-                                        cfg.channel.eta)
+    """The channel of one detuning point on the head's bins, shared by its
+    traces.  The config's excess raises the detected difference noise by
+    1 + x over its shot level; as a flat per-sample variance on the
+    propagated conjugate that is x (mean_p + mean_c_out) / eta, since
+    detection scales it by eta^2 and the shot level by eta."""
+    gain0 = float(intensity_gain(line, delta))
+    mean_c_out = gain0 * head.mean_c + (gain0 - 1.0)
+    x = 10.0 ** (cfg.channel.excess_noise_db / 10.0) - 1.0
     return channel_response(line, delta, cfg.sampling.samples, cfg.sampling.rate_hz,
-                            head.mean_c, excess_beam, bins=head.support)
+                            head.mean_c, x * (head.mean_p + mean_c_out) / cfg.channel.eta,
+                            bins=head.support)
 
 
 def _correlate(sums: dict, pair: str, x1, x2, head: _ChainHead):
@@ -195,12 +181,10 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
     before any draw, checked in the order ``config.SCENARIOS`` lists the
     scenario's columns.  A column that is not finite or that its function
     refuses is a configuration error, so numpy's warnings on the way to it
-    are silenced.  So is an excess at a point whose conjugate is still dark
-    after the line, where ``_point_channel`` has no shot units to put it in."""
+    are silenced."""
     _, (noise, _), names = SCENARIOS[cfg.scenario]
     line, source, eta = cfg.line.make(), cfg.source.make(), cfg.channel.eta
     n, fs, excess = cfg.sampling.samples, cfg.sampling.rate_hz, cfg.channel.excess_noise_db
-    mean_c = seeded_stats(source.gain1, source.seed_flux).mean_c
     bins = _band_bins(n, fs, *getattr(cfg, noise))  # the points' noise bins, with no head
     noise_freqs = _rfft_freqs(n, fs, bins.stop)[bins.start:]
 
@@ -238,9 +222,6 @@ def _predicted_rows(cfg: ScenarioConfig) -> list[dict]:
                 except InvalidParameterError as exc:
                     raise ConfigError(f"no {name} at {field} {d}: {exc}; check the "
                                       f"config's {reads}") from exc
-            if excess > 0.0 and _conjugate_mean_out(line, mean_c, 2.0 * math.pi * d) == 0.0:
-                raise ConfigError(f"field 'channel.excess_noise_db' must be 0 at {field} {d}, "
-                                  "where the conjugate is still dark after the line")
     return rows
 
 

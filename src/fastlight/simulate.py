@@ -207,8 +207,9 @@ class ChannelResponse(NamedTuple):
     transfer: absolute transfer G(offset) * M(f), with real DC and Nyquist
         bins; exactly 1 on a line with no gain.
     noise_std: standard deviation of the real part of each bin's added
-        noise; interior imaginary parts share it, DC and Nyquist have none.
-        Exactly 0 on a line with no gain and no excess.
+        noise, the line's amplifier noise plus the flat excess; interior
+        imaginary parts share it, DC and Nyquist have none.  Exactly 0 on a
+        line with no gain and no excess.
     mean_out: output mean flux G*m + (G - 1).
     """
 
@@ -219,17 +220,18 @@ class ChannelResponse(NamedTuple):
 
 def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
                      sample_rate: float, mean_flux: float,
-                     excess_db: float = 0.0, *, bins: int) -> ChannelResponse:
+                     excess: float = 0.0, *, bins: int) -> ChannelResponse:
     """Constants of the gain line for n_samples records of the given mean
     flux, on the first ``bins`` bins of their rfft grid (the last one is
     interior unless that is the whole grid); the same for every trace of a
     scan point.  The added noise has one-sided spectrum
     (Gbar(f) - 1) * Gbar(f) / G(offset) in output-beam SNU, with Gbar(f) the
-    sideband-averaged intensity gain, plus the flat ``excess_db`` floor.
+    sideband-averaged intensity gain, plus a flat ``excess``: a per-sample
+    variance in the records' flux units, as ``white_spectrum`` takes it.
     """
     _require_power_of_two(n_samples)
-    if excess_db < 0.0:
-        raise InvalidParameterError(f"excess_db must be >= 0, got {excess_db}")
+    if excess < 0.0:
+        raise InvalidParameterError(f"excess must be >= 0, got {excess}")
     nb = n_samples // 2 + 1
     if not 1 <= bins <= nb:
         raise InvalidParameterError(f"bins must lie in [1, {nb}], got {bins}")
@@ -244,8 +246,7 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
         interior = slice(1, -1)
 
     mean_out = gain0 * mean_flux + (gain0 - 1.0)
-    s_add = added + (10.0 ** (excess_db / 10.0) - 1.0)
-    noise_std = np.sqrt(n_samples * mean_out * np.maximum(s_add, 0.0))
+    noise_std = np.sqrt(n_samples * (mean_out * np.maximum(added, 0.0) + excess))
     noise_std[interior] *= np.sqrt(0.5)
     noise_std[0] = 0.0
     return ChannelResponse(transfer, noise_std, mean_out)

@@ -191,9 +191,10 @@ def hermitian_pair(sigma_p, l21, l22, seed):
 
 
 def channel_round_trip(samples, sample_rate, mean_flux, line, carrier_offset,
-                       excess_db, seed):
+                       excess, seed):
     """Gain-line channel as one rfft/irfft round trip with the noise spectrum
-    built out of place from one (2, bins) normal draw."""
+    built out of place from one (2, bins) normal draw; ``excess`` is a flat
+    per-sample variance in the samples' flux units."""
     from fastlight.dispersion import intensity_gain, modulation_transfer
 
     n = samples.size
@@ -205,8 +206,8 @@ def channel_round_trip(samples, sample_rate, mean_flux, line, carrier_offset,
     mean_out = gain0 * mean_flux + (gain0 - 1.0)
     g_bar = 0.5 * (intensity_gain(line, carrier_offset + 2.0 * np.pi * freqs)
                    + intensity_gain(line, carrier_offset - 2.0 * np.pi * freqs))
-    s_add = (g_bar - 1.0) * g_bar / gain0 + (10.0 ** (excess_db / 10.0) - 1.0)
-    sigma = np.sqrt(n * mean_out * np.maximum(s_add, 0.0))
+    s_add = (g_bar - 1.0) * g_bar / gain0
+    sigma = np.sqrt(n * (mean_out * np.maximum(s_add, 0.0) + excess))
     z_re, z_im = np.random.default_rng(seed).standard_normal((2, freqs.size))
     noise = sigma * (z_re + 1j * z_im) * np.sqrt(0.5)
     noise[0] = 0.0

@@ -16,7 +16,7 @@ from fastlight.cli import main
 from fastlight.config import config_from_dict, preset_fig2_line
 from fastlight.dispersion import (calibrate, gain_db, modulation_transfer,
                                   peak_advance)
-from fastlight.scenario import _measure_correlation_point, _point_seed
+from fastlight.scenario import _measure_point, _point_seed
 from fastlight.simulate import (_rfft_freqs, apply_channel, build_targets,
                                 channel_response, synth_twin_spectra,
                                 synthesis_factors, white_spectrum)
@@ -153,7 +153,7 @@ def test_criterion_7_zero_offset_contrast(advance_run):
         "offset_hz": 0.0,
         "sampling": {"rate_hz": RATE, "samples": 1 << 19, "traces": 30},
     })
-    res = _measure_correlation_point(cfg, 0.0, _point_seed(cfg.seed, 0))
+    res = _measure_point(cfg, 0.0, _point_seed(cfg.seed, 0))
     delay_ns = res["delay_s_band"] * 1e9
     squeezing = res["squeezing_db_band"]
     ok = delay_ns > 0.0 and squeezing > summary["band_squeezing_db"]

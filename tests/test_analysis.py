@@ -277,19 +277,19 @@ def test_correlation_point_fft_count(monkeypatch):
         sizes = [correlation_plan(1 << 16, RATE, band, cfg.max_lag_s).kernel.size
                  for band in (cfg.band_hz, cfg.fullband_hz)]
         # The plans are built once per process, before this point's traces.
-        scenario._measure_correlation_point(cfg, 5e6, scenario._point_seed(1, 0))
+        scenario._measure_point(cfg, 5e6, scenario._point_seed(1, 0))
         with monkeypatch.context() as patch:
             for name in ("rfft", "irfft", "fft", "ifft"):
                 patch.setattr(np.fft, name, counted(getattr(np.fft, name)))
             # A delay-scan point correlates in both bands, an xcorr point in band_hz.
             for point_cfg, bands in ((cfg, 2), (replace(cfg, scenario="xcorr"), 1)):
                 calls.clear()
-                scenario._measure_correlation_point(point_cfg, 5e6, scenario._point_seed(1, 0))
+                scenario._measure_point(point_cfg, 5e6, scenario._point_seed(1, 0))
                 assert sorted(calls) == sorted((name, size) for size in sizes[:bands]
                                                for name in ("fft", "ifft"))
             calls.clear()
-            scenario._measure_noise_point(replace(cfg, scenario="line-scan"), 5e6,
-                                          scenario._point_seed(1, 0))
+            scenario._measure_point(replace(cfg, scenario="line-scan"), 5e6,
+                                    scenario._point_seed(1, 0))
             assert calls == []
 
 
@@ -344,13 +344,13 @@ def test_trace_normal_draws_per_trace_stream(monkeypatch):
                              (replace(cfg, scenario="xcorr"), (cfg.band_hz,))):
         k = max(correlation_plan(n, RATE, band, cfg.max_lag_s).support for band in bands)
         drawn.clear()
-        scenario._measure_correlation_point(point_cfg, 5e6, scenario._point_seed(1, 3))
+        scenario._measure_point(point_cfg, 5e6, scenario._point_seed(1, 3))
         assert drawn == per_trace(k)
     k = _band_bins(n, RATE, *cfg.noise_band_hz).stop
     assert 0 < k < 100
     drawn.clear()
-    scenario._measure_noise_point(replace(cfg, scenario="line-scan"), 5e6,
-                                  scenario._point_seed(1, 3))
+    scenario._measure_point(replace(cfg, scenario="line-scan"), 5e6,
+                            scenario._point_seed(1, 3))
     assert drawn == per_trace(k)
 
 
@@ -368,7 +368,7 @@ def test_noise_point_frees_each_trace():
                                              "traces": traces}})
         tracemalloc.start()
         try:
-            scenario._measure_noise_point(cfg, 0.0, scenario._point_seed(cfg.seed, 0))
+            scenario._measure_point(cfg, 0.0, scenario._point_seed(cfg.seed, 0))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

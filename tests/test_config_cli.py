@@ -386,6 +386,33 @@ def test_scan_pool_has_no_more_workers_than_points():
     assert scenario._map_points(lambda cfg, i: i, replace(cfg, jobs=2)) == [0, 1, 2]
 
 
+def test_scan_runs_every_point_in_the_parent_where_the_platform_does_not_fork(tmp_path,
+                                                                                monkeypatch):
+    """Without os.fork the pool computes every point in the parent, in order,
+    at any job count, and a two-job scan writes the bytes a forked one writes."""
+    import fastlight.scenario as scenario
+
+    path = _three_point_scan("delay-scan", tmp_path)
+    outputs = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / f"fork{fork}"
+        assert main(["delay-scan", "--config", str(path), "--jobs", "2",
+                     "--out-dir", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("delay_scan.csv", "summary.json")])
+    assert outputs[0] == outputs[1]
+    calls = []
+
+    def worker(cfg, i):
+        calls.append((os.getpid(), i))
+        return i
+
+    cfg = replace(preset_fig2_line(), detunings_hz=(0.0, 5e6, 13e6), jobs=3)
+    assert scenario._map_points(worker, cfg) == [0, 1, 2]
+    assert calls == [(os.getpid(), i) for i in range(3)]
+
+
 @pytest.fixture
 def fresh_chain_heads():
     """A chain head built under a patched kernel would outlive the patch in
@@ -1387,9 +1414,9 @@ def test_cli_non_finite_column_exits_2_before_any_draw(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("dotted", ["channel.eta", "source.seed_flux"])
 def test_cli_eta_and_seed_flux_below_their_floors_exit_2(tmp_path, capsys, scenario, dotted):
     """Below 1e-50 the band energies' product can underflow float64's
-    smallest normal number and the 1/eta beam-level excess can overflow the
-    channel noise, so the float below each floor and 1e-300 (which exited 3
-    at 0.14.0) are refused at load."""
+    smallest normal number and the excess's 1/eta flux variance can overflow
+    the channel noise, so the float below each floor and 1e-300 (which
+    exited 3 at 0.14.0) are refused at load."""
     for value in (math.nextafter(1e-50, 0.0), 1e-300):
         path = _small_run(tmp_path, scenario, {dotted: value})
         assert main([scenario, "--config", str(path)]) == 2
@@ -1447,9 +1474,9 @@ _DARK_AFTER_THE_LINE = {"no_line_gain": {"line.peak_gain_db": 0.0},
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(_DARK_AFTER_THE_LINE))
 def test_cli_conjugate_dark_after_the_line_runs_without_excess(tmp_path, capsys, case, jobs):
-    """With no excess there is nothing to convert to the dark conjugate's
-    shot units, and the scan runs: both beams are coherent and unamplified,
-    so every row predicts the shot floor."""
+    """With no excess the channel adds no noise to the dark conjugate, and
+    the scan runs: both beams are coherent and unamplified, so every row
+    predicts the shot floor."""
     assert intensity_gain(preset_fig2_line().line.make(), 2.0 * math.pi * 1e15) == 1.0
     path = _small_run(tmp_path, "line-scan", {
         "source.coherent": True, "source.gain1": 1.0, "channel.excess_noise_db": 0.0,
@@ -1466,24 +1493,22 @@ def test_cli_conjugate_dark_after_the_line_runs_without_excess(tmp_path, capsys,
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(_DARK_AFTER_THE_LINE))
-def test_cli_conjugate_dark_after_the_line_with_excess_exits_2(tmp_path, capsys, monkeypatch,
-                                                               case, jobs):
-    """A difference-level excess has no equivalent in the shot units of a
-    conjugate still dark after the line: the run stops before any draw,
-    names the field and writes nothing."""
-    import fastlight.scenario as scenario_module
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("a trace was drawn")
-
-    monkeypatch.setattr(scenario_module, "_measure_trace", no_draws)
+def test_cli_conjugate_dark_after_the_line_with_excess_runs(tmp_path, capsys, case, jobs):
+    """The excess is a flux variance on the conjugate, which needs no shot
+    units of its own, so the scan runs (0.19.0 refused it with exit 2): the
+    difference noise of two unamplified coherent beams is the shot floor
+    raised by the excess alone."""
     path = _small_run(tmp_path, "line-scan", {
         "source.coherent": True, "source.gain1": 1.0, "channel.excess_noise_db": 0.2,
         **_DARK_AFTER_THE_LINE[case]})
-    assert main(["line-scan", "--config", str(path), "--jobs", jobs]) == 2
-    err = capsys.readouterr().err
-    assert "configuration error: field 'channel.excess_noise_db' must be 0" in err
-    assert os.listdir(tmp_path / "o") == []
+    assert main(["line-scan", "--config", str(path), "--jobs", jobs]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (tmp_path / "o" / "line_scan.csv").read_text().splitlines()
+    columns = header.split(",")
+    for row in rows:
+        cells = dict(zip(columns, map(float, row.split(","))))
+        assert abs(cells["predicted_noise_db"] - 0.2) < 1e-12
+        assert math.isfinite(cells["simulated_noise_db"])
 
 
 def test_package_version_matches_pyproject():

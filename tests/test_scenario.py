@@ -16,9 +16,8 @@ from fastlight.cli import main
 from fastlight.config import preset_coherent_ref, preset_fig2_line, preset_fig4_advance
 from fastlight.dispersion import intensity_gain
 from fastlight.predict import predicted_difference_noise_snu
-from fastlight.scenario import (_chain_head, _measure_correlation_point, _measure_noise_point,
-                                _measure_point, _measure_trace, _point_channel, _point_seed,
-                                _predicted_rows)
+from fastlight.scenario import (_chain_head, _measure_point, _measure_trace, _point_channel,
+                                _point_seed, _predicted_rows)
 from fastlight.simulate import (apply_channel, build_targets, channel_response,
                                 detect_spectrum, synth_twin_spectra, synthesis_factors)
 from fastlight.twinbeam import seeded_stats
@@ -31,7 +30,7 @@ def _per_seed_mean(cfg, column, reference=None):
     for seed in SEEDS:
         # As the CLI runs it: the trace seeds derive from cfg.seed.
         seeded = replace(cfg, seed=seed)
-        rows = [_measure_noise_point(seeded, d, _point_seed(seed, i))
+        rows = [_measure_point(seeded, d, _point_seed(seed, i))
                 for i, d in enumerate(cfg.detunings_hz)]
         predicted = _predicted_rows(seeded)
         means.append(np.mean([r[column] - (p[reference] if reference else 0.0)
@@ -83,8 +82,8 @@ def test_xcorr_band_squeezing_matches_the_sideband_resolved_prediction():
         cfg.line.make(), cfg.offset_hz, cfg.source.make(), cfg.channel.eta,
         cfg.channel.excess_noise_db, np.fft.rfftfreq(n, 1.0 / fs)[bins.start:bins.stop])
     predicted_db = 10.0 * np.log10(np.mean(predicted))
-    means = [_measure_correlation_point(replace(cfg, seed=seed), cfg.offset_hz,
-                                        _point_seed(seed, 0))["squeezing_db_band"]
+    means = [_measure_point(replace(cfg, seed=seed), cfg.offset_hz,
+                            _point_seed(seed, 0))["squeezing_db_band"]
              - predicted_db for seed in SEEDS]
     _assert_unbiased(np.array(means))
 
@@ -109,11 +108,10 @@ def _hand_trace(cfg, point: int, bins: int):
     line, delta = cfg.line.make(), 2.0 * math.pi * cfg.detunings_hz[point]
     gain0 = float(intensity_gain(line, delta))
     mean_c_out = gain0 * stats.mean_c + (gain0 - 1.0)
-    # The difference-level excess as a flat excess in the fast beam's own shot units.
-    x_diff = 10.0 ** (cfg.channel.excess_noise_db / 10.0) - 1.0
-    x_beam = x_diff * (stats.mean_p + mean_c_out) / (eta * mean_c_out)
+    # The difference-level excess as a flat per-sample variance on the fast conjugate.
+    x = 10.0 ** (cfg.channel.excess_noise_db / 10.0) - 1.0
     channel = channel_response(line, delta, n, fs, stats.mean_c,
-                               10.0 * math.log10(1.0 + x_beam), bins=bins)
+                               x * (stats.mean_p + mean_c_out) / eta, bins=bins)
     apply_channel(xc, channel, rng, n)
     fast = (detect_spectrum(xp, eta, stats.mean_p, rng, n, out=xp),
             detect_spectrum(xc, eta, channel.mean_out, rng, n, out=xc))
@@ -181,10 +179,10 @@ def test_point_seed_entropy_reaches_the_traces():
     config's own seed: one config, two point seeds, two different rows."""
     base = preset_fig2_line()
     cfg = replace(base, sampling=replace(base.sampling, samples=1 << 16, traces=1))
-    rows = [_measure_noise_point(cfg, 0.0, _point_seed(seed, 0))
+    rows = [_measure_point(cfg, 0.0, _point_seed(seed, 0))
             for seed in (cfg.seed, cfg.seed + 1)]
     assert rows[0]["simulated_noise_db"] != rows[1]["simulated_noise_db"]
-    again = _measure_noise_point(cfg, 0.0, _point_seed(cfg.seed + 1, 0))
+    again = _measure_point(cfg, 0.0, _point_seed(cfg.seed + 1, 0))
     assert again == rows[1]
 
 
@@ -221,3 +219,50 @@ def test_noise_is_continuous_as_the_excess_reaches_0_db(seed):
                             0.0, _point_seed(seed, 0))["simulated_noise_db"]
              for x in (0.0, 1e-9)]
     assert abs(noise[1] - noise[0]) < 1e-3, noise
+
+
+_DARK_CASES = ["no_line_gain", "far_detuning"]
+
+
+def _dark_after_the_line(case):
+    """A coherent pair at gain1 = 1 with a 0.2 dB excess, its noise read in
+    0.1-20 MHz, whose conjugate is still dark after the line: `coherent-ref`
+    on its line with no gain, or on the fig2-line line at a detuning where
+    the intensity gain rounds to exactly 1."""
+    base = preset_coherent_ref()
+    cfg = replace(base, source=replace(base.source, gain1=1.0), noise_band_hz=(1e5, 2e7),
+                  channel=replace(base.channel, excess_noise_db=0.2))
+    if case == "far_detuning":
+        cfg = replace(cfg, line=preset_fig2_line().line, detunings_hz=(1e15,))
+    return cfg
+
+
+@pytest.mark.parametrize("case", _DARK_CASES)
+def test_excess_on_a_conjugate_dark_after_the_line_is_a_flux_variance(case):
+    """On a conjugate still dark after the line the channel adds the excess
+    alone, the flat per-sample variance x mean_p / eta, and a point measures
+    a finite noise figure there (0.19.0 converted the excess to the dark
+    beam's shot units, and this call raised ZeroDivisionError)."""
+    cfg = _dark_after_the_line(case)
+    cfg = replace(cfg, sampling=replace(cfg.sampling, samples=1 << 14, traces=1))
+    n, eta, d = cfg.sampling.samples, cfg.channel.eta, cfg.detunings_hz[0]
+    head = _chain_head(cfg)
+    channel = _point_channel(cfg, cfg.line.make(), head, 2.0 * math.pi * d)
+    assert head.mean_c == channel.mean_out == 0.0
+    x = 10.0 ** 0.02 - 1.0
+    np.testing.assert_allclose(channel.noise_std[1:],
+                               np.sqrt(0.5 * n * x * head.mean_p / eta), rtol=1e-12)
+    row = _measure_point(cfg, d, _point_seed(cfg.seed, 0))
+    assert math.isfinite(row["simulated_noise_db"])
+
+
+@pytest.mark.parametrize("case", _DARK_CASES)
+def test_excess_on_a_conjugate_dark_after_the_line_reads_its_db(case):
+    """The seed-averaged noise of a conjugate still dark after the line is
+    the config's excess, less the figure's _jensen_db: 8 seeds of 20 traces
+    at 2^18 samples, 2,087 noise bins per trace (about 0.1 s per case)."""
+    cfg = _dark_after_the_line(case)
+    bins = _band_bins(cfg.sampling.samples, cfg.sampling.rate_hz, *cfg.noise_band_hz)
+    assert len(bins) == 2087
+    _assert_unbiased(_per_seed_mean(cfg, "simulated_noise_db"),
+                     cfg.channel.excess_noise_db + _jensen_db(len(bins) * cfg.sampling.traces))

@@ -43,8 +43,8 @@ def _snu(x, n, mean, band=None):
     return band_periodogram(x, n, RATE, *(band or (0.5 * RATE / n, RATE / 2)), mean)
 
 
-def _channel(line, offset, n, mean_flux, excess_db=0.0):
-    return channel_response(line, offset, n, RATE, mean_flux, excess_db, bins=n // 2 + 1)
+def _channel(line, offset, n, mean_flux, excess=0.0):
+    return channel_response(line, offset, n, RATE, mean_flux, excess, bins=n // 2 + 1)
 
 
 def test_trace_validation():
@@ -346,16 +346,18 @@ def test_synthesis_spectra_reproduce_out_of_place_draw():
         np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-12 * np.abs(w).max())
 
 
-@pytest.mark.parametrize("offset, excess_db", [(0.0, 0.0), (6.5e6, 0.3), (-2e7, 0.0)])
-def test_channel_reproduces_out_of_place_round_trip(offset, excess_db):
+@pytest.mark.parametrize("offset, excess_snu", [(0.0, 0.0), (6.5e6, 0.3), (-2e7, 0.0)])
+def test_channel_reproduces_out_of_place_round_trip(offset, excess_snu):
+    """The excess is a flux variance: excess_snu shot-noise units of the input beam."""
     line = calibrate(7.5, 10e6, 0.025)
     n = 1 << 12
     p, _ = _pair(n, seed=17)
     seed = np.random.SeedSequence(72)
-    channel = _channel(line, 2 * np.pi * offset, n, STATS.mean_p, excess_db)
+    excess = excess_snu * STATS.mean_p
+    channel = _channel(line, 2 * np.pi * offset, n, STATS.mean_p, excess)
     out = np.fft.irfft(apply_channel(np.fft.rfft(p), channel, seed, n), n)
     samples, mean_out = channel_round_trip(p, RATE, STATS.mean_p, line,
-                                           2 * np.pi * offset, excess_db, seed)
+                                           2 * np.pi * offset, excess, seed)
     assert channel.mean_out == mean_out
     np.testing.assert_allclose(out, samples, rtol=0,
                                atol=1e-12 * np.abs(samples).max())
@@ -367,7 +369,7 @@ DRAWS = 1500
 
 def _chain_constants(n):
     return _factors(n), _channel(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n,
-                                 STATS.mean_c, 0.3)
+                                 STATS.mean_c, 0.3 * STATS.mean_c)
 
 
 def _fast_pair(factors, channel, eta, n, seed, bins):
@@ -403,7 +405,7 @@ def test_head_constants_equal_the_whole_grid_sliced(k):
     for got, want in zip(factors, whole_factors):
         assert np.array_equal(got, want[:k])
     head = channel_response(calibrate(7.5, 10e6, 0.025), 2 * np.pi * 6.5e6, n, RATE,
-                            STATS.mean_c, 0.3, bins=k)
+                            STATS.mean_c, 0.3 * STATS.mean_c, bins=k)
     assert head.mean_out == whole.mean_out
     assert np.array_equal(head.transfer, whole.transfer[:k])
     assert np.array_equal(head.noise_std, whole.noise_std[:k])
