@@ -7,4 +7,4 @@ The package re-exports nothing, so importing it loads no numpy and changes
 nothing process-wide; import from its submodules (``fastlight.analysis``,
 ``fastlight.simulate``, ``fastlight.dispersion`` and the others)."""
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

@@ -130,50 +130,35 @@ def synthesis_factors(targets: SpectralTargets, n_samples: int, sample_rate: flo
 
 def synth_twin_spectra(factors, seed, n_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw one correlated pair of rfft spectra of n_samples records from
-    ``synthesis_factors``.
-
-    Per positive-frequency bin a complex bivariate circular Gaussian is drawn
-    with the factors' covariance.  Bin 0 is zero (zero-mean traces); the
-    Nyquist bin is real and carries the full variance in one real draw.  When
-    the factors hold only the first bins of the grid, the pair is drawn on
-    those bins only, and its last bin is an interior one.
+    ``synthesis_factors``: unit white spectra u_p, then u_c, mixed as
+    p = sigma_p u_p and c = l21 u_p + l22 u_c; bin 0 is zero (zero-mean
+    traces), Nyquist real.  Factors on the first bins of the grid draw the
+    pair on those bins only, and its last bin is then interior.
     """
-    _require_power_of_two(n_samples)
     sigma_p, l21, l22 = factors
+    if not 1 <= sigma_p.size <= n_samples // 2 + 1:
+        raise InvalidParameterError(f"synthesis factors of {sigma_p.size} bins do not fit "
+                                    f"the rfft grid of {n_samples} samples")
     rng = np.random.default_rng(seed)
-    nb = sigma_p.size
-    xp = np.empty(nb, dtype=complex)
-    xc = np.empty(nb, dtype=complex)
-    # Four unit normals per bin (probe re/im, conjugate re/im), drawn one row
-    # at a time into a shared buffer.
-    z = np.empty(nb)
-    for part in (xp.real, xp.imag, xc.real, xc.imag):
-        rng.standard_normal(out=z)
-        part[...] = z
-    zp_nyq, zc_nyq = xp.real[-1], xc.real[-1]
-    xc *= l22
-    xc.real += l21 * xp.real
-    xc.imag += l21 * xp.imag
-    xc *= np.sqrt(0.5)
-    xp *= sigma_p
-    xp *= np.sqrt(0.5)
-    xp[0] = 0.0
-    xc[0] = 0.0
-    if nb == n_samples // 2 + 1:
-        xp[-1] = sigma_p[-1] * zp_nyq
-        xc[-1] = l21[-1] * zp_nyq + l22[-1] * zc_nyq
-    return xp, xc
+    u_p, u_c = (white_spectrum(n_samples, 1.0 / n_samples, rng,
+                               add_to=np.zeros(sigma_p.size, dtype=complex)) for _ in range(2))
+    u_c *= l22
+    u_c += l21 * u_p
+    u_p *= sigma_p
+    u_p[0] = u_c[0] = 0.0
+    return u_p, u_c
 
 
-def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.ndarray:
-    """The rfft of n_samples iid N(0, variance) samples, drawn directly.
-
-    DC and Nyquist are real N(0, n*variance); every interior bin has
-    independent real and imaginary parts N(0, n*variance/2).  That is the
-    exact distribution of ``np.fft.rfft`` of white Gaussian samples.  seed may
-    be anything ``np.random.default_rng`` accepts, a Generator included.
-    With ``add_to`` (a complex array on the same rfft grid, or on its first
-    bins only) the draw is added to it in place and it is returned.  On
+def white_spectrum(n_samples: int, variance, seed, add_to=None) -> np.ndarray:
+    """The rfft of n_samples independent zero-mean Gaussian samples of
+    per-sample variance v, drawn directly: the chain's one draw kernel.  v
+    is ``variance``, a scalar or one value per drawn bin (a noise spectrum).
+    DC and Nyquist are real N(0, n*v); every interior bin has independent
+    real and imaginary parts N(0, n*v/2), the exact distribution of
+    ``np.fft.rfft`` of white samples.  seed may be anything
+    ``np.random.default_rng`` accepts, a Generator included.  With
+    ``add_to`` (a complex array on the same rfft grid, or on its first bins
+    only) the draw is added to it in place and it is returned.  On
     K < n/2 + 1 bins it is K real parts, then K imaginary parts: the real
     parts are the whole grid's first K, and there is no Nyquist bin.
     """
@@ -182,6 +167,11 @@ def white_spectrum(n_samples: int, variance: float, seed, add_to=None) -> np.nda
     bins = nb if add_to is None else add_to.size
     if not 1 <= bins <= nb:
         raise InvalidParameterError(f"add_to must hold 1 to {nb} bins, got {bins}")
+    variance = np.asarray(variance, dtype=float)
+    if (variance.ndim and variance.shape != (bins,)
+            or not (variance.min() >= 0.0 and variance.max() < np.inf)):
+        raise InvalidParameterError(f"variance must be finite, >= 0 and a scalar or one "
+                                    f"per drawn bin ({bins}), got shape {variance.shape}")
     out = np.zeros(nb, dtype=complex) if add_to is None else add_to
     rng = np.random.default_rng(seed)
     scale = np.sqrt(0.5 * n_samples * variance)
@@ -206,15 +196,15 @@ class ChannelResponse(NamedTuple):
 
     transfer: absolute transfer G(offset) * M(f), with real DC and Nyquist
         bins; exactly 1 on a line with no gain.
-    noise_std: standard deviation of the real part of each bin's added
-        noise, the line's amplifier noise plus the flat excess; interior
-        imaginary parts share it, DC and Nyquist have none.  Exactly 0 on a
-        line with no gain and no excess.
+    noise_var: per-bin variance of the added noise in the records' flux
+        units, as ``white_spectrum`` takes it: the line's amplifier noise
+        plus the flat excess, 0 at DC.  Exactly 0 on a line with no gain
+        and no excess.
     mean_out: output mean flux G*m + (G - 1).
     """
 
     transfer: np.ndarray
-    noise_std: np.ndarray
+    noise_var: np.ndarray
     mean_out: float
 
 
@@ -240,16 +230,13 @@ def channel_response(line: GainLine, carrier_offset: float, n_samples: int,
     # Hermitian-symmetric application on the rfft grid: the shared DC and
     # Nyquist bins must stay real.
     transfer[0] = transfer[0].real
-    interior = slice(1, bins)
     if bins == nb:
         transfer[-1] = transfer[-1].real
-        interior = slice(1, -1)
 
     mean_out = gain0 * mean_flux + (gain0 - 1.0)
-    noise_std = np.sqrt(n_samples * (mean_out * np.maximum(added, 0.0) + excess))
-    noise_std[interior] *= np.sqrt(0.5)
-    noise_std[0] = 0.0
-    return ChannelResponse(transfer, noise_std, mean_out)
+    noise_var = mean_out * np.maximum(added, 0.0) + excess
+    noise_var[0] = 0.0
+    return ChannelResponse(transfer, noise_var, mean_out)
 
 
 def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
@@ -257,24 +244,14 @@ def apply_channel(x: np.ndarray, response: ChannelResponse, seed,
     """Send an rfft spectrum of an n_samples record through the gain line,
     in place; returns x.
 
-    Multiplies by the transfer and adds independent circular Gaussian noise
-    with the response's per-bin deviation; an identity response leaves the
+    Multiplies by the transfer and adds the white spectrum of the
+    response's per-bin noise variance; an identity response leaves the
     values of x bit-exact and still draws.  When x and the response hold
     only the first bins of the grid, the noise is drawn on those bins only,
-    and the last one is interior.
+    as ``white_spectrum`` draws them.
     """
-    _require_power_of_two(n_samples)
     x *= response.transfer
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(x.size)
-    z *= response.noise_std
-    x.real += z
-    rng.standard_normal(out=z)
-    z *= response.noise_std
-    if x.size == n_samples // 2 + 1:
-        z[-1] = 0.0
-    x.imag += z
-    return x
+    return white_spectrum(n_samples, response.noise_var, seed, add_to=x)
 
 
 def detect_spectrum(x: np.ndarray, eta: float, mean_flux: float, seed, n_samples: int,

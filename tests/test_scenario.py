@@ -245,13 +245,12 @@ def test_excess_on_a_conjugate_dark_after_the_line_is_a_flux_variance(case):
     beam's shot units, and this call raised ZeroDivisionError)."""
     cfg = _dark_after_the_line(case)
     cfg = replace(cfg, sampling=replace(cfg.sampling, samples=1 << 14, traces=1))
-    n, eta, d = cfg.sampling.samples, cfg.channel.eta, cfg.detunings_hz[0]
+    eta, d = cfg.channel.eta, cfg.detunings_hz[0]
     head = _chain_head(cfg)
     channel = _point_channel(cfg, cfg.line.make(), head, 2.0 * math.pi * d)
     assert head.mean_c == channel.mean_out == 0.0
     x = 10.0 ** 0.02 - 1.0
-    np.testing.assert_allclose(channel.noise_std[1:],
-                               np.sqrt(0.5 * n * x * head.mean_p / eta), rtol=1e-12)
+    np.testing.assert_allclose(channel.noise_var[1:], x * head.mean_p / eta, rtol=1e-12)
     row = _measure_point(cfg, d, _point_seed(cfg.seed, 0))
     assert math.isfinite(row["simulated_noise_db"])
 

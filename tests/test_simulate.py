@@ -305,6 +305,54 @@ def test_white_spectrum_adds_in_place():
     np.testing.assert_allclose(total - base, white_spectrum(1 << 10, 2.0, 2), atol=1e-12)
 
 
+@pytest.mark.parametrize("variance", [-1.0, np.nan, np.inf, "negative bin", "nan bin",
+                                      "short", "long"])
+def test_white_spectrum_refuses_a_bad_variance(variance):
+    """A negative or non-finite variance, or a per-bin variance that is not
+    one value per drawn bin, is refused before any draw."""
+    n, k = 1 << 10, 300
+    per_bin = {"negative bin": np.r_[np.ones(k - 1), -1.0],
+               "nan bin": np.r_[np.nan, np.ones(k - 1)],
+               "short": np.ones(k - 1), "long": np.ones(k + 1)}
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParameterError, match="variance"):
+        white_spectrum(n, per_bin.get(variance, variance), rng,
+                       add_to=np.zeros(k, dtype=complex))
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("k", [300, (1 << 10) // 2 + 1])
+def test_white_spectrum_of_a_constant_spectrum_is_the_scalar_draw(k):
+    n = 1 << 10
+    scalar = white_spectrum(n, 2.5, 3, add_to=np.zeros(k, dtype=complex))
+    per_bin = white_spectrum(n, np.full(k, 2.5), 3, add_to=np.zeros(k, dtype=complex))
+    assert np.array_equal(scalar, per_bin)
+
+
+def test_channel_noise_is_the_white_spectrum_of_its_variance():
+    """A unit transfer on a zero head leaves exactly the white spectrum of
+    the response's per-bin noise variance, drawn at the same seed."""
+    n, k = N_SPLIT, 300
+    _, channel = _chain_constants(n)
+    head = channel._replace(transfer=np.ones(k, dtype=complex),
+                            noise_var=channel.noise_var[:k])
+    got = apply_channel(np.zeros(k, dtype=complex), head, 9, n)
+    want = white_spectrum(n, head.noise_var, 9, add_to=np.zeros(k, dtype=complex))
+    assert np.array_equal(got, want)
+
+
+def test_synthesis_refuses_factors_longer_than_the_grid():
+    """Factors of n/2 + 2 bins do not fit the rfft grid; nothing is drawn."""
+    n = 1 << 10
+    factors = tuple(f[:n // 2 + 2] for f in _factors(2 * n))
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidParameterError, match="synthesis factors of 514 bins"):
+        synth_twin_spectra(factors, rng, n)
+    assert rng.bit_generator.state == state
+
+
 def test_spectral_kernel_identities_are_bit_exact():
     """eta = 1 and a vacuum line leave the head of a pair spectrum as it is."""
     n, k = 1 << 12, 300
@@ -378,7 +426,7 @@ def _fast_pair(factors, channel, eta, n, seed, bins):
     synth, chan, det_p, det_c = np.random.SeedSequence(seed).spawn(4)
     p, c = synth_twin_spectra(tuple(f[:bins] for f in factors), synth, n)
     head = channel._replace(transfer=channel.transfer[:bins],
-                            noise_std=channel.noise_std[:bins])
+                            noise_var=channel.noise_var[:bins])
     apply_channel(c, head, chan, n)
     detect_spectrum(p, eta, STATS.mean_p, det_p, n, out=p)
     detect_spectrum(c, eta, channel.mean_out, det_c, n, out=c)
@@ -396,8 +444,7 @@ def _assert_z_spread(z):
 def test_head_constants_equal_the_whole_grid_sliced(k):
     """Synthesis factors and channel constants built on the first k rfft bins
     are the whole grid's first k, to the bit: below k = n/2 + 1 the last bin
-    is interior (complex transfer, noise deviation per part), at k = n/2 + 1
-    it is the real Nyquist bin."""
+    is interior (complex transfer), at k = n/2 + 1 it is the real Nyquist bin."""
     n = N_SPLIT
     whole_factors, whole = _chain_constants(n)
     head_targets = build_targets(SOURCE, np.fft.rfftfreq(n, 1.0 / RATE)[:k])
@@ -408,7 +455,7 @@ def test_head_constants_equal_the_whole_grid_sliced(k):
                             STATS.mean_c, 0.3 * STATS.mean_c, bins=k)
     assert head.mean_out == whole.mean_out
     assert np.array_equal(head.transfer, whole.transfer[:k])
-    assert np.array_equal(head.noise_std, whole.noise_std[:k])
+    assert np.array_equal(head.noise_var, whole.noise_var[:k])
     assert (head.transfer[-1].imag == 0.0) == (k in (1, n // 2 + 1))
 
 
@@ -423,7 +470,7 @@ def test_fast_pair_head_matches_the_whole_grid_draw():
     p, c = synth_twin_spectra(tuple(f[:k].copy() for f in factors), 85, n)
     assert np.array_equal(p.real, whole.real[:k])
     assert p[-1].imag != 0.0 and c[-1].imag != 0.0
-    head = channel._replace(transfer=channel.transfer[:k], noise_std=channel.noise_std[:k])
+    head = channel._replace(transfer=channel.transfer[:k], noise_var=channel.noise_var[:k])
     assert apply_channel(np.zeros(k, dtype=complex), head, 86, n)[-1].imag != 0.0
     stats = []
     for bins in (k, nb):
